@@ -98,8 +98,9 @@ Schema history:
   records the asyncio/socket runtime run against the simulator on one
   seeded workload: live ops/sec and sim wall-clock ops/sec,
   completion-latency quantiles (p50/p95/p99, milliseconds), the
-  analytic wire-model bytes/op vs the pickled socket bytes/op with
-  their ratio (``framing_overhead``), and a ``verdicts_equal`` canary
+  analytic wire-model bytes/op vs the bytes/op actually written to the
+  sockets with their ratio (``framing_overhead``; pickled frames up to
+  ``pr9-runtime``'s x4.6, the codec's own frames since), and a ``verdicts_equal`` canary
   (offline causal verdicts of the two drivers must match).  v1–v6
   files load unchanged.
 * **8** — adds the optional ``obs.plane`` section (telemetry-plane

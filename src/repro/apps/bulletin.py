@@ -24,6 +24,7 @@ ancestor post.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -46,6 +47,16 @@ class Post:
     author: int
     text: str
     reply_to: Optional[str] = None
+
+    def packed(self) -> str:
+        """The post as one string: memory words hold scalars, which is
+        all the wire codec carries (DESIGN.md Section 4.5)."""
+        return json.dumps([self.post_id, self.author, self.text, self.reply_to])
+
+    @classmethod
+    def unpacked(cls, cell: Any) -> Optional["Post"]:
+        """The post a body cell holds, or None for an unwritten one."""
+        return cls(*json.loads(cell)) if isinstance(cell, str) else None
 
 
 @dataclass(frozen=True)
@@ -148,7 +159,7 @@ class BulletinBoard:
         body = Post(
             post_id=post_id, author=author, text=text, reply_to=reply_to
         )
-        yield api.write(self.body_location(post_id), body)
+        yield api.write(self.body_location(post_id), body.packed())
         yield api.write(self.announcement_location(author, index), post_id)
         return post_id
 
@@ -168,8 +179,8 @@ class BulletinBoard:
         posts: List[Post] = []
         dangling: List[str] = []
         for post_id in announced:
-            body = yield api.read(self.body_location(post_id))
-            if isinstance(body, Post):
+            body = Post.unpacked((yield api.read(self.body_location(post_id))))
+            if body is not None:
                 posts.append(body)
             else:
                 dangling.append(post_id)
@@ -186,8 +197,7 @@ class BulletinBoard:
     def find(self, api, post_id: str):
         """Fetch one post body (None if not yet visible)."""
         api.discard(self.body_location(post_id))
-        body = yield api.read(self.body_location(post_id))
-        return body if isinstance(body, Post) else None
+        return Post.unpacked((yield api.read(self.body_location(post_id))))
 
     # ------------------------------------------------------------------
     # Cluster passthroughs

@@ -38,10 +38,6 @@ class WorkloadConfig:
     no_cache: bool = False
     batching: bool = False
     delta_stamps: bool = False
-    #: With delta_stamps: route stampless/write-batch frames through the
-    #: codec's specialised encode lanes (False = generic walk; the
-    #: lockstep suite asserts both produce identical runs).
-    wire_fast_lanes: bool = True
     #: Writestamp-arena backend (None = auto; "python" | "numpy").
     arena_backend: Optional[str] = None
     #: Coalesce same-instant deliveries into one scheduler entry.
@@ -88,7 +84,6 @@ def run_random_execution(
         no_cache=config.no_cache,
         batching=config.batching,
         delta_stamps=config.delta_stamps,
-        wire_fast_lanes=config.wire_fast_lanes,
         arena_backend=config.arena_backend,
         batch_delivery=config.batch_delivery,
     )

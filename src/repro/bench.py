@@ -726,8 +726,8 @@ def bench_live(n_nodes: int, ops_per_proc: int) -> Dict[str, Any]:
     derived-RNG operation sequences, wire codec on, Unix-domain
     sockets — and reports live throughput, per-op completion-latency
     quantiles, and the byte ledger: the analytic wire-model bytes/op
-    both drivers account identically vs the pickled frames actually
-    written to the sockets.  The verdict cross-check (sim legality ==
+    both drivers account identically vs the bytes actually written to
+    the sockets (the codec's frames plus a 4-byte length prefix each).  The verdict cross-check (sim legality ==
     live legality) is part of the measurement; a drift marks the whole
     section suspect.
     """

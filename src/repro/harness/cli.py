@@ -392,11 +392,13 @@ def _cmd_monitor(args) -> int:
 def _print_live_stats(outcome) -> None:
     print(
         f"  {outcome.total_messages} messages in {outcome.elapsed:.3f}s "
-        f"({outcome.dropped_messages} dropped, {outcome.resyncs} resyncs)"
+        f"({outcome.dropped_messages} dropped, {outcome.resyncs} resyncs, "
+        f"{outcome.frames_rejected} frames rejected)"
     )
     print(
         f"  bytes: {outcome.model_bytes} wire-model, "
-        f"{outcome.socket_bytes} on the socket"
+        f"{outcome.socket_bytes} on the socket "
+        f"(x{outcome.socket_bytes / max(outcome.model_bytes, 1):.2f})"
     )
 
 

@@ -844,7 +844,7 @@ def exp_ownership_migration(rounds: int = 12) -> ExperimentReport:
             from repro.sim.tasks import sleep
 
             for i in range(rounds // 2):
-                yield api.write("x", (me, i))
+                yield api.write("x", 100 * me + i)
                 yield sleep(cluster.sim, 10.0)
 
         cluster.spawn(1, ping, 1)

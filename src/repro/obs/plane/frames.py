@@ -13,7 +13,7 @@ big-endian length prefix.  The sideband carries observation data only
 — no protocol state — so we trade a few bytes per event for a format
 the flight recorder can embed into FORMAT_VERSION-2 counterexamples
 and humans can read off the wire with ``xxd``.  Protocol sockets keep
-their own (pickled) codec; the two never mix, which is what keeps the
+their own (struct-packed) codec; the two never mix, which is what keeps the
 plane's wire accounting invariant testable
 (``NetworkStats`` bytes identical with the plane on or off).
 """

@@ -21,6 +21,7 @@ from repro.checker.history import HistoryRecorder
 from repro.errors import ProtocolError, SimulationError
 from repro.memory import LocalStore, Namespace
 from repro.memory.local_store import INITIAL_WRITER, MemoryEntry
+from repro.protocols.wire import WireCodec
 from repro.sim import Future, Network, Simulator, TaskScheduler
 from repro.sim.latency import LatencyModel
 
@@ -269,14 +270,9 @@ class DSMCluster:
         writes into batch frames — see DESIGN.md Section 4.5.
     delta_stamps:
         Install a :class:`~repro.protocols.wire.WireCodec` on the
-        network so vector-clock fields are delta-encoded per channel
-        (byte accounting only; message contents round-trip exactly).
-    wire_fast_lanes:
-        With ``delta_stamps``: use the codec's specialised encode lanes
-        for stampless and write-batch frames (the default).  ``False``
-        forces every frame through the generic per-field walk — same
-        bytes, same counters, only slower; exists so the lockstep
-        property suite can assert the equivalence.
+        network: every message crosses it as its encoded byte frame,
+        vector-clock fields delta-encoded per channel (message contents
+        round-trip exactly).
     arena_backend:
         Writestamp-arena backend for every node's store and the
         vectorised delivery/sweep paths: ``"numpy"``, ``"python"``,
@@ -316,7 +312,6 @@ class DSMCluster:
         unsafe_write_behind: bool = False,
         batching: bool = False,
         delta_stamps: bool = False,
-        wire_fast_lanes: bool = True,
         arena_backend: Optional[str] = None,
         batch_delivery: bool = False,
     ):
@@ -328,16 +323,11 @@ class DSMCluster:
         self.delta_stamps = delta_stamps
         self.arena_backend = arena_backend
         self.sim = Simulator(seed=seed)
-        codec = None
-        if delta_stamps:
-            from repro.protocols.wire import WireCodec
-
-            codec = WireCodec(fast_lanes=wire_fast_lanes)
         self.network = Network(
             self.sim,
             latency=latency,
             trace_messages=trace_messages,
-            codec=codec,
+            codec=WireCodec() if delta_stamps else None,
             batch_delivery=batch_delivery,
         )
         self.namespace = namespace or Namespace.hashed(n_nodes)

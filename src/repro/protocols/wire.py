@@ -1,38 +1,39 @@
-"""Wire-level serialization model: byte accounting and delta-encoded stamps.
+"""The wire codec: every protocol message as the bytes the cost model counts.
 
 The paper's efficiency argument (Section 4.1) is stated in message
 *counts*, but the real cost axis for causal DSM metadata is message
 *size*: every protocol message carries at least one ``n``-entry vector
 writestamp, so stamp bytes grow linearly with the system while payloads
 stay constant (Xiang & Vaidya, arXiv:1703.05424).  This module makes
-bytes a first-class measurement and then optimizes them:
+bytes a first-class measurement, and the measurement is the wire:
 
-* **Deterministic byte costs** — :func:`measure_message` assigns every
-  protocol message a reproducible wire size (header + payload fields +
-  writestamp entries) from the constants below.  The network calls it on
-  every send, so :class:`~repro.sim.trace.NetworkStats` accumulates
-  per-kind and per-edge byte totals alongside the paper's counts.
-* **Delta-encoded writestamps** — :class:`WireCodec` maintains, per
-  directed channel ``(src, dst)``, the last writestamp carried in either
-  direction of the encode walk; subsequent messages carry only the
-  vector-clock entries that *changed* since the previous message on the
-  channel.  The receiver reconstructs full stamps from its mirror of the
-  channel state.  Reliable FIFO channels (the paper's Section 3 network
-  assumption) make sender and receiver state converge; any loss —
-  a drop, a partition, a crashed endpoint — marks the channel dirty and
-  the next message falls back to a **full** stamp, which resynchronises
-  both sides unconditionally.
+* **One byte layout** (DESIGN.md Section 4.5 is the spec) —
+  :meth:`WireCodec.encode` packs a message into the frame described
+  there and :meth:`WireCodec.decode` parses one, validating every
+  length, tag and bound (:class:`WireError` on any violation).  The
+  simulator's network carries these bytes and the live runtime writes
+  them to its sockets; there is no other serializer.
+* **Deterministic byte costs** — the model charges the constants below.
+  A real frame is exactly that long plus one type-tag byte per
+  ``int``/``float``/``str`` application value (and the multi-byte excess
+  of non-ASCII text); :class:`Frame` carries both.  :func:`fast_cost`
+  prices a message without encoding it — what a codec-less network
+  charges — and agrees with the encoder.
+* **Delta-encoded writestamps** — per directed channel ``(src, dst)``
+  the codec remembers the last writestamp carried; subsequent stamps
+  carry only the vector-clock entries that *changed* since, and the
+  receiver rebuilds them from its mirror of the channel state.
+  Reliable FIFO channels (the paper's Section 3 network assumption)
+  keep both sides in step; any loss — a drop, a partition, a crashed
+  endpoint, a dead connection — marks the channel dirty and the next
+  stamp falls back to the **full** form, which resynchronises both
+  sides unconditionally.  ``WireCodec(delta=False)`` sends every stamp
+  full (what a run without ``delta_stamps`` puts on a socket).
 
-The codec genuinely round-trips messages: stamps are stripped into
-:class:`EncodedStamp` tokens at send time and rebuilt at delivery time,
-so the protocol engines operate on *reconstructed* clocks.  A codec bug
-is therefore a protocol bug the lockstep property tests catch, not a
-mis-counted statistic.
+Cost model (all sizes in bytes)::
 
-Cost model (all sizes in bytes; see DESIGN.md Section 4.5)::
-
-    frame header        12   kind tag, endpoints, channel seq, length
-    batch sub-header     4   kind tag + length of one nested message
+    frame header        12   version, kind, endpoints, channel seq, length
+    batch sub-header     4   kind + length of one nested message
     request/seq ids      4
     writer/node ids      4
     location name        2 + len(name)
@@ -47,8 +48,10 @@ the encoder automatically falls back to the full form whenever more than
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, fields as dataclass_fields
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from operator import attrgetter
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.clocks import VectorClock
 from repro.errors import ReproError
@@ -56,8 +59,7 @@ from repro.errors import ReproError
 __all__ = [
     "WireError",
     "WireDesyncError",
-    "EncodedStamp",
-    "EncodedMessage",
+    "Frame",
     "MessageCost",
     "measure_message",
     "fast_cost",
@@ -66,6 +68,8 @@ __all__ = [
     "stamp_full_bytes",
     "stamp_delta_bytes",
     "WireCodec",
+    "WIRE_VERSION",
+    "MAX_FRAME",
     "HEADER_BYTES",
     "SUBHEADER_BYTES",
     "ID_BYTES",
@@ -76,7 +80,7 @@ __all__ = [
 
 
 class WireError(ReproError):
-    """A malformed message reached the wire layer."""
+    """A message cannot be encoded, or a frame is malformed."""
 
 
 class WireDesyncError(WireError):
@@ -98,6 +102,12 @@ ID_BYTES = 4
 STAMP_COUNT_BYTES = 2
 STAMP_FULL_ENTRY_BYTES = 4
 STAMP_DELTA_ENTRY_BYTES = 6
+
+#: Carried in every frame header and in the live hello; a decoder
+#: rejects any other value.
+WIRE_VERSION = 1
+#: Largest frame: the header's length field is 16 bits wide.
+MAX_FRAME = 0xFFFF
 
 
 def location_bytes(location: str) -> int:
@@ -124,70 +134,13 @@ def stamp_delta_bytes(changed: int) -> int:
     return STAMP_COUNT_BYTES + STAMP_DELTA_ENTRY_BYTES * changed
 
 
-def _delta_beats_full(changed: int, dimension: int) -> bool:
-    return stamp_delta_bytes(changed) < stamp_full_bytes(dimension)
+class Frame(NamedTuple):
+    """One encoded message: the bytes, and what the model charges for them."""
 
-
-#: Interned zero-entry delta stamps by dimension ("nothing changed" is
-#: the most common encoding; see WireCodec.encode).
-_EMPTY_DELTAS: Dict[int, "EncodedStamp"] = {}
-
-
-def _empty_delta(dimension: int) -> "EncodedStamp":
-    token = _EMPTY_DELTAS.get(dimension)
-    if token is None:
-        token = _EMPTY_DELTAS[dimension] = EncodedStamp(
-            entries=(), full=False, dimension=dimension
-        )
-    return token
-
-
-# ----------------------------------------------------------------------
-# Encoded forms
-# ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
-class EncodedStamp:
-    """One writestamp as carried on the wire.
-
-    ``full`` stamps carry every component (``entries`` is the component
-    tuple indexed implicitly); delta stamps carry ``(index, value)``
-    pairs applied over the channel basis.
-    """
-
-    entries: Tuple[int, ...]
-    full: bool
-    dimension: int
-
-    @property
-    def carried_entries(self) -> int:
-        """Vector-clock entries physically present in this encoding."""
-        if self.full:
-            return self.dimension
-        return len(self.entries) // 2
-
-    @property
-    def byte_size(self) -> int:
-        """Wire size of this stamp encoding."""
-        if self.full:
-            return stamp_full_bytes(self.dimension)
-        return stamp_delta_bytes(self.carried_entries)
-
-
-@dataclass(frozen=True, slots=True)
-class EncodedMessage:
-    """A protocol message after stamp stripping, ready for 'delivery'.
-
-    ``template`` is the original message with every
-    :class:`~repro.clocks.VectorClock` field replaced by an
-    :class:`EncodedStamp`; ``decode`` rebuilds the original.  ``kind``
-    mirrors the inner message so statistics attribute frames to protocol
-    roles, and ``channel_seq`` lets the receiver detect lost frames.
-    """
-
-    kind: str
-    template: object
-    channel_seq: int
+    data: bytes
+    #: Model size: ``len(data)`` minus value type tags and UTF-8 excess.
     byte_size: int
+    #: Vector-clock entries physically carried / with every stamp full.
     stamp_entries: int
     stamp_entries_full: int
 
@@ -200,106 +153,320 @@ class MessageCost:
     stamp_entries: int
     stamp_count: int
 
-    def __iter__(self):
-        yield self.byte_size
-        yield self.stamp_entries
+
+# ----------------------------------------------------------------------
+# Field encodings (big-endian throughout)
+# ----------------------------------------------------------------------
+_HEADER = struct.Struct(">BBHHIH")  # version kind src dst channel-seq length
+_SUB = struct.Struct(">HH")  # nested kind, nested length
+_U16 = struct.Struct(">H")
+_ID = struct.Struct(">I")  # request ids and write sequence numbers
+_NODE = struct.Struct(">i")  # node ids; a writer of -1 is "initial value"
+_I64 = struct.Struct(">q")
+_F64 = struct.Struct(">d")
+
+# Value tags.  None/False/True are the whole value (1 byte, as modelled);
+# the other three precede an 8-byte scalar or a length-prefixed string.
+_T_NONE, _T_FALSE, _T_TRUE, _T_INT, _T_FLOAT, _T_STR = range(6)
+_NONE, _FALSE, _TRUE = b"\x00", b"\x01", b"\x02"
+_TAG_INT = struct.Struct(">Bq")
+_TAG_FLOAT = struct.Struct(">Bd")
+_TAG_STR = struct.Struct(">BH")
+
+# A stamp's 16-bit prefix: top bit set = full (low bits: dimension, then
+# that many u32 counters); clear = delta (low bits: pair count, then that
+# many (u16 index, u32 counter) pairs over the channel basis).
+_FULL_FLAG = 0x8000
+_EMPTY_DELTA = b"\x00\x00"
+_STAMP_STRUCTS: Dict[int, struct.Struct] = {}
+
+# W_REPLY / batched-reply flag bits, and the byte for each combination.
+_APPLIED, _HAS_CURRENT = 1, 2
+_FLAGS = (b"\x00", b"\x01", b"\x02", b"\x03")
+#: Nested-only kind: a BatchedWriteReply never travels as its own frame.
+_K_OUTCOME = 0
+
+
+def _stamp_struct(word: int) -> struct.Struct:
+    """Packer for a whole stamp (prefix + entries), keyed by its prefix."""
+    packer = _STAMP_STRUCTS.get(word)
+    if packer is None:
+        count = word & ~_FULL_FLAG
+        entries = "%dI" % count if word & _FULL_FLAG else "HI" * count
+        packer = _STAMP_STRUCTS[word] = struct.Struct(">H" + entries)
+    return packer
+
+
+class _SendState:
+    """One direction of one channel, sender side.
+
+    ``basis`` is the last stamp's components (None: next stamp is full);
+    the counters are running totals, so a frame's share is a difference
+    and the codec's statistics are sums over channels.  ``nodes``,
+    ``text``, ``value`` and ``stamp`` each encode one field kind.
+    """
+
+    __slots__ = ("delta", "basis", "seq", "stamps", "stamps_full",
+                 "carried", "wide", "extra")
+
+    def __init__(self, delta: bool) -> None:
+        self.delta = delta
+        self.basis: Optional[Tuple[int, ...]] = None
+        self.seq = 0
+        self.stamps = self.stamps_full = self.carried = self.wide = 0
+        #: Bytes written beyond the model: value tags and UTF-8 excess.
+        self.extra = 0
+
+    def nodes(self, node_ids: Tuple[int, ...]) -> bytes:
+        return struct.pack(">H%di" % len(node_ids), len(node_ids), *node_ids)
+
+    def text(self, text: str) -> bytes:
+        raw = text.encode()
+        if len(raw) != len(text):
+            self.extra += len(raw) - len(text)
+        return _U16.pack(len(raw)) + raw
+
+    def value(self, value: Any) -> bytes:
+        if isinstance(value, str):
+            raw = value.encode()
+            self.extra += 1 + len(raw) - len(value)
+            return _TAG_STR.pack(_T_STR, len(raw)) + raw
+        if value is None:
+            return _NONE
+        if isinstance(value, bool):
+            return _TRUE if value else _FALSE
+        try:
+            if isinstance(value, int):
+                self.extra += 1
+                return _TAG_INT.pack(_T_INT, value)
+            if isinstance(value, float):
+                self.extra += 1
+                return _TAG_FLOAT.pack(_T_FLOAT, value)
+        except struct.error:
+            pass
+        raise WireError(
+            f"field 'value' holds {value!r}: only None, bool, int64, "
+            "float and str values have a wire encoding"
+        )
+
+    def stamp(self, clock: VectorClock) -> bytes:
+        components = clock.components
+        dimension = len(components)
+        self.stamps += 1
+        self.wide += dimension
+        if self.delta:
+            basis = self.basis
+            self.basis = components
+            if basis is not None and len(basis) == dimension:
+                if components == basis:
+                    # Unchanged stamp — half of all stamps in batched
+                    # runs (a reply echoing the request's merged clock).
+                    return _EMPTY_DELTA
+                changed: List[int] = []
+                for index, (new, old) in enumerate(zip(components, basis)):
+                    if new != old:
+                        changed.append(index)
+                        changed.append(new)
+                count = len(changed) >> 1
+                if stamp_delta_bytes(count) < stamp_full_bytes(dimension):
+                    self.carried += count
+                    return _stamp_struct(count).pack(count, *changed)
+        if dimension >= _FULL_FLAG:
+            raise WireError(f"stamp dimension {dimension} exceeds 15 bits")
+        self.carried += dimension
+        self.stamps_full += 1
+        word = _FULL_FLAG | dimension
+        return _stamp_struct(word).pack(word, *components)
+
+
+class _RecvState:
+    """One direction of one channel, receiver side.
+
+    ``nodes``, ``text``, ``value`` and ``stamp`` each parse one field
+    kind at ``off`` and return it with the offset past it.
+    """
+
+    __slots__ = ("basis", "clock", "seq")
+
+    def __init__(self) -> None:
+        self.basis: Optional[Tuple[int, ...]] = None
+        #: The clock object built from ``basis`` (immutable, so an
+        #: unchanged stamp hands out the same instance again).
+        self.clock: Optional[VectorClock] = None
+        self.seq = 0
+
+    def nodes(self, data: bytes, off: int) -> Tuple[Tuple[int, ...], int]:
+        (count,) = _U16.unpack_from(data, off)
+        node_ids = struct.unpack_from(">%di" % count, data, off + 2)
+        return node_ids, off + 2 + ID_BYTES * count
+
+    def text(self, data: bytes, off: int) -> Tuple[str, int]:
+        (length,) = _U16.unpack_from(data, off)
+        end = off + 2 + length
+        raw = data[off + 2:end]
+        if len(raw) != length:
+            raise WireError("text runs past the end of the frame")
+        return raw.decode(), end
+
+    def value(self, data: bytes, off: int) -> Tuple[Any, int]:
+        tag = data[off]
+        if tag == _T_STR:
+            return self.text(data, off + 1)
+        if tag == _T_INT:
+            return _I64.unpack_from(data, off + 1)[0], off + 9
+        if tag == _T_FLOAT:
+            return _F64.unpack_from(data, off + 1)[0], off + 9
+        if tag > _T_TRUE:
+            raise WireError(f"unknown value tag {tag}")
+        return (None, False, True)[tag], off + 1
+
+    def stamp(self, data: bytes, off: int) -> Tuple[VectorClock, int]:
+        (word,) = _U16.unpack_from(data, off)
+        off += 2
+        if word & _FULL_FLAG:
+            end = off + STAMP_FULL_ENTRY_BYTES * (word - _FULL_FLAG)
+            if end == off or end > len(data):
+                raise WireError("full stamp is empty or runs past the frame")
+            components = _stamp_struct(word).unpack_from(data, off - 2)[1:]
+            off = end
+        else:
+            basis = self.basis
+            if basis is None:
+                raise WireDesyncError(
+                    "delta stamp without a basis; a frame was lost after "
+                    "later frames were already encoded"
+                )
+            if not word:
+                return self.clock, off
+            if off + STAMP_DELTA_ENTRY_BYTES * word > len(data):
+                raise WireError("delta stamp runs past the frame")
+            pairs = _stamp_struct(word).unpack_from(data, off - 2)
+            off += STAMP_DELTA_ENTRY_BYTES * word
+            mutable = list(basis)
+            dimension = len(mutable)
+            for position in range(1, 2 * word, 2):
+                index = pairs[position]
+                if index >= dimension:
+                    raise WireError(
+                        f"delta index {index} outside dimension {dimension}"
+                    )
+                mutable[index] = pairs[position + 1]
+            components = tuple(mutable)
+        clock = self.clock = VectorClock._from_trusted(components)
+        self.basis = components
+        return clock, off
+
+
+def _put_nested(state, items, code: int, encode) -> bytes:
+    """count | count x (sub-header | nested message)."""
+    parts = [_U16.pack(len(items))]
+    for item in items:
+        body = encode(state, item)
+        parts.append(_SUB.pack(code, len(body)))
+        parts.append(body)
+    return b"".join(parts)
+
+
+def _get_nested(state, data: bytes, off: int, code: int, decode, *lead):
+    """Inverse of :func:`_put_nested`; ``lead`` are the fields every
+    nested message takes from its container."""
+    (count,) = _U16.unpack_from(data, off)
+    off += 2
+    items = []
+    for _ in range(count):
+        kind, length = _SUB.unpack_from(data, off)
+        if kind != code:
+            raise WireError(f"nested kind {kind} where {code} belongs")
+        end = off + SUBHEADER_BYTES + length
+        item, off = decode(state, data, off + SUBHEADER_BYTES, *lead)
+        if off != end:
+            raise WireError("nested message length disagrees with its content")
+        items.append(item)
+    return tuple(items), off
+
+
+#: How each message field travels, by field name: fields are written in
+#: dataclass order, which both sides walk identically — so a type's
+#: stamps keep one fixed order and the running per-channel basis stays
+#: in lockstep.  ``applied`` stands for the (applied, current) pair that
+#: ends a write reply; a batch's ``writes`` are handled by its layout.
+_FIELD_KINDS = {
+    "request_id": "uint", "seq": "uint",
+    "location": "text", "unit": "text",
+    "value": "value", "stamp": "stamp",
+    "writer": "node", "sender": "node", "requester": "node", "owner": "node",
+    "copyset": "nodes", "entries": "entries", "replies": "replies",
+    "applied": "outcome", "current": None,
+}
+#: Per kind: the expression that encodes field ``{f}`` of message ``m`` on
+#: sender state ``s``, and the statement that parses it from ``data`` at
+#: ``off`` on receiver state ``r`` — a state method of the kind's name
+#: unless listed here (fixed-width kinds inline; composites, which need
+#: the message classes, are helpers :func:`_build_layouts` supplies).
+_FIELD_CODE = {
+    "uint": ("_ID.pack(m.{f})", "({f},) = _ID.unpack_from(data, off); off += 4"),
+    "node": ("_NODE.pack(m.{f})", "({f},) = _NODE.unpack_from(data, off); off += 4"),
+    "entries": ("put_entries(s, m.{f})", "{f}, off = get_entries(r, data, off)"),
+    "replies": ("put_replies(s, m.{f})", "{f}, off = get_replies(r, data, off)"),
+    "outcome": ("put_outcome(s, m.applied, m.current)",
+                "applied, current, off = get_outcome(r, data, off)"),
+}
+
+
+def _compile(cls, helpers: Dict[str, Any], skip: int = 0):
+    """Straight-line ``encode(s, m) -> bytes`` and ``decode(r, data, off,
+    *lead) -> (cls(*lead, ...), off)`` for ``cls``'s fields past ``skip``
+    (those a container supplies), generated from the tables above;
+    ``helpers`` are the names the generated code may call."""
+    names = [field.name for field in dataclass_fields(cls)]
+    puts, gets = [], []
+    for name in names[skip:]:
+        kind = _FIELD_KINDS[name]
+        if kind is not None:
+            put, get = _FIELD_CODE.get(kind) or (
+                f"s.{kind}(m.{{f}})", f"{{f}}, off = r.{kind}(data, off)")
+            puts.append(put.format(f=name))
+            gets.append(get.format(f=name))
+    source = (
+        f"def encode(s, m):\n    return {' + '.join(puts)}\n"
+        f"def decode(r, data, off{''.join(', ' + n for n in names[:skip])}):\n    "
+        + "\n    ".join(gets)
+        + f"\n    return cls({', '.join(names)}), off\n"
+    )
+    namespace = {"cls": cls, "_ID": _ID, "_NODE": _NODE, **helpers}
+    exec(source, namespace)
+    return namespace["encode"], namespace["decode"]
 
 
 # ----------------------------------------------------------------------
-# Per-type cost plans and stamp walkers
+# Per-type layouts
 # ----------------------------------------------------------------------
-#
-# Each protocol message type registers:
-#   body(msg)    -> byte size of everything except stamps and the header
-#   stamps(msg)  -> the message's VectorClock fields, in a fixed walk order
-#   rebuild(msg, stamps) -> a copy of msg with the walked stamps replaced
-#
-# The walk order is the contract between encoder and decoder: both sides
-# traverse stamps identically, so the running per-channel basis stays in
-# lockstep.  Unknown message types fall back to a generic plan so test
-# doubles and future messages are still accounted for.
-
-_BodyFn = Callable[[Any], int]
-_StampsFn = Callable[[Any], List[VectorClock]]
-_RebuildFn = Callable[[Any, List[Any]], Any]
-# cost(msg) -> (byte_size, stamp_entries): an allocation-free fast path
-# equivalent to HEADER + body + full stamps.  The network charges every
-# send through this, so it must not build lists or dataclasses; the
-# readable body/stamps walk stays the authoritative definition and
-# tests/test_wire.py asserts the two agree for every message type.
+# cost(msg)          -> (byte_size, stamp_entries) with full stamps,
+#                       allocation-free: what a codec-less network charges
+#                       on every send.  tests/test_wire.py asserts it
+#                       agrees with the encoder for every type.
+# encode(state, msg) -> the frame body (everything after the header)
+# decode(state, data, off) -> (message, offset past it)
 _CostFn = Callable[[Any], Tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class _WirePlan:
-    body: _BodyFn
-    stamps: _StampsFn
-    rebuild: _RebuildFn
-    cost: Optional[_CostFn] = None
+class _Layout(NamedTuple):
+    code: int
+    kind: str
+    cost: _CostFn
+    encode: Callable[[_SendState, Any], bytes]
+    decode: Callable[[_RecvState, bytes, int], Tuple[Any, int]]
 
 
-_PLANS: Dict[type, _WirePlan] = {}
-
-#: Resolved by :func:`_build_plans` (wire cannot import messages at module
-#: level); used by the encode fast-lane dispatch.
-_WRITE_BATCH_TYPE: Optional[type] = None
+_LAYOUTS: Dict[type, _Layout] = {}
+_BY_CODE: Dict[int, _Layout] = {}
 
 
-def _register(message_type: type, plan: _WirePlan) -> None:
-    _PLANS[message_type] = plan
-
-
-def _no_stamps(_msg: Any) -> List[VectorClock]:
-    return []
-
-
-def _keep(msg: Any, _stamps: List[Any]) -> Any:
-    return msg
-
-
-def _entry_payload_body(payload) -> int:
-    return location_bytes(payload.location) + value_bytes(payload.value) + ID_BYTES
-
-
-#: Per-type dataclass field names, resolved once — the message classes are
-#: slotted (no ``__dict__``), so clones are built by walking the fields.
-_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}
-_MISSING = object()
-
-
-def _restamped(msg, **changes):
-    """``dataclasses.replace`` minus the signature machinery.
-
-    Every stamped message is rebuilt twice per hop (stamp-stripped at
-    encode, stamp-restored at decode), and ``dataclasses.replace``'s
-    field introspection dominated the wire profile.  The message
-    dataclasses define no ``__post_init__``, so copying each field
-    through ``object.__setattr__`` (which writes the slot descriptors
-    directly, bypassing the frozen guard) constructs the identical
-    instance.
-    """
-    cls = type(msg)
-    names = _FIELD_NAMES.get(cls)
-    if names is None:
-        names = _FIELD_NAMES[cls] = tuple(
-            f.name for f in dataclass_fields(cls)
-        )
-    clone = object.__new__(cls)
-    setter = object.__setattr__
-    get_change = changes.get
-    for name in names:
-        value = get_change(name, _MISSING)
-        if value is _MISSING:
-            value = getattr(msg, name)
-        setter(clone, name, value)
-    return clone
-
-
-def _build_plans() -> None:
-    global _WRITE_BATCH_TYPE
+def _build_layouts() -> None:
+    # Imported here: the message modules import nothing from this one,
+    # but repro.protocols' package import order would make it circular.
+    from repro.protocols import li_hudak as lh
     from repro.protocols import messages as m
-
-    _WRITE_BATCH_TYPE = m.WriteBatch
 
     # Constants folded into closure locals: the cost functions run on
     # every Network.send, so global lookups are trimmed to bind-time.
@@ -309,29 +476,115 @@ def _build_plans() -> None:
     # One full stamp of dimension d costs SC + SF*d; an entry payload
     # (location + value + writer id) costs (2 + len(loc)) + vb + ID.
 
-    # -- causal owner (Figure 4) --------------------------------------
-    _register(m.ReadRequest, _WirePlan(
-        body=lambda msg: ID_BYTES + location_bytes(msg.location)
-        + location_bytes(msg.unit),
-        stamps=_no_stamps,
-        rebuild=_keep,
-        cost=lambda msg, _f=H + ID + 4: (
-            _f + len(msg.location) + len(msg.unit), 0),
-    ))
+    def register(code, cls, cost, encode=None, decode=None) -> None:
+        """Add ``cls``; a type whose fields all have a kind compiles itself."""
+        assert code not in _BY_CODE, code
+        if encode is None:
+            encode, decode = _compile(cls, helpers)
+        _LAYOUTS[cls] = _BY_CODE[code] = _Layout(
+            code, cls.kind, cost, encode, decode)
 
-    def _read_reply_stamps(msg) -> List[VectorClock]:
-        stamps = [entry.stamp for entry in msg.entries]
-        stamps.append(msg.stamp)
-        return stamps
+    # -- composite field kinds -------------------------------------------
+    helpers: Dict[str, Any] = {}
+    entry_encode, entry_decode = _compile(m.EntryPayload, helpers)
 
-    def _read_reply_rebuild(msg, stamps):
-        entries = tuple(
-            _restamped(entry, stamp=stamp)
-            for entry, stamp in zip(msg.entries, stamps)
-        )
-        return _restamped(msg, entries=entries, stamp=stamps[-1])
+    def put_entries(state, entries) -> bytes:
+        return _U16.pack(len(entries)) + b"".join(
+            [entry_encode(state, entry) for entry in entries])
 
-    def _read_reply_cost(msg, _f=H + ID + 4, _pe=2 + ID):
+    def get_entries(state, data, off):
+        (count,) = _U16.unpack_from(data, off)
+        off += 2
+        entries = []
+        for _ in range(count):
+            entry, off = entry_decode(state, data, off)
+            entries.append(entry)
+        return tuple(entries), off
+
+    # A (batched) write reply ends in its outcome: one flags byte for
+    # ``applied`` and the presence of ``current``, then that entry.
+    def put_outcome(state, applied, current) -> bytes:
+        if current is None:
+            return _FLAGS[bool(applied)]
+        return _FLAGS[_HAS_CURRENT | bool(applied)] + entry_encode(state, current)
+
+    def get_outcome(state, data, off):
+        flags = data[off]
+        if flags > _APPLIED | _HAS_CURRENT:
+            raise WireError(f"unknown reply flags {flags:#x}")
+        current = None
+        off += 1
+        if flags & _HAS_CURRENT:
+            current, off = entry_decode(state, data, off)
+        return bool(flags & _APPLIED), current, off
+
+    helpers.update(put_entries=put_entries, get_entries=get_entries,
+                   put_outcome=put_outcome, get_outcome=get_outcome)
+    sub_encode, sub_decode = _compile(m.BatchedWriteReply, helpers)
+
+    helpers.update(
+        put_replies=lambda state, replies: _put_nested(
+            state, replies, _K_OUTCOME, sub_encode),
+        get_replies=lambda state, data, off: _get_nested(
+            state, data, off, _K_OUTCOME, sub_decode),
+    )
+
+    def batch(code, cls, cost, item_cls, item_code) -> None:
+        """lead field | count | count x (sub-header | item without its lead).
+
+        A nested write or broadcast shares the batch's request id /
+        sender (the engines build them so); anything else has no encoding.
+        """
+        lead = dataclass_fields(cls)[0].name
+        packer = {"uint": _ID, "node": _NODE}[_FIELD_KINDS[lead]]
+        pick = attrgetter(lead)
+        item_encode, item_decode = _compile(item_cls, helpers, skip=1)
+
+        def encode(state, msg):
+            shared = pick(msg)
+            if any(pick(item) != shared for item in msg.writes):
+                raise WireError(f"nested message with a {lead} of its own")
+            return packer.pack(shared) + _put_nested(
+                state, msg.writes, item_code, item_encode)
+
+        def decode(state, data, off):
+            (shared,) = packer.unpack_from(data, off)
+            items, off = _get_nested(
+                state, data, off + 4, item_code, item_decode, shared)
+            return cls(shared, items), off
+
+        register(code, cls, cost, encode, decode)
+
+    # -- cost functions (full stamps), hand-fused -------------------------
+    # ``fixed`` is everything of constant width after the header.
+    def plain(fixed):  # ... | location
+        return lambda msg, _f=H + fixed + 2: (_f + len(msg.location), 0)
+
+    def valued(fixed):  # ... | location | value
+        return lambda msg, _f=H + fixed + 2: (
+            _f + len(msg.location) + vb(msg.value), 0)
+
+    def stamped(fixed):  # ... | location | value | one stamp
+        def cost(msg, _f=H + fixed + 2 + SC):
+            dim = msg.stamp.dimension
+            return _f + len(msg.location) + vb(msg.value) + SF * dim, dim
+
+        return cost
+
+    def batched(per_item):  # lead | count | items of location, value, stamp
+        def cost(msg, _f=H + ID + 2, _ps=SUB + per_item + 2 + SC):
+            writes = msg.writes
+            if not writes:
+                return _f, 0
+            dim = writes[0].stamp.dimension
+            n = _f + len(writes) * (_ps + SF * dim)
+            for w in writes:
+                n += len(w.location) + vb(w.value)
+            return n, len(writes) * dim
+
+        return cost
+
+    def read_reply_cost(msg, _f=H + ID + 4, _pe=2 + ID):
         dim = msg.stamp.dimension
         stamp = SC + SF * dim
         n = _f + len(msg.location) + stamp
@@ -341,39 +594,7 @@ def _build_plans() -> None:
             count += 1
         return n, count * dim
 
-    _register(m.ReadReply, _WirePlan(
-        body=lambda msg: ID_BYTES + location_bytes(msg.location) + 2
-        + sum(_entry_payload_body(entry) for entry in msg.entries),
-        stamps=_read_reply_stamps,
-        rebuild=_read_reply_rebuild,
-        cost=_read_reply_cost,
-    ))
-
-    def _write_request_cost(msg, _f=H + ID + 2 + SC):
-        dim = msg.stamp.dimension
-        return _f + len(msg.location) + vb(msg.value) + SF * dim, dim
-
-    _register(m.WriteRequest, _WirePlan(
-        body=lambda msg: ID_BYTES + location_bytes(msg.location)
-        + value_bytes(msg.value),
-        stamps=lambda msg: [msg.stamp],
-        rebuild=lambda msg, stamps: _restamped(msg, stamp=stamps[0]),
-        cost=_write_request_cost,
-    ))
-
-    def _write_reply_stamps(msg) -> List[VectorClock]:
-        stamps = [msg.stamp]
-        if msg.current is not None:
-            stamps.append(msg.current.stamp)
-        return stamps
-
-    def _write_reply_rebuild(msg, stamps):
-        current = msg.current
-        if current is not None:
-            current = _restamped(current, stamp=stamps[1])
-        return _restamped(msg, stamp=stamps[0], current=current)
-
-    def _write_reply_cost(msg, _f=H + ID + 3 + SC, _pe=2 + ID):
+    def write_reply_cost(msg, _f=H + ID + 3 + SC, _pe=2 + ID):
         dim = msg.stamp.dimension
         n = _f + len(msg.location) + vb(msg.value) + SF * dim
         count = 1
@@ -383,76 +604,7 @@ def _build_plans() -> None:
             count = 2
         return n, count * dim
 
-    _register(m.WriteReply, _WirePlan(
-        body=lambda msg: ID_BYTES + location_bytes(msg.location)
-        + value_bytes(msg.value) + 1
-        + (_entry_payload_body(msg.current) if msg.current is not None else 0),
-        stamps=_write_reply_stamps,
-        rebuild=_write_reply_rebuild,
-        cost=_write_reply_cost,
-    ))
-
-    # -- batched causal owner -----------------------------------------
-    def _wb_body(msg) -> int:
-        return ID_BYTES + 2 + sum(
-            SUBHEADER_BYTES + location_bytes(w.location) + value_bytes(w.value)
-            for w in msg.writes
-        )
-
-    def _wb_rebuild(msg, stamps):
-        writes = tuple(
-            _restamped(w, stamp=stamp) for w, stamp in zip(msg.writes, stamps)
-        )
-        return _restamped(msg, writes=writes)
-
-    def _wb_cost(msg, _f=H + ID + 2, _ps=SUB + 2 + SC):
-        writes = msg.writes
-        if not writes:
-            return _f, 0
-        dim = writes[0].stamp.dimension
-        n = _f + len(writes) * (_ps + SF * dim)
-        for w in writes:
-            n += len(w.location) + vb(w.value)
-        return n, len(writes) * dim
-
-    _register(m.WriteBatch, _WirePlan(
-        body=_wb_body,
-        stamps=lambda msg: [w.stamp for w in msg.writes],
-        rebuild=_wb_rebuild,
-        cost=_wb_cost,
-    ))
-
-    def _wbr_body(msg) -> int:
-        total = ID_BYTES + 2
-        for sub in msg.replies:
-            total += SUBHEADER_BYTES + location_bytes(sub.location) + 1
-            if sub.current is not None:
-                total += _entry_payload_body(sub.current)
-        return total
-
-    def _wbr_stamps(msg) -> List[VectorClock]:
-        stamps: List[VectorClock] = []
-        for sub in msg.replies:
-            stamps.append(sub.stamp)
-            if sub.current is not None:
-                stamps.append(sub.current.stamp)
-        stamps.append(msg.stamp)
-        return stamps
-
-    def _wbr_rebuild(msg, stamps):
-        rebuilt = []
-        index = 0
-        for sub in msg.replies:
-            stamp = stamps[index]
-            index += 1
-            current = sub.current
-            if current is not None:
-                current = _restamped(current, stamp=stamps[index])
-                index += 1
-            rebuilt.append(_restamped(sub, stamp=stamp, current=current))
-        return _restamped(msg, replies=tuple(rebuilt), stamp=stamps[index])
-
-    def _wbr_cost(msg, _f=H + ID + 2 + SC, _ps=SUB + 3 + SC, _pe=2 + ID):
+    def wbr_cost(msg, _f=H + ID + 2 + SC, _ps=SUB + 3 + SC, _pe=2 + ID):
         dim = msg.stamp.dimension
         stamp = SF * dim
         n = _f + stamp
@@ -466,173 +618,93 @@ def _build_plans() -> None:
                 count += 1
         return n, count * dim
 
-    _register(m.WriteBatchReply, _WirePlan(
-        body=_wbr_body,
-        stamps=_wbr_stamps,
-        rebuild=_wbr_rebuild,
-        cost=_wbr_cost,
-    ))
-
-    def _loc_only_cost(msg, _f=H + ID + 2):
-        return _f + len(msg.location), 0
-
-    def _loc_value_id_cost(msg, _f=H + ID + ID + 2):
-        return _f + len(msg.location) + vb(msg.value), 0
-
-    def _stamped_reply_cost(msg, _f=H + ID + ID + 2 + SC):
+    def grant_cost(msg, _f=H + ID + 2 + ID + 2 + SC):
         dim = msg.stamp.dimension
-        return _f + len(msg.location) + vb(msg.value) + SF * dim, dim
+        return (_f + len(msg.location) + vb(msg.value)
+                + ID * len(msg.copyset) + SF * dim), dim
 
-    # -- atomic owner baseline ----------------------------------------
-    _register(m.AtomicReadRequest, _WirePlan(
-        body=lambda msg: ID_BYTES + location_bytes(msg.location),
-        stamps=_no_stamps, rebuild=_keep, cost=_loc_only_cost,
-    ))
-    _register(m.AtomicReadReply, _WirePlan(
-        body=lambda msg: ID_BYTES + location_bytes(msg.location)
-        + value_bytes(msg.value) + ID_BYTES,
-        stamps=lambda msg: [msg.stamp],
-        rebuild=lambda msg, stamps: _restamped(msg, stamp=stamps[0]),
-        cost=_stamped_reply_cost,
-    ))
-    _register(m.AtomicWriteRequest, _WirePlan(
-        body=lambda msg: ID_BYTES + location_bytes(msg.location)
-        + value_bytes(msg.value) + ID_BYTES,
-        stamps=_no_stamps, rebuild=_keep, cost=_loc_value_id_cost,
-    ))
-    _register(m.AtomicWriteReply, _WirePlan(
-        body=lambda msg: ID_BYTES + location_bytes(msg.location)
-        + value_bytes(msg.value),
-        stamps=_no_stamps, rebuild=_keep,
-        cost=lambda msg, _f=H + ID + 2: (
-            _f + len(msg.location) + vb(msg.value), 0),
-    ))
-    _register(m.Invalidate, _WirePlan(
-        body=lambda msg: ID_BYTES + location_bytes(msg.location),
-        stamps=_no_stamps, rebuild=_keep, cost=_loc_only_cost,
-    ))
-    _register(m.InvalidateAck, _WirePlan(
-        body=lambda msg: ID_BYTES + location_bytes(msg.location),
-        stamps=_no_stamps, rebuild=_keep, cost=_loc_only_cost,
-    ))
-
-    # -- central server ------------------------------------------------
-    _register(m.CentralRead, _WirePlan(
-        body=lambda msg: ID_BYTES + location_bytes(msg.location),
-        stamps=_no_stamps, rebuild=_keep, cost=_loc_only_cost,
-    ))
-    _register(m.CentralWrite, _WirePlan(
-        body=lambda msg: ID_BYTES + location_bytes(msg.location)
-        + value_bytes(msg.value) + ID_BYTES,
-        stamps=_no_stamps, rebuild=_keep, cost=_loc_value_id_cost,
-    ))
-    _register(m.CentralReply, _WirePlan(
-        body=lambda msg: ID_BYTES + location_bytes(msg.location)
-        + value_bytes(msg.value) + ID_BYTES,
-        stamps=lambda msg: [msg.stamp],
-        rebuild=lambda msg, stamps: _restamped(msg, stamp=stamps[0]),
-        cost=_stamped_reply_cost,
-    ))
-
-    # -- causal broadcast ----------------------------------------------
-    _register(m.BroadcastWrite, _WirePlan(
-        body=lambda msg: ID_BYTES + ID_BYTES + location_bytes(msg.location)
-        + value_bytes(msg.value),
-        stamps=lambda msg: [msg.stamp],
-        rebuild=lambda msg, stamps: _restamped(msg, stamp=stamps[0]),
-        cost=_stamped_reply_cost,
-    ))
-
-    def _bb_body(msg) -> int:
-        return ID_BYTES + 2 + sum(
-            SUBHEADER_BYTES + ID_BYTES + location_bytes(w.location)
-            + value_bytes(w.value)
-            for w in msg.writes
-        )
-
-    def _bb_rebuild(msg, stamps):
-        writes = tuple(
-            _restamped(w, stamp=stamp) for w, stamp in zip(msg.writes, stamps)
-        )
-        return _restamped(msg, writes=writes)
-
-    def _bb_cost(msg, _f=H + ID + 2, _ps=SUB + ID + 2 + SC):
-        writes = msg.writes
-        if not writes:
-            return _f, 0
-        dim = writes[0].stamp.dimension
-        n = _f + len(writes) * (_ps + SF * dim)
-        for w in writes:
-            n += len(w.location) + vb(w.value)
-        return n, len(writes) * dim
-
-    _register(m.BroadcastBatch, _WirePlan(
-        body=_bb_body,
-        stamps=lambda msg: [w.stamp for w in msg.writes],
-        rebuild=_bb_rebuild,
-        cost=_bb_cost,
-    ))
+    # -- the table: code, type, cost -------------------------------------
+    # causal owner (Figure 4) and its batched form
+    register(1, m.ReadRequest, lambda msg, _f=H + ID + 4: (
+        _f + len(msg.location) + len(msg.unit), 0))
+    register(2, m.ReadReply, read_reply_cost)
+    register(3, m.WriteRequest, stamped(ID))
+    register(4, m.WriteReply, write_reply_cost)
+    batch(5, m.WriteBatch, batched(0), m.WriteRequest, 3)
+    register(6, m.WriteBatchReply, wbr_cost)
+    # atomic owner baseline, central server
+    register(7, m.AtomicReadRequest, plain(ID))
+    register(8, m.AtomicReadReply, stamped(ID + ID))
+    register(9, m.AtomicWriteRequest, valued(ID + ID))
+    register(10, m.AtomicWriteReply, valued(ID))
+    register(11, m.Invalidate, plain(ID))
+    register(12, m.InvalidateAck, plain(ID))
+    register(13, m.CentralRead, plain(ID))
+    register(14, m.CentralWrite, valued(ID + ID))
+    register(15, m.CentralReply, stamped(ID + ID))
+    # causal broadcast
+    register(16, m.BroadcastWrite, stamped(ID + ID))
+    batch(17, m.BroadcastBatch, batched(ID), m.BroadcastWrite, 16)
+    # Li–Hudak migrating ownership
+    register(18, lh.MigRead, plain(ID + ID))
+    register(19, lh.MigReadReply, stamped(ID + ID + ID))
+    register(20, lh.MigOwnRequest, plain(ID + ID))
+    register(21, lh.MigGrant, grant_cost)
+    register(22, lh.MigInvalidate, plain(ID))
+    register(23, lh.MigInvalidateAck, plain(ID))
 
 
-def _generic_plan(message: object) -> _WirePlan:
-    """Fallback plan: size unknown messages from their public attributes."""
-
-    def body(msg) -> int:
-        try:
-            attrs = vars(msg)
-        except TypeError:
-            return 8  # slotted test double: flat estimate
-        return sum(value_bytes(attrs[name]) for name in sorted(attrs)) or 8
-
-    return _WirePlan(body=body, stamps=_no_stamps, rebuild=_keep)
-
-
-def _plan_for(message: object) -> _WirePlan:
-    if not _PLANS:
-        _build_plans()
-    plan = _PLANS.get(type(message))
-    if plan is None:
-        plan = _generic_plan(message)
-        _PLANS[type(message)] = plan
-    return plan
+def _layout_for(message: object) -> Optional[_Layout]:
+    """The layout of ``message``'s type, or None for an unregistered one."""
+    if not _LAYOUTS:
+        _build_layouts()
+    return _LAYOUTS.get(type(message))
 
 
 # ----------------------------------------------------------------------
 # Stateless measurement (full stamps)
 # ----------------------------------------------------------------------
+def _generic_cost(message: object) -> Tuple[int, int]:
+    """Size a type with no layout from its public attributes: test
+    doubles crossing a codec-less simulated network are still accounted
+    for, though they cannot be *encoded* (see :meth:`WireCodec.encode`)."""
+    try:
+        attrs = vars(message)
+    except TypeError:
+        return HEADER_BYTES + 8, 0  # slotted test double: flat estimate
+    body = sum(value_bytes(attrs[name]) for name in sorted(attrs)) or 8
+    return HEADER_BYTES + body, 0
+
+
 def measure_message(message: object) -> MessageCost:
     """The wire cost of ``message`` with full (non-delta) writestamps.
 
-    This is what the network charges when no :class:`WireCodec` is
-    installed — the honest baseline the delta path is compared against.
+    Measured, not modelled: the message is encoded on a scratch channel
+    and the frame's own accounting is returned.  This is what a network
+    charges when no delta codec is installed — the honest baseline the
+    delta path is compared against.
     """
-    plan = _plan_for(message)
-    stamps = plan.stamps(message)
-    nbytes = HEADER_BYTES + plan.body(message)
-    entries = 0
-    for stamp in stamps:
-        nbytes += stamp_full_bytes(stamp.dimension)
-        entries += stamp.dimension
+    if _layout_for(message) is None:
+        return MessageCost(*_generic_cost(message), stamp_count=0)
+    codec = WireCodec(delta=False)
+    frame = codec.encode(0, 1, message)
     return MessageCost(
-        byte_size=nbytes, stamp_entries=entries, stamp_count=len(stamps)
+        byte_size=frame.byte_size, stamp_entries=frame.stamp_entries,
+        stamp_count=codec.stamps_encoded,
     )
 
 
 def fast_cost(message: object) -> Tuple[int, int]:
     """``(byte_size, stamp_entries)`` of ``message``, allocation-free.
 
-    The network charges every send through this, so registered types use
-    a hand-fused cost function instead of the body/stamps walk (which
-    builds a list and a :class:`MessageCost` per call).  The walk stays
-    the authoritative definition; ``tests/test_wire.py`` asserts both
-    paths agree for every message type.
+    The network charges every codec-less send through this, so each
+    registered type has a hand-fused cost function instead of encoding;
+    ``tests/test_wire.py`` asserts both agree for every message type.
     """
-    plan = _plan_for(message)
-    cost = plan.cost
-    if cost is not None:
-        return cost(message)
-    measured = measure_message(message)
-    return measured.byte_size, measured.stamp_entries
+    layout = _layout_for(message)
+    if layout is None:
+        return _generic_cost(message)
+    return layout.cost(message)
 
 
 def cost_table() -> Dict[type, _CostFn]:
@@ -640,75 +712,56 @@ def cost_table() -> Dict[type, _CostFn]:
 
     The network looks its messages up here to skip even the
     :func:`fast_cost` call frame; types missing from the table (test
-    doubles, future messages) go through :func:`fast_cost` instead.
+    doubles) go through :func:`fast_cost` instead.
     """
-    if not _PLANS:
-        _build_plans()
-    return {
-        message_type: plan.cost
-        for message_type, plan in _PLANS.items()
-        if plan.cost is not None
-    }
+    if not _LAYOUTS:
+        _build_layouts()
+    return {cls: layout.cost for cls, layout in _LAYOUTS.items()}
 
 
 # ----------------------------------------------------------------------
-# The per-channel delta codec
+# The per-channel codec
 # ----------------------------------------------------------------------
-class _ChannelState:
-    """One direction of one channel: basis stamp plus a frame sequence."""
-
-    __slots__ = ("basis", "seq")
-
-    def __init__(self) -> None:
-        self.basis: Optional[Tuple[int, ...]] = None
-        self.seq = 0
-
-
 class WireCodec:
-    """Delta-encodes writestamps over reliable FIFO channels.
+    """Frames protocol messages over reliable FIFO channels.
 
     One codec instance serves one network: it holds the sender-side and
-    receiver-side basis per directed channel.  ``encode`` must be called
+    receiver-side state per directed channel.  ``encode`` must be called
     in send order and ``decode`` in delivery order — exactly the orders
-    the FIFO network already guarantees.
+    the FIFO network already guarantees.  ``delta=False`` writes every
+    stamp in full (no channel basis is kept).
 
-    Statistics accumulate on the codec itself (`stamps_encoded`,
-    `stamps_full`, `entries_carried`, `entries_saved`) so benchmarks can
-    report how often the delta path engages.
-
-    ``fast_lanes`` (default True) enables fused encode lanes for the two
-    dominant frame shapes — stampless messages (invalidations, read
-    requests) and :class:`~repro.protocols.messages.WriteBatch` — that
-    skip the generic body/stamps/rebuild dispatch while producing
-    byte-identical frames and accounting.  The lockstep property tests
-    run both settings and assert equality; pass False to pin the
-    authoritative generic path.
+    Statistics (``stamps_encoded``, ``stamps_full``, ``entries_carried``,
+    ``entries_saved``) report how often the delta path engages.
     """
 
-    def __init__(self, fast_lanes: bool = True) -> None:
-        self._send_state: Dict[Tuple[int, int], _ChannelState] = {}
-        self._recv_state: Dict[Tuple[int, int], _ChannelState] = {}
-        self.stamps_encoded = 0
-        self.stamps_full = 0
-        self.entries_carried = 0
-        self.entries_saved = 0
-        self.fast_lanes = fast_lanes
+    def __init__(self, delta: bool = True) -> None:
+        self.delta = delta
+        self._send_state: Dict[Tuple[int, int], _SendState] = {}
+        self._recv_state: Dict[Tuple[int, int], _RecvState] = {}
         #: Attached TraceCollector, or None (all emits are guarded).
         self.obs = None
 
+    def _total(self, counter: str) -> int:
+        return sum(getattr(s, counter) for s in self._send_state.values())
+
+    @property
+    def stamps_encoded(self) -> int:
+        return self._total("stamps")
+
+    @property
+    def stamps_full(self) -> int:
+        return self._total("stamps_full")
+
+    @property
+    def entries_carried(self) -> int:
+        return self._total("carried")
+
+    @property
+    def entries_saved(self) -> int:
+        return self._total("wide") - self._total("carried")
+
     # -- channel state -------------------------------------------------
-    def _sender(self, src: int, dst: int) -> _ChannelState:
-        state = self._send_state.get((src, dst))
-        if state is None:
-            state = self._send_state[(src, dst)] = _ChannelState()
-        return state
-
-    def _receiver(self, src: int, dst: int) -> _ChannelState:
-        state = self._recv_state.get((src, dst))
-        if state is None:
-            state = self._recv_state[(src, dst)] = _ChannelState()
-        return state
-
     def mark_dirty(self, src: int, dst: int) -> None:
         """Force the next message on ``(src, dst)`` to carry full stamps.
 
@@ -717,7 +770,7 @@ class WireCodec:
         assumed to match, so the delta chain restarts from a full stamp.
         """
         state = self._send_state.get((src, dst))
-        if state is not None:
+        if state is not None and self.delta:
             state.basis = None
             if self.obs is not None:
                 self.obs.emit("net", "resync", src=src, dst=dst)
@@ -730,214 +783,79 @@ class WireCodec:
         if self.obs is not None:
             self.obs.emit("net", "resync.node", node=node_id)
 
-    # -- encode fast lanes ---------------------------------------------
-    def _encode_stampless(
-        self, src: int, dst: int, message: object, plan: _WirePlan
-    ) -> EncodedMessage:
-        """Fused lane for messages carrying no writestamps.
-
-        Invalidations and read/write requests of the baselines have no
-        stamp fields: the generic walk would build an empty stamp list,
-        run an empty loop, and keep the template as-is.  This lane goes
-        straight to the body cost.  Byte accounting is identical by
-        construction (HEADER + body, zero stamp entries) and the channel
-        basis is untouched, exactly as the generic path leaves it.
-        """
-        state = self._sender(src, dst)
-        state.seq += 1
-        try:
-            kind = message.kind
-        except AttributeError:
-            kind = type(message).__name__
-        return EncodedMessage(
-            kind=kind,
-            template=message,
-            channel_seq=state.seq,
-            byte_size=HEADER_BYTES + plan.body(message),
-            stamp_entries=0,
-            stamp_entries_full=0,
-        )
-
-    def _encode_write_batch(
-        self, src: int, dst: int, msg
-    ) -> EncodedMessage:
-        """Fused lane for ``W_BATCH`` frames (the write-behind hot kind).
-
-        One pass over the batch computes the body bytes, delta-encodes
-        each write's stamp against the running basis, and rebuilds the
-        stripped sub-messages — where the generic path walks the writes
-        three times (body sum, stamp list, rebuild zip).  Every byte,
-        stamp-entry count, and codec counter matches the generic path;
-        ``tests/test_prop_wire.py`` locksteps the two.
-        """
-        state = self._sender(src, dst)
-        state.seq += 1
-        writes = msg.writes
-        basis = state.basis
-        nbytes = HEADER_BYTES + ID_BYTES + 2
-        carried = 0
-        full_equivalent = 0
-        n_full = 0
-        rebuilt = []
-        for w in writes:
-            nbytes += (
-                SUBHEADER_BYTES + 2 + len(w.location) + value_bytes(w.value)
-            )
-            components = w.stamp.components
-            dimension = len(components)
-            full_equivalent += dimension
-            if basis is None or len(basis) != dimension:
-                encoded = EncodedStamp(
-                    entries=components, full=True, dimension=dimension
-                )
-                nbytes += stamp_full_bytes(dimension)
-                carried += dimension
-                n_full += 1
-            elif components == basis:
-                encoded = _empty_delta(dimension)
-                nbytes += STAMP_COUNT_BYTES
-            else:
-                changed: List[int] = []
-                for index, (new, old) in enumerate(zip(components, basis)):
-                    if new != old:
-                        changed.append(index)
-                        changed.append(new)
-                n_changed = len(changed) // 2
-                if _delta_beats_full(n_changed, dimension):
-                    encoded = EncodedStamp(
-                        entries=tuple(changed), full=False, dimension=dimension
-                    )
-                    nbytes += stamp_delta_bytes(n_changed)
-                    carried += n_changed
-                else:
-                    encoded = EncodedStamp(
-                        entries=components, full=True, dimension=dimension
-                    )
-                    nbytes += stamp_full_bytes(dimension)
-                    carried += dimension
-                    n_full += 1
-            rebuilt.append(_restamped(w, stamp=encoded))
-            basis = components
-        state.basis = basis
-        self.stamps_encoded += len(writes)
-        self.stamps_full += n_full
-        self.entries_carried += carried
-        self.entries_saved += full_equivalent - carried
-        template = _restamped(msg, writes=tuple(rebuilt)) if writes else msg
-        return EncodedMessage(
-            kind=msg.kind,
-            template=template,
-            channel_seq=state.seq,
-            byte_size=nbytes,
-            stamp_entries=carried,
-            stamp_entries_full=full_equivalent,
-        )
-
     # -- encode / decode -----------------------------------------------
-    def encode(self, src: int, dst: int, message: object) -> EncodedMessage:
-        """Strip stamps into channel-delta form; returns the wire frame."""
-        plan = _plan_for(message)
-        if self.fast_lanes:
-            if plan.stamps is _no_stamps:
-                return self._encode_stampless(src, dst, message, plan)
-            if type(message) is _WRITE_BATCH_TYPE:
-                return self._encode_write_batch(src, dst, message)
-        stamps = plan.stamps(message)
-        state = self._sender(src, dst)
-        state.seq += 1
-        nbytes = HEADER_BYTES + plan.body(message)
-        carried = 0
-        full_equivalent = 0
-        encoded_stamps: List[EncodedStamp] = []
-        basis = state.basis
-        for stamp in stamps:
-            components = stamp.components
-            dimension = len(components)
-            full_equivalent += dimension
-            self.stamps_encoded += 1
-            if basis is None or len(basis) != dimension:
-                encoded = EncodedStamp(
-                    entries=components, full=True, dimension=dimension
-                )
-                nbytes += stamp_full_bytes(dimension)
-                carried += dimension
-                self.stamps_full += 1
-            elif components == basis:
-                # Unchanged stamp — half of all stamps in batched runs
-                # (a reply echoing the request's merged clock).  One
-                # C-level tuple compare instead of the component diff
-                # loop, and the zero-entry token is interned.
-                encoded = _empty_delta(dimension)
-                nbytes += STAMP_COUNT_BYTES
-            else:
-                changed: List[int] = []
-                for index, (new, old) in enumerate(zip(components, basis)):
-                    if new != old:
-                        changed.append(index)
-                        changed.append(new)
-                n_changed = len(changed) // 2
-                if _delta_beats_full(n_changed, dimension):
-                    encoded = EncodedStamp(
-                        entries=tuple(changed), full=False, dimension=dimension
-                    )
-                    nbytes += stamp_delta_bytes(n_changed)
-                    carried += n_changed
-                else:
-                    encoded = EncodedStamp(
-                        entries=components, full=True, dimension=dimension
-                    )
-                    nbytes += stamp_full_bytes(dimension)
-                    carried += dimension
-                    self.stamps_full += 1
-            encoded_stamps.append(encoded)
-            basis = components
-        state.basis = basis
-        self.entries_carried += carried
-        self.entries_saved += full_equivalent - carried
-        template = plan.rebuild(message, encoded_stamps) if stamps else message
-        return EncodedMessage(
-            kind=getattr(message, "kind", type(message).__name__),
-            template=template,
-            channel_seq=state.seq,
-            byte_size=nbytes,
-            stamp_entries=carried,
-            stamp_entries_full=full_equivalent,
+    def encode(self, src: int, dst: int, message: object) -> Frame:
+        """Pack ``message`` for channel ``(src, dst)``.
+
+        Raises :class:`WireError` for a type with no registered layout,
+        a value with no encoding, or a field outside its width.
+        """
+        layout = _LAYOUTS.get(type(message)) or _layout_for(message)
+        if layout is None:
+            raise WireError(
+                f"{type(message).__name__} has no registered wire layout"
+            )
+        state = self._send_state.get((src, dst))
+        if state is None:
+            state = self._send_state[(src, dst)] = _SendState(self.delta)
+        carried, wide, extra = state.carried, state.wide, state.extra
+        seq = (state.seq + 1) & 0xFFFFFFFF
+        try:
+            body = layout.encode(state, message)
+            length = HEADER_BYTES + len(body)
+            if length > MAX_FRAME:
+                raise WireError(f"{length} bytes exceed MAX_FRAME")
+            data = _HEADER.pack(
+                WIRE_VERSION, layout.code, src, dst, seq, length) + body
+        except (WireError, struct.error) as exc:
+            state.basis = None  # stamps already walked have no receiver
+            raise WireError(f"cannot encode {layout.kind}: {exc}") from exc
+        state.seq = seq
+        return Frame(
+            data, length - (state.extra - extra),
+            state.carried - carried, state.wide - wide,
         )
 
-    def decode(self, src: int, dst: int, frame: EncodedMessage) -> object:
-        """Rebuild the original message from the channel basis."""
-        state = self._receiver(src, dst)
-        gap = frame.channel_seq != state.seq + 1
-        state.seq = frame.channel_seq
-        message = frame.template
-        plan = _plan_for(message)
-        encoded_stamps = plan.stamps(message)
-        if not encoded_stamps:
-            return message
-        basis = state.basis
-        rebuilt: List[VectorClock] = []
-        for encoded in encoded_stamps:
-            if not isinstance(encoded, EncodedStamp):
+    def decode(self, src: int, dst: int, data: bytes) -> object:
+        """Parse one frame received on ``(src, dst)`` into its message.
+
+        Raises :class:`WireError` for anything but a well-formed frame
+        of this channel, :class:`WireDesyncError` for a delta stamp the
+        receiver has no basis for.  Either way the channel's basis is
+        dropped, so only a full stamp gets it going again.
+        """
+        if not _LAYOUTS:
+            _build_layouts()
+        state = self._recv_state.get((src, dst))
+        if state is None:
+            state = self._recv_state[(src, dst)] = _RecvState()
+        try:
+            if type(data) is not bytes:
+                raise WireError(f"a frame is bytes, not {type(data).__name__}")
+            version, code, from_, to, seq, length = _HEADER.unpack_from(data)
+            if version != WIRE_VERSION:
+                raise WireError(f"wire version {version}, want {WIRE_VERSION}")
+            if length != len(data):
                 raise WireError(
-                    f"decode of {frame.kind} found a raw stamp {encoded!r}; "
-                    "was this frame already decoded?"
-                )
-            if encoded.full:
-                components = encoded.entries
-                gap = False  # a full stamp resynchronises the basis
-            else:
-                if gap or basis is None or len(basis) != encoded.dimension:
-                    raise WireDesyncError(
-                        f"delta stamp on channel ({src}->{dst}) without a "
-                        "basis; a frame was lost after later frames were "
-                        "already encoded"
-                    )
-                mutable = list(basis)
-                entries = encoded.entries
-                for position in range(0, len(entries), 2):
-                    mutable[entries[position]] = entries[position + 1]
-                components = tuple(mutable)
-            rebuilt.append(VectorClock._from_trusted(components))
-            basis = components
-        state.basis = basis
-        return plan.rebuild(message, rebuilt)
+                    f"header says {length} bytes, frame has {len(data)}")
+            if from_ != src or to != dst:
+                raise WireError(
+                    f"frame for channel {from_}->{to} on {src}->{dst}")
+            layout = _BY_CODE.get(code)
+            if layout is None:
+                raise WireError(f"unknown frame kind {code}")
+            if seq != (state.seq + 1) & 0xFFFFFFFF:
+                # Frames were lost: whatever they did to the basis is
+                # unknown, so only a full stamp may follow.
+                state.basis = None
+            state.seq = seq
+            message, off = layout.decode(state, data, HEADER_BYTES)
+            if off != length:
+                raise WireError(f"{length - off} trailing bytes")
+        except WireError:
+            state.basis = None
+            raise
+        except (struct.error, IndexError, UnicodeDecodeError) as exc:
+            state.basis = None
+            raise WireError(f"malformed frame on {src}->{dst}: {exc}") from exc
+        return message

@@ -18,6 +18,7 @@ from repro.checker.history import HistoryRecorder
 from repro.errors import ProtocolError
 from repro.memory import Namespace
 from repro.protocols.base import DSMCluster, DSMNode
+from repro.protocols.wire import WireCodec
 from repro.runtime.live import AsyncioRuntime
 
 __all__ = ["LiveCluster", "LiveOutcome"]
@@ -51,7 +52,6 @@ class LiveCluster(DSMCluster):
         unsafe_write_behind: bool = False,
         batching: bool = False,
         delta_stamps: bool = False,
-        wire_fast_lanes: bool = True,
         arena_backend: Optional[str] = None,
         transport: str = "uds",
         link_delay=None,
@@ -66,15 +66,10 @@ class LiveCluster(DSMCluster):
         self.delta_stamps = delta_stamps
         self.arena_backend = arena_backend
         self.timeout = timeout
-        codec = None
-        if delta_stamps:
-            from repro.protocols.wire import WireCodec
-
-            codec = WireCodec(fast_lanes=wire_fast_lanes)
         self.runtime = AsyncioRuntime(
             n_nodes,
             transport=transport,
-            codec=codec,
+            codec=WireCodec(delta=delta_stamps),
             link_delay=link_delay,
             seed=seed,
             settle=settle,
@@ -159,6 +154,7 @@ class LiveOutcome:
         self.model_bytes = runtime.stats.bytes_total
         self.socket_bytes = runtime.socket_bytes
         self.resyncs = runtime.resyncs
+        self.frames_rejected = runtime.frames_rejected
         #: Per-directed-channel accounting at teardown.
         self.link_stats = runtime.link_stats()
         #: Telemetry-plane summary (merge/loss/skew/sideband bytes),

@@ -10,14 +10,21 @@ the engines cannot tell which driver they are on.
 
 Wire format
 -----------
-Each frame is a 4-byte big-endian length followed by a pickled payload.
-With a :class:`~repro.protocols.wire.WireCodec` installed the payload is
-the codec's :class:`~repro.protocols.wire.EncodedMessage` — the same
-per-channel delta-stamp chain as the simulator's wire model, which is
-sound here because a SOCK_STREAM connection gives exactly the
-per-channel FIFO the codec requires.  Pickle is acceptable framing for
-this harness because every endpoint lives in one trusted process; a
-cross-host deployment would swap the serializer, not the protocol.
+A connection opens with a fixed 7-byte hello (magic, wire version, the
+dialling node's id); after it, each frame is a 4-byte big-endian length
+followed by exactly the bytes :class:`~repro.protocols.wire.WireCodec`
+produced for the message — the layout of DESIGN.md Section 4.5, the
+same bytes the simulator's network carries, and nothing else.  The
+per-channel delta-stamp chain is sound here because a SOCK_STREAM
+connection gives exactly the per-channel FIFO the codec requires; a run
+without ``delta_stamps`` uses the same codec with every stamp full.
+
+Nothing read from a socket is trusted: a bad hello, a length outside
+``[HEADER_BYTES, MAX_FRAME]`` (checked before the read it would size),
+and any frame the codec refuses are counted in ``frames_rejected`` and
+close that connection, which then resyncs from full stamps like any
+other lost connection.  Only an exception raised by an engine's own
+handler fails the run.
 
 What is and is not preserved
 ----------------------------
@@ -48,7 +55,6 @@ from __future__ import annotations
 
 import asyncio
 import os
-import pickle
 import struct
 import tempfile
 import time
@@ -57,6 +63,13 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import SimulationError
+from repro.protocols.wire import (
+    HEADER_BYTES,
+    MAX_FRAME,
+    WIRE_VERSION,
+    WireCodec,
+    WireError,
+)
 from repro.runtime.base import Runtime
 from repro.sim.kernel import NO_ARG
 from repro.sim.tasks import Future, Task
@@ -71,8 +84,8 @@ class LinkStats:
 
     ``model_bytes`` is the wire-model cost (the number the simulator
     would report for the same messages); ``socket_bytes`` is what
-    actually hit the socket (pickled frames + headers).  ``queue_depth``
-    is the outbound backlog at sampling time.
+    actually hit the socket (each frame's bytes plus its 4-byte length
+    prefix).  ``queue_depth`` is the outbound backlog at sampling time.
     """
 
     src: int
@@ -82,7 +95,9 @@ class LinkStats:
     socket_bytes: int
     queue_depth: int
 
-_HEADER = struct.Struct(">I")
+_LENGTH = struct.Struct(">I")
+_HELLO = struct.Struct(">4sBH")  # magic, wire version, dialling node id
+_MAGIC = b"cDSM"
 
 #: Default artificial per-link one-way delay (seconds).  Real loopback
 #: latency is microseconds, which collapses every interleaving the
@@ -150,8 +165,9 @@ class AsyncioRuntime(Runtime):
         ``"uds"`` (Unix-domain sockets in a temp dir) or ``"tcp"``
         (127.0.0.1, ephemeral ports).
     codec:
-        Optional :class:`~repro.protocols.wire.WireCodec`; frames then
-        carry delta-encoded writestamps per directed channel.
+        The :class:`~repro.protocols.wire.WireCodec` that frames every
+        message; defaults to one writing full stamps (pass
+        ``WireCodec()`` for per-channel delta-encoded writestamps).
     link_delay:
         Artificial one-way delay: a float applied to every link, or a
         ``{(src, dst): seconds}`` map (missing pairs get the default).
@@ -177,7 +193,7 @@ class AsyncioRuntime(Runtime):
             raise SimulationError(f"unknown transport {transport!r}")
         self.n_nodes = n_nodes
         self.transport = transport
-        self.codec = codec
+        self.codec = codec if codec is not None else WireCodec(delta=False)
         self.seed = seed
         self.settle = settle
         self.reconnect_delay = reconnect_delay
@@ -197,6 +213,10 @@ class AsyncioRuntime(Runtime):
         #: Same, broken down per directed channel (LinkStats feedstock).
         self.socket_bytes_by_link: Dict[Tuple[int, int], int] = {}
         self.frames_delivered = 0
+        #: Hellos and frames refused (malformed, oversized, wrong channel
+        #: or version; 0 on a clean run), and why the latest one was.
+        self.frames_rejected = 0
+        self.last_rejection: Optional[str] = None
         #: Attached :class:`~repro.obs.plane.TelemetryPlane`, if any.
         #: The runtime starts its sideband after the protocol servers,
         #: notifies it on timeout/crash (flight-recorder triggers) and
@@ -224,6 +244,8 @@ class AsyncioRuntime(Runtime):
         self._supervisors: List[asyncio.Task] = []
         self._io_tasks: Set[asyncio.Task] = set()
         self._accept_tasks: Set[asyncio.Task] = set()
+        #: Accepted connections still waiting for their hello.
+        self._greeting: Set[asyncio.StreamWriter] = set()
         self._tmpdir: Optional[tempfile.TemporaryDirectory] = None
         self._addrs: Dict[int, Any] = {}
         #: Channels forced full-stamp at least once (resync evidence).
@@ -286,8 +308,7 @@ class AsyncioRuntime(Runtime):
         if (src, dst) in self._failed_links:
             # Mirror of the simulator's partition drop: the receiver
             # never sees the frame, so the delta chain must restart.
-            if self.codec is not None:
-                self.codec.mark_dirty(src, dst)
+            self.codec.mark_dirty(src, dst)
             self.stats.dropped += 1
             return
         queue = self._out.get((src, dst))
@@ -356,6 +377,7 @@ class AsyncioRuntime(Runtime):
         metrics.gauge("live.socket_bytes").set(self.socket_bytes)
         metrics.gauge("live.model_bytes").set(self.stats.bytes_total)
         metrics.gauge("live.resyncs").set(self.resyncs)
+        metrics.gauge("live.frames_rejected").set(self.frames_rejected)
         metrics.gauge("live.frames_delivered").set(self.frames_delivered)
         metrics.gauge("live.dropped").set(self.stats.dropped)
 
@@ -389,8 +411,7 @@ class AsyncioRuntime(Runtime):
             if queue is not None:
                 self.stats.dropped += len(queue.items)
                 queue.items.clear()
-            if self.codec is not None:
-                self.codec.mark_dirty(*channel)
+            self.codec.mark_dirty(*channel)
         for channel in ((a, b), (b, a)):
             side = self._sides.get(channel)
             if side is not None:
@@ -522,26 +543,37 @@ class AsyncioRuntime(Runtime):
         async def handle(reader, writer):
             # The Server owns this task; track it ourselves because (on
             # 3.11) Server.wait_closed does not wait for open handlers,
-            # and _shutdown must retire it before the leak audit runs.
+            # and _shutdown must see it finish before the leak audit.
             self._accept_tasks.add(asyncio.current_task())
+            self._greeting.add(writer)
             try:
-                header = await reader.readexactly(_HEADER.size)
-                (length,) = _HEADER.unpack(header)
-                tag, peer = pickle.loads(await reader.readexactly(length))
-                if tag != "hello":
-                    raise SimulationError(f"bad hello from peer: {tag!r}")
+                hello = await reader.readexactly(_HELLO.size)
             except (asyncio.IncompleteReadError, ConnectionError, OSError):
                 writer.close()
                 return
-            side = _Side(node, peer, reader, writer)
-            await self._serve_side(side)
-            if not self._closing and self.codec is not None:
-                # Lost connection: this endpoint's outbound chain must
-                # restart from a full stamp once the peer reconnects.
-                self.codec.mark_dirty(node, peer)
-                self.resyncs += 1
+            finally:
+                self._greeting.discard(writer)
+            magic, version, peer = _HELLO.unpack(hello)
+            # Only the lower id of a pair dials, and only one connection
+            # per pair is live: anything else is not one of ours.
+            if (
+                magic != _MAGIC
+                or version != WIRE_VERSION
+                or peer not in self._handlers
+                or peer >= node
+                or (node, peer) in self._sides
+            ):
+                self._reject(f"hello {hello!r} refused by node {node}")
+                writer.close()
+                return
+            await self._serve_side(_Side(node, peer, reader, writer))
 
         return handle
+
+    def _reject(self, reason: str) -> None:
+        """Count input this runtime refused; the caller closes the link."""
+        self.frames_rejected += 1
+        self.last_rejection = reason
 
     def _start_supervisors(self) -> None:
         node_ids = sorted(self._handlers)
@@ -564,20 +596,13 @@ class AsyncioRuntime(Runtime):
             except (ConnectionError, OSError):
                 await asyncio.sleep(self.reconnect_delay)
                 continue
-            hello = pickle.dumps(("hello", a))
-            writer.write(_HEADER.pack(len(hello)) + hello)
+            writer.write(_HELLO.pack(_MAGIC, WIRE_VERSION, a))
             try:
                 await writer.drain()
             except (ConnectionError, OSError):
                 writer.close()
                 continue
-            side = _Side(a, b, reader, writer)
-            await self._serve_side(side)
-            if self._closing:
-                return
-            if self.codec is not None:
-                self.codec.mark_dirty(a, b)
-                self.resyncs += 1
+            await self._serve_side(_Side(a, b, reader, writer))
             await asyncio.sleep(self.reconnect_delay)
 
     async def _serve_side(self, side: _Side) -> None:
@@ -598,6 +623,11 @@ class AsyncioRuntime(Runtime):
             if self._sides.get((side.owner, side.peer)) is side:
                 del self._sides[(side.owner, side.peer)]
             side.writer.close()
+            if not self._closing:
+                # Lost connection: this endpoint's outbound chain must
+                # restart from a full stamp once the peers reconnect.
+                self.codec.mark_dirty(side.owner, side.peer)
+                self.resyncs += 1
 
     # ------------------------------------------------------------------
     # Per-connection I/O loops
@@ -605,26 +635,31 @@ class AsyncioRuntime(Runtime):
     async def _read_loop(self, side: _Side) -> None:
         reader = side.reader
         src, dst = side.peer, side.owner
+        decode = self.codec.decode
+        handler = self._handlers[dst]
         try:
             while True:
-                header = await reader.readexactly(_HEADER.size)
-                (length,) = _HEADER.unpack(header)
+                (length,) = _LENGTH.unpack(await reader.readexactly(4))
+                if not HEADER_BYTES <= length <= MAX_FRAME:
+                    self._reject(f"{src}->{dst}: frame length {length}")
+                    return
                 data = await reader.readexactly(length)
-                self._deliver(src, dst, data)
+                try:
+                    message = decode(src, dst, data)
+                except WireError as exc:
+                    # Returning ends this connection; both directions
+                    # then resync from full stamps like any lost link.
+                    self._reject(f"{src}->{dst}: {exc}")
+                    return
+                self.frames_delivered += 1
+                if self.stream is not None:
+                    self.stream((src, dst))
+                try:
+                    handler(src, message)
+                except BaseException as exc:  # noqa: BLE001 - fail the whole run
+                    self._abort(exc)
         except (asyncio.IncompleteReadError, ConnectionError, OSError):
             return  # connection lost; the supervisor handles resync
-
-    def _deliver(self, src: int, dst: int, data: bytes) -> None:
-        try:
-            payload = pickle.loads(data)
-            if self.codec is not None:
-                payload = self.codec.decode(src, dst, payload)
-            self.frames_delivered += 1
-            if self.stream is not None:
-                self.stream((src, dst))
-            self._handlers[dst](src, payload)
-        except BaseException as exc:  # noqa: BLE001 - fail the whole run
-            self._abort(exc)
 
     async def _write_loop(self, side: _Side) -> None:
         src, dst = side.owner, side.peer
@@ -644,46 +679,29 @@ class AsyncioRuntime(Runtime):
                     await asyncio.sleep(delay)
                     continue  # re-check: the queue may have been cleared
                 queue.items.popleft()
-                try:
-                    kind = message.kind
-                except AttributeError:
-                    kind = type(message).__name__
-                if codec is not None:
-                    frame = codec.encode(src, dst, message)
-                    payload: object = frame
-                    nbytes = frame.byte_size
-                    stamp_entries = frame.stamp_entries
-                    stamp_entries_full = frame.stamp_entries_full
-                else:
-                    from repro.protocols.wire import measure_message
-
-                    payload = message
-                    cost = measure_message(message)
-                    nbytes = cost.byte_size
-                    stamp_entries = cost.stamp_entries
-                    stamp_entries_full = cost.stamp_entries
+                data, nbytes, stamp_entries, stamp_entries_full = (
+                    codec.encode(src, dst, message)
+                )
                 force = self._force_drop.get((src, dst), 0)
                 if force > 0:
                     # Encoded (sequence number consumed) then lost: the
                     # receiver will see a gap on the next frame.
                     self._force_drop[(src, dst)] = force - 1
-                    if codec is not None:
-                        codec.mark_dirty(src, dst)
+                    codec.mark_dirty(src, dst)
                     self.stats.dropped += 1
                     continue
-                data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
                 self.stats.count_sent(
-                    kind, src, dst, self._link_delay(src, dst),
+                    message.kind, src, dst, self._link_delay(src, dst),
                     byte_size=nbytes,
                     stamp_entries=stamp_entries,
                     stamp_entries_full=stamp_entries_full,
                 )
-                nbytes_wire = _HEADER.size + len(data)
+                nbytes_wire = _LENGTH.size + len(data)
                 self.socket_bytes += nbytes_wire
                 self.socket_bytes_by_link[(src, dst)] = (
                     self.socket_bytes_by_link.get((src, dst), 0) + nbytes_wire
                 )
-                writer.write(_HEADER.pack(len(data)) + data)
+                writer.write(_LENGTH.pack(len(data)) + data)
                 await writer.drain()
         except asyncio.CancelledError:
             raise
@@ -710,14 +728,19 @@ class AsyncioRuntime(Runtime):
         self._sides.clear()
         for server in self._servers:
             server.close()
-        for server in self._servers:
-            await server.wait_closed()
-        self._servers.clear()
-        for task in list(self._accept_tasks):
-            task.cancel()
+        # Accept handlers are never cancelled: asyncio's stream protocol
+        # reads each handler task's exception() when it finishes and logs
+        # a cancelled one as an error.  With their I/O tasks gone (above)
+        # and any connection still waiting for its hello closed (here),
+        # every handler returns by itself.
+        for writer in list(self._greeting):
+            writer.close()
         if self._accept_tasks:
             await asyncio.gather(*self._accept_tasks, return_exceptions=True)
         self._accept_tasks.clear()
+        for server in self._servers:
+            await server.wait_closed()
+        self._servers.clear()
         if self._tmpdir is not None:
             self._tmpdir.cleanup()
             self._tmpdir = None

@@ -272,7 +272,6 @@ def run_workload_live(
         no_cache=config.no_cache,
         batching=config.batching,
         delta_stamps=config.delta_stamps,
-        wire_fast_lanes=config.wire_fast_lanes,
         arena_backend=config.arena_backend,
         transport=transport,
         link_delay=link_delay,

@@ -16,10 +16,11 @@ dispatch internally on the message's ``kind``.
 
 Every send is charged a deterministic wire cost (bytes and writestamp
 entries, per :mod:`repro.protocols.wire`) which accumulates in
-:attr:`Network.stats` per kind and per directed edge.  Installing a
-:class:`~repro.protocols.wire.WireCodec` additionally delta-encodes the
-vector-clock fields per channel; the network tells the codec about every
-loss (drop, partition, crash) so it can fall back to full stamps.
+:attr:`Network.stats` per kind and per directed edge.  With a
+:class:`~repro.protocols.wire.WireCodec` installed every message crosses
+the network as its encoded frame (the bytes the live runtime puts on a
+socket, stamps delta-encoded per channel); the network tells the codec
+about every loss (drop, partition, crash) so it falls back to full stamps.
 """
 
 from __future__ import annotations
@@ -298,11 +299,7 @@ class Network:
             # Dropped sends still consumed the sender's bandwidth: charge
             # the undeltaed wire cost (the codec never saw the message,
             # so no delta basis advanced).
-            cost_fn = self._cost_table.get(type(message))
-            if cost_fn is not None:
-                nbytes, stamp_entries = cost_fn(message)
-            else:
-                nbytes, stamp_entries = self._measure(message)
+            nbytes, stamp_entries = self._measure(message)
             record = MessageRecord(
                 seq=seq, src=src, dst=dst, kind=kind, payload=message,
                 sent_at=now, delivered_at=float("inf"), dropped=True,
@@ -318,11 +315,10 @@ class Network:
             return None
 
         if self.codec is not None:
-            frame = self.codec.encode(src, dst, message)
-            payload: object = frame
-            nbytes = frame.byte_size
-            stamp_entries = frame.stamp_entries
-            stamp_entries_full = frame.stamp_entries_full
+            # The delivery carries the frame's bytes, as a socket would.
+            payload, nbytes, stamp_entries, stamp_entries_full = (
+                self.codec.encode(src, dst, message)
+            )
         else:
             payload = message
             cost_fn = self._cost_table.get(type(message))

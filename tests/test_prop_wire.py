@@ -1,6 +1,6 @@
 """Lockstep properties: the wire fast path must be semantically invisible.
 
-Three claims, each checked across hypothesis-chosen workloads and seeds:
+Four claims, each checked across hypothesis-chosen workloads and seeds:
 
 1. The batched causal-owner protocol still implements causal memory
    (Definition 2), with and without delta stamps.
@@ -13,10 +13,16 @@ Three claims, each checked across hypothesis-chosen workloads and seeds:
 3. On single-writer-per-location workloads the batched and unbatched
    runs converge to the same authoritative (owner-side) state, and both
    executions pass the causal checker.
+4. The byte ledger is the wire: every frame a simulated run carries is
+   real bytes, exactly as long as the ledger charged plus the documented
+   tag bytes, on either arena backend and under message drops.  (The
+   same equality against the live runtime's sockets is asserted in
+   ``test_runtime_live.py``.)
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from _wire_audit import AuditedCodec
 from repro.apps.workload import WorkloadConfig, run_random_execution
 from repro.checker import check_causal
 from repro.memory import Namespace
@@ -96,7 +102,7 @@ def _store_snapshot(cluster):
 
 
 def _run_causal_under_drops(
-    n_nodes, ops, seed, *, delta_stamps, fast_lanes=True, backend=None
+    n_nodes, ops, seed, *, delta_stamps, backend=None, codec=None
 ):
     """Batched causal run where drops can stall runs but never block.
 
@@ -115,10 +121,11 @@ def _run_causal_under_drops(
         namespace=namespace,
         batching=True,
         delta_stamps=delta_stamps,
-        wire_fast_lanes=fast_lanes,
         arena_backend=backend,
         record_history=True,
     )
+    if codec is not None:
+        cluster.network.codec = codec
     cluster.network.set_drop_rate(0.25)
 
     def process(api, me):
@@ -274,26 +281,24 @@ def test_batched_run_converges_to_unbatched_state(n_nodes, ops, seed):
 
 
 # ----------------------------------------------------------------------
-# 4. The specialised encode lanes are byte-transparent
+# 4. The byte ledger is the wire
 # ----------------------------------------------------------------------
-def _net_snapshot(cluster):
-    """The full NetworkStats content as comparable plain data.
+def _assert_ledger_is_the_wire(cluster, codec):
+    """NetworkStats charged exactly what the delivered frames weigh.
 
-    Every per-(kind, src, dst) counter record rides along, so equality
-    here means byte-for-byte and stamp-entry-for-stamp-entry identical
-    wire accounting, not just equal totals.
+    ``AuditedCodec`` has already held every single frame against the
+    per-field tag formula; this ties the totals together.  Dropped sends
+    were never encoded and sit in ``dropped_bytes``, not here.
     """
     stats = cluster.stats
-    return (
-        stats.total,
-        stats.dropped,
-        stats.dropped_bytes,
-        round(stats.total_latency, 9),
-        {edge: tuple(counters) for edge, counters in stats._edges.items()},
-    )
+    assert codec.frames == stats.total
+    assert codec.model_bytes == stats.bytes_total
+    assert codec.frame_bytes >= stats.bytes_total
+    assert codec.entries_carried == stats.stamp_entries
+    assert codec.entries_carried + codec.entries_saved == stats.stamp_entries_full
 
 
-def _run_delta_mixed(n_nodes, ops, seed, *, batching, fast_lanes, backend):
+def _run_delta_mixed(n_nodes, ops, seed, *, batching, backend, codec):
     """Deterministic mixed workload under the delta codec."""
     cluster = DSMCluster(
         n_nodes,
@@ -301,10 +306,10 @@ def _run_delta_mixed(n_nodes, ops, seed, *, batching, fast_lanes, backend):
         seed=seed,
         batching=batching,
         delta_stamps=True,
-        wire_fast_lanes=fast_lanes,
         arena_backend=backend,
         record_history=True,
     )
+    cluster.network.codec = codec
     n_locations = 2 * n_nodes
 
     def process(api, me):
@@ -316,7 +321,7 @@ def _run_delta_mixed(n_nodes, ops, seed, *, batching, fast_lanes, backend):
                 yield api.read(location)
 
     for proc in range(n_nodes):
-        cluster.spawn(proc, process, proc, name=f"lanes-{proc}")
+        cluster.spawn(proc, process, proc, name=f"mixed-{proc}")
     cluster.run()
     return cluster
 
@@ -329,24 +334,15 @@ def _run_delta_mixed(n_nodes, ops, seed, *, batching, fast_lanes, backend):
     st.booleans(),
     st.sampled_from(["python", "numpy"]),
 )
-def test_fast_lanes_are_byte_transparent(n_nodes, ops, seed, batching, backend):
-    """fast_lanes=True/False: identical histories, stores, and wire bytes.
-
-    The stampless and write-batch encode lanes skip the generic
-    per-field walk but must reproduce its byte and stamp accounting
-    exactly, on either arena backend.
-    """
-    generic = _run_delta_mixed(
-        n_nodes, ops, seed, batching=batching, fast_lanes=False,
-        backend=backend,
+def test_sim_frames_weigh_what_the_ledger_charged(
+    n_nodes, ops, seed, batching, backend
+):
+    codec = AuditedCodec()
+    cluster = _run_delta_mixed(
+        n_nodes, ops, seed, batching=batching, backend=backend, codec=codec,
     )
-    fast = _run_delta_mixed(
-        n_nodes, ops, seed, batching=batching, fast_lanes=True,
-        backend=backend,
-    )
-    assert fast.history().to_text() == generic.history().to_text()
-    assert _store_snapshot(fast) == _store_snapshot(generic)
-    assert _net_snapshot(fast) == _net_snapshot(generic)
+    _assert_ledger_is_the_wire(cluster, codec)
+    assert check_causal(cluster.history()).ok
 
 
 @settings(**COMMON)
@@ -356,23 +352,23 @@ def test_fast_lanes_are_byte_transparent(n_nodes, ops, seed, batching, backend):
     st.integers(min_value=0, max_value=10_000),
     st.sampled_from(["python", "numpy"]),
 )
-def test_fast_lanes_transparent_under_drops(n_nodes, ops, seed, backend):
-    """Same lockstep claim with message drops dirtying the delta chains."""
-    generic = _run_causal_under_drops(
-        n_nodes, ops, seed, delta_stamps=True, fast_lanes=False,
-        backend=backend,
+def test_sim_frames_weigh_what_the_ledger_charged_under_drops(
+    n_nodes, ops, seed, backend
+):
+    """Same claim with message drops dirtying the delta chains."""
+    codec = AuditedCodec()
+    cluster = _run_causal_under_drops(
+        n_nodes, ops, seed, delta_stamps=True, backend=backend, codec=codec,
     )
-    fast = _run_causal_under_drops(
-        n_nodes, ops, seed, delta_stamps=True, fast_lanes=True,
-        backend=backend,
+    _assert_ledger_is_the_wire(cluster, codec)
+    plain = _run_causal_under_drops(
+        n_nodes, ops, seed, delta_stamps=True, backend=backend,
     )
-    assert fast.history().to_text() == generic.history().to_text()
-    assert _store_snapshot(fast) == _store_snapshot(generic)
-    assert _net_snapshot(fast) == _net_snapshot(generic)
+    assert plain.history().to_text() == cluster.history().to_text()
 
 
 # ----------------------------------------------------------------------
-# 4. Reconnect resync: a lost connection restarts every delta chain
+# 5. Reconnect resync: a lost connection restarts every delta chain
 # ----------------------------------------------------------------------
 @settings(**COMMON)
 @given(
@@ -412,7 +408,7 @@ def test_reconnect_gap_recovers_with_full_stamp(
 
     for i in range(before):
         frame = codec.encode(0, 1, next_message(i))
-        assert codec.decode(0, 1, frame) is not None
+        assert codec.decode(0, 1, frame.data) is not None
 
     # Connection loss: these frames were encoded (the delta chain moved
     # on) but never reach the receiver.
@@ -426,7 +422,7 @@ def test_reconnect_gap_recovers_with_full_stamp(
         frame = codec.encode(0, 1, message)
         if i == 0:
             assert frame.stamp_entries == dimension  # full resync stamp
-        decoded = codec.decode(0, 1, frame)  # gap present; must not raise
+        decoded = codec.decode(0, 1, frame.data)  # gap present; must not raise
         assert decoded == message
     assert codec.stamps_full > full_before
     if after > 1:
@@ -463,10 +459,10 @@ def test_unsynced_reconnect_without_mark_dirty_desyncs(dimension, lost, seed):
             stamp=VectorClock(tuple(clock)),
         )
 
-    codec.decode(0, 1, codec.encode(0, 1, next_message(0)))
+    codec.decode(0, 1, codec.encode(0, 1, next_message(0)).data)
     for i in range(lost):
         codec.encode(0, 1, next_message(1 + i))
     tail = codec.encode(0, 1, next_message(1 + lost))
     if tail.stamp_entries < dimension:  # genuinely a delta frame
         with _pytest.raises(WireDesyncError):
-            codec.decode(0, 1, tail)
+            codec.decode(0, 1, tail.data)

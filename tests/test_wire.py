@@ -1,4 +1,8 @@
-"""Unit tests for the wire model: byte costs and the delta-stamp codec."""
+"""Unit tests for the wire model: byte costs and the delta-stamp codec.
+
+Frame-level properties (round trips of every type, the frame-length
+formula, hostile input) live in ``test_wire_frames.py``.
+"""
 
 import pytest
 
@@ -17,6 +21,7 @@ from repro.protocols.wire import (
     ID_BYTES,
     WireCodec,
     WireDesyncError,
+    WireError,
     location_bytes,
     measure_message,
     stamp_delta_bytes,
@@ -73,6 +78,38 @@ class TestCostModel:
         cost = measure_message(Strange())
         assert cost.byte_size >= HEADER_BYTES
 
+    def test_unknown_message_cannot_be_encoded(self):
+        """Sizing a test double is accounting; putting one on the wire
+        would need a layout nobody registered."""
+        class Strange:
+            kind = "STRANGE"
+
+        with pytest.raises(WireError, match="no registered wire layout"):
+            WireCodec().encode(0, 1, Strange())
+
+    def test_unencodable_value_names_kind_and_field(self):
+        """The model charges 8 bytes for any non-str object; the encoder
+        refuses what it cannot write, at the sender, by name."""
+        codec = WireCodec()
+        for bad in ((1, 2), [1], {"a": 1}, 2 ** 63, object()):
+            msg = WriteRequest(request_id=1, location="x", value=bad,
+                               stamp=vc(1, 0))
+            with pytest.raises(WireError, match=r"WRITE: field 'value'"):
+                codec.encode(0, 1, msg)
+        nested = ReadReply(
+            request_id=1, location="x", stamp=vc(1, 0),
+            entries=(EntryPayload("x", (1, 2), vc(1, 0), 0),),
+        )
+        with pytest.raises(WireError, match=r"R_REPLY: field 'value' holds \(1, 2\)"):
+            codec.encode(0, 1, nested)
+        # The failed encodes consumed no sequence number: the channel
+        # still works, restarting from a full stamp.
+        ok = WriteRequest(request_id=2, location="x", value=2 ** 63 - 1,
+                          stamp=vc(1, 0))
+        frame = codec.encode(0, 1, ok)
+        assert frame.stamp_entries == 2
+        assert codec.decode(0, 1, frame.data) == ok
+
     def test_delta_entry_costs_more_than_full_entry(self):
         # The delta must name its index, so near-total change flips to full.
         assert stamp_delta_bytes(3) > stamp_full_bytes(3)
@@ -80,8 +117,9 @@ class TestCostModel:
 
     def test_fast_cost_agrees_with_measure_for_every_type(self):
         """The network's allocation-free fast path must match the
-        authoritative body/stamps walk on every registered message type
+        encoder's own accounting on every registered message type
         (including the optional-field variants and a generic double)."""
+        from repro.protocols import li_hudak as lh
         from repro.protocols import messages as m
         from repro.protocols.wire import fast_cost
 
@@ -142,6 +180,22 @@ class TestCostModel:
                 BroadcastWrite(sender=0, seq=3, location="bb", value="y", stamp=vc(3, 0)),
             )),
             m.BroadcastBatch(sender=0, writes=()),
+            lh.MigRead(request_id=16, location="loc", requester=2),
+            lh.MigReadReply(
+                request_id=17, location="loc", value="v", stamp=vc(0, 4),
+                writer=-1, owner=1,
+            ),
+            lh.MigOwnRequest(request_id=18, location="loc", requester=0),
+            lh.MigGrant(
+                request_id=19, location="loc", value=2.5, stamp=vc(2, 4),
+                writer=1, copyset=(0, 1),
+            ),
+            lh.MigGrant(
+                request_id=19, location="loc", value=None, stamp=vc(2, 4),
+                writer=1, copyset=(),
+            ),
+            lh.MigInvalidate(request_id=20, location="loc"),
+            lh.MigInvalidateAck(request_id=21, location="loc"),
             Strange(),
         ]
         for msg in samples:
@@ -154,7 +208,7 @@ class TestCostModel:
 class TestCodecRoundTrip:
     def roundtrip(self, codec, src, dst, msg):
         frame = codec.encode(src, dst, msg)
-        return frame, codec.decode(src, dst, frame)
+        return frame, codec.decode(src, dst, frame.data)
 
     def test_first_message_full_then_delta(self):
         codec = WireCodec()
@@ -237,36 +291,63 @@ class TestCodecRoundTrip:
         ]
         f1 = codec.encode(0, 1, msgs[0])
         f2 = codec.encode(0, 1, msgs[1])  # delta over f1's basis
-        codec.decode(0, 1, f1)
+        codec.decode(0, 1, f1.data)
         # f2 never delivered (delivery-time loss); f3 is a delta too.
         f3 = codec.encode(0, 1, msgs[2])
+        assert f2.stamp_entries == f3.stamp_entries == 1
         with pytest.raises(WireDesyncError):
-            codec.decode(0, 1, f3)
+            codec.decode(0, 1, f3.data)
 
     def test_full_stamp_resyncs_after_gap(self):
         codec = WireCodec()
         m1 = WriteRequest(request_id=1, location="x", value=1, stamp=vc(1, 0))
         m2 = WriteRequest(request_id=2, location="x", value=2, stamp=vc(2, 0))
-        f1 = codec.encode(0, 1, m1)
-        # f1 lost at delivery time; the network tells the codec.
+        codec.encode(0, 1, m1)
+        # That frame is lost at delivery time; the network tells the codec.
         codec.mark_dirty(0, 1)
         f2 = codec.encode(0, 1, m2)   # full again
-        decoded = codec.decode(0, 1, f2)  # seq gap, but full stamp resyncs
+        decoded = codec.decode(0, 1, f2.data)  # seq gap; full stamp resyncs
         assert decoded == m2
 
     def test_decoding_a_raw_template_is_an_error(self):
-        import dataclasses
-
-        from repro.protocols.wire import WireError
-
         codec = WireCodec()
         m = WriteRequest(request_id=1, location="x", value=1, stamp=vc(1, 0))
         frame = codec.encode(0, 1, m)
-        # A frame whose template carries raw (already-rebuilt) clocks means
-        # someone is decoding decoded output; the codec must refuse.
-        bogus = dataclasses.replace(frame, template=m)
-        with pytest.raises(WireError):
-            codec.decode(0, 1, bogus)
+        # Handing decode a message object, or the whole Frame record
+        # rather than its bytes, means someone is decoding decoded
+        # output; the codec must refuse with its own error type.
+        for bogus in (m, frame, bytearray(frame.data)):
+            with pytest.raises(WireError):
+                codec.decode(0, 1, bogus)
+
+    def test_gap_drops_the_basis_until_a_full_stamp(self):
+        """A lost frame poisons every later delta, not just the next
+        frame: a stampless frame in between must not hide the gap."""
+        codec = WireCodec()
+        stamped = [
+            WriteRequest(request_id=i, location="x", value=i,
+                         stamp=vc(i, 0, 0))
+            for i in range(1, 4)
+        ]
+        codec.decode(0, 1, codec.encode(0, 1, stamped[0]).data)
+        codec.encode(0, 1, stamped[1])  # lost in flight
+        plain = ReadRequest(request_id=9, location="x", unit="x")
+        assert codec.decode(0, 1, codec.encode(0, 1, plain).data) == plain
+        with pytest.raises(WireDesyncError):
+            codec.decode(0, 1, codec.encode(0, 1, stamped[2]).data)
+
+    def test_forced_full_codec_keeps_no_basis(self):
+        """delta=False (a live run without delta_stamps): every stamp
+        full, byte-for-byte the stateless measure_message cost."""
+        codec = WireCodec(delta=False)
+        stamp = vc(3, 1, 4, 1)
+        for i in range(3):
+            msg = WriteRequest(request_id=i, location="x", value=i, stamp=stamp)
+            frame, decoded = self.roundtrip(codec, 0, 1, msg)
+            assert decoded == msg
+            assert frame.stamp_entries == frame.stamp_entries_full == 4
+            assert frame.byte_size == measure_message(msg).byte_size
+        assert codec.entries_saved == 0 and codec.stamps_full == 3
 
     def test_batch_and_reply_round_trip(self):
         codec = WireCodec()

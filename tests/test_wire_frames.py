@@ -1,0 +1,418 @@
+"""The byte frames themselves: round trips, their size, and hostile input.
+
+Three claims about :class:`~repro.protocols.wire.WireCodec`:
+
+1. ``decode(encode(m)) == m`` for every registered frame type (the 17
+   protocol messages and Li–Hudak's six), over any mix of full, delta,
+   empty-delta, dimension-changing and post-``mark_dirty`` stamps, and a
+   frame is exactly ``byte_size`` long plus the documented tag bytes and
+   UTF-8 excess — so the simulator's byte ledger *is* the wire.
+2. Nothing a peer can send makes ``decode`` raise anything but
+   :class:`WireError` / :class:`WireDesyncError`, and nothing read from
+   a socket kills the live runtime's reader or reaches ``_abort``.
+3. With every stamp forced full the encoder, :func:`measure_message` and
+   the allocation-free :func:`fast_cost` agree.
+"""
+
+import asyncio
+import pickle
+import random
+import struct
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from _wire_audit import frame_excess
+from repro.clocks import VectorClock
+from repro.protocols import li_hudak as lh
+from repro.protocols import messages as m
+from repro.protocols.wire import (
+    HEADER_BYTES,
+    MAX_FRAME,
+    WIRE_VERSION,
+    WireCodec,
+    WireDesyncError,
+    WireError,
+    fast_cost,
+    measure_message,
+)
+
+COMMON = dict(
+    deadline=None,
+    max_examples=60,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+# ----------------------------------------------------------------------
+# Strategies: one message of any registered type, stamps of one dimension
+# ----------------------------------------------------------------------
+ids = st.integers(min_value=0, max_value=2 ** 32 - 1)
+nodes = st.integers(min_value=-1, max_value=2 ** 31 - 1)
+names = st.one_of(
+    st.sampled_from(["x", "loc3", "unit0", ""]), st.text(max_size=12)
+)
+values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1),
+    st.floats(allow_nan=False),
+    st.text(max_size=12),
+)
+
+
+def clocks(dimension):
+    # Small counters make equal and nearly-equal stamps (empty and short
+    # deltas) common; the wide range reaches the 32-bit edge.
+    counter = st.one_of(
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=2 ** 32 - 1),
+    )
+    return st.lists(counter, min_size=dimension, max_size=dimension).map(
+        VectorClock
+    )
+
+
+def message_strategies(dimension):
+    """One strategy per registered type, stamps all of ``dimension``."""
+    stamp = clocks(dimension)
+    entry = st.builds(m.EntryPayload, names, values, stamp, nodes)
+    current = st.one_of(st.none(), entry)
+
+    def write_batches(request_id):
+        writes = st.lists(
+            st.builds(m.WriteRequest, st.just(request_id), names, values, stamp),
+            max_size=4,
+        )
+        return st.builds(m.WriteBatch, st.just(request_id), writes.map(tuple))
+
+    def broadcast_batches(sender):
+        writes = st.lists(
+            st.builds(m.BroadcastWrite, st.just(sender), ids, names, values, stamp),
+            max_size=4,
+        )
+        return st.builds(m.BroadcastBatch, st.just(sender), writes.map(tuple))
+
+    outcomes = st.lists(
+        st.builds(m.BatchedWriteReply, names, stamp, st.booleans(), current),
+        max_size=4,
+    ).map(tuple)
+    # Page-mode read replies carry several entries, word mode one.
+    entries = st.lists(entry, max_size=4).map(tuple)
+    copysets = st.lists(nodes, max_size=5).map(tuple)
+    built = {
+        m.ReadRequest: (ids, names, names),
+        m.ReadReply: (ids, names, entries, stamp),
+        m.WriteRequest: (ids, names, values, stamp),
+        m.WriteReply: (ids, names, values, stamp, st.booleans(), current),
+        m.WriteBatchReply: (ids, outcomes, stamp),
+        m.AtomicReadRequest: (ids, names),
+        m.AtomicReadReply: (ids, names, values, stamp, nodes),
+        m.AtomicWriteRequest: (ids, names, values, ids),
+        m.AtomicWriteReply: (ids, names, values),
+        m.Invalidate: (ids, names),
+        m.InvalidateAck: (ids, names),
+        m.CentralRead: (ids, names),
+        m.CentralWrite: (ids, names, values, ids),
+        m.CentralReply: (ids, names, values, stamp, nodes),
+        m.BroadcastWrite: (nodes, ids, names, values, stamp),
+        lh.MigRead: (ids, names, nodes),
+        lh.MigReadReply: (ids, names, values, stamp, nodes, nodes),
+        lh.MigOwnRequest: (ids, names, nodes),
+        lh.MigGrant: (ids, names, values, stamp, nodes, copysets),
+        lh.MigInvalidate: (ids, names),
+        lh.MigInvalidateAck: (ids, names),
+    }
+    strategies = {cls: st.builds(cls, *args) for cls, args in built.items()}
+    strategies[m.WriteBatch] = ids.flatmap(write_batches)
+    strategies[m.BroadcastBatch] = nodes.flatmap(broadcast_batches)
+    return strategies
+
+
+def messages(dimension):
+    return st.one_of(*message_strategies(dimension).values())
+
+
+#: A channel's traffic: messages whose dimension may change from one to
+#: the next, each optionally preceded by a loss report (``mark_dirty``).
+traffic = st.lists(
+    st.tuples(
+        st.booleans(),
+        st.sampled_from([1, 3, 3, 3, 4]).flatmap(messages),
+    ),
+    min_size=1, max_size=12,
+)
+
+
+def test_every_registered_type_is_generated():
+    """The strategies above and the codec's table list the same 23 types."""
+    from repro.protocols.wire import cost_table
+
+    assert set(message_strategies(2)) == set(cost_table())
+    assert len(cost_table()) == 17 + 6
+
+
+# ----------------------------------------------------------------------
+# 1. Round trips and frame size
+# ----------------------------------------------------------------------
+@settings(**COMMON)
+@given(traffic, st.booleans())
+def test_frames_round_trip_and_weigh_what_the_model_says(sequence, delta):
+    codec = WireCodec(delta=delta)
+    for seq, (dirty, message) in enumerate(sequence, start=1):
+        if dirty:
+            codec.mark_dirty(0, 1)
+        frame = codec.encode(0, 1, message)
+        data = frame.data
+        assert type(data) is bytes and len(data) <= MAX_FRAME
+        assert struct.unpack_from(">BBHHIH", data) == (
+            WIRE_VERSION, data[1], 0, 1, seq, len(data),
+        )
+        assert len(data) - frame.byte_size == frame_excess(message)
+        full_bytes, full_entries = fast_cost(message)
+        assert frame.stamp_entries_full == full_entries
+        assert frame.stamp_entries <= full_entries
+        assert frame.byte_size <= full_bytes
+        if not delta:
+            assert (frame.byte_size, frame.stamp_entries) == (
+                full_bytes, full_entries,
+            )
+        decoded = codec.decode(0, 1, data)
+        assert decoded == message
+        # == cannot tell True from 1 or 1.0; the printed form can.
+        assert repr(decoded) == repr(message)
+
+
+@settings(**COMMON)
+@given(st.integers(min_value=1, max_value=6).flatmap(messages))
+def test_measure_fast_cost_and_encoder_agree(message):
+    measured = measure_message(message)
+    assert fast_cost(message) == (measured.byte_size, measured.stamp_entries)
+    frame = WireCodec(delta=False).encode(3, 4, message)
+    assert frame.byte_size == measured.byte_size
+    assert frame.stamp_entries == frame.stamp_entries_full
+
+
+def test_stamp_forms_on_one_channel():
+    """Full, delta, empty delta, dimension change, post-dirty: by hand."""
+    codec = WireCodec()
+
+    def send(*components):
+        msg = m.WriteRequest(1, "x", None, VectorClock(components))
+        frame = codec.encode(0, 1, msg)
+        assert codec.decode(0, 1, frame.data) == msg
+        # header + id + location + None + stamp
+        return len(frame.data) - (HEADER_BYTES + 4 + 3 + 1), frame.stamp_entries
+
+    assert send(1, 0, 0, 0, 0, 0) == (2 + 4 * 6, 6)   # first: full
+    assert send(2, 0, 0, 0, 0, 0) == (2 + 6 * 1, 1)   # one entry moved
+    assert send(2, 0, 0, 0, 0, 0) == (2, 0)           # nothing moved
+    assert send(3, 1, 1, 1, 0, 0) == (2 + 4 * 6, 6)   # 4 of 6: full is shorter
+    assert send(3, 1, 1) == (2 + 4 * 3, 3)            # dimension changed
+    assert send(3, 1, 2) == (2 + 6, 1)
+    codec.mark_dirty(0, 1)
+    assert send(3, 1, 2) == (2 + 4 * 3, 3)            # after a loss: full
+
+
+def test_fields_outside_their_width_are_refused():
+    codec = WireCodec()
+    clock = VectorClock((1, 0))
+    with pytest.raises(WireError, match="cannot encode WRITE"):
+        codec.encode(0, 1, m.WriteRequest(2 ** 32, "x", 1, clock))
+    with pytest.raises(WireError, match="cannot encode WRITE"):
+        codec.encode(0, 1, m.WriteRequest(1, "x", 1, VectorClock((2 ** 32, 0))))
+    with pytest.raises(WireError, match="cannot encode WRITE"):
+        codec.encode(0, 1, m.WriteRequest(1, "x" * 70_000, 1, clock))
+    with pytest.raises(WireError, match="MAX_FRAME"):
+        codec.encode(0, 1, m.WriteBatch(1, tuple(
+            m.WriteRequest(1, "x" * 1000, "v" * 1000, clock) for _ in range(40)
+        )))
+    with pytest.raises(WireError, match="request_id of its own"):
+        codec.encode(0, 1, m.WriteBatch(1, (m.WriteRequest(2, "x", 1, clock),)))
+    with pytest.raises(WireError, match="sender of its own"):
+        codec.encode(0, 1, m.BroadcastBatch(
+            0, (m.BroadcastWrite(1, 1, "x", 1, clock),)))
+
+
+# ----------------------------------------------------------------------
+# 2. Hostile input
+# ----------------------------------------------------------------------
+def _corpus():
+    """One well-formed, self-contained (full-stamp) frame per shape."""
+    clock = VectorClock((3, 0, 2))
+    entry = m.EntryPayload("y", "held", VectorClock((1, 0, 2)), 2)
+    samples = [
+        m.ReadRequest(1, "x", "x"),
+        m.ReadReply(2, "x", (entry, entry), clock),
+        m.WriteRequest(3, "x", 7, clock),
+        m.WriteReply(4, "x", 2.5, clock, False, entry),
+        m.WriteBatch(5, (m.WriteRequest(5, "x", "a", clock),
+                         m.WriteRequest(5, "yy", None, clock))),
+        m.WriteBatchReply(6, (m.BatchedWriteReply("x", clock),
+                              m.BatchedWriteReply("y", clock, False, entry)),
+                          clock),
+        m.AtomicWriteRequest(7, "x", True, 9),
+        m.CentralReply(8, "x", "v", clock, -1),
+        m.BroadcastBatch(0, (m.BroadcastWrite(0, 1, "x", 1, clock),)),
+        lh.MigGrant(9, "x", 1, clock, 1, (0, 2)),
+        lh.MigInvalidate(10, "x"),
+    ]
+    return [WireCodec().encode(0, 1, sample).data for sample in samples]
+
+
+def _decode_fresh(data):
+    """Decode on a channel that has seen nothing; only wire errors allowed."""
+    try:
+        return WireCodec().decode(0, 1, data)
+    except (WireError, WireDesyncError):
+        return None
+
+
+def test_every_truncation_is_a_wire_error():
+    for data in _corpus():
+        assert _decode_fresh(data) is not None
+        for cut in range(len(data)):
+            with pytest.raises(WireError):
+                WireCodec().decode(0, 1, data[:cut])
+            if cut >= HEADER_BYTES:
+                # A truncation whose header length was patched to match
+                # gets past the length check and must die in the body.
+                patched = data[:10] + struct.pack(">H", cut) + data[12:cut]
+                with pytest.raises(WireError):
+                    WireCodec().decode(0, 1, patched)
+        with pytest.raises(WireError, match="header says"):
+            WireCodec().decode(0, 1, data + b"\x00")
+        padded = data[:10] + struct.pack(">H", len(data) + 1) + data[12:] + b"\x00"
+        with pytest.raises(WireError, match="trailing"):
+            WireCodec().decode(0, 1, padded)
+
+
+def test_random_byte_flips_never_escape_as_other_exceptions():
+    rng = random.Random(1991)
+    for data in _corpus():
+        for _ in range(400):
+            mutated = bytearray(data)
+            for _ in range(rng.randint(1, 3)):
+                mutated[rng.randrange(len(mutated))] = rng.randrange(256)
+            _decode_fresh(bytes(mutated))  # a message or a wire error
+
+
+def test_foreign_payloads_are_wire_errors():
+    well_formed = _corpus()[2]
+    hostile = [
+        b"",
+        b"\x00" * HEADER_BYTES,
+        pickle.dumps(("hello", 1)),
+        pickle.dumps(m.WriteRequest(1, "x", 1, VectorClock((1, 0)))),
+        # wrong version, unknown kind, another channel's frame
+        bytes([WIRE_VERSION + 1]) + well_formed[1:],
+        well_formed[:1] + b"\xee" + well_formed[2:],
+        WireCodec().encode(1, 0, m.Invalidate(1, "x")).data,
+    ]
+    for data in hostile:
+        with pytest.raises(WireError):
+            WireCodec().decode(0, 1, data)
+    # A delta stamp for a channel with no basis is the desync subclass.
+    sender = WireCodec()
+    sender.encode(0, 1, m.WriteRequest(1, "x", 1, VectorClock((1, 0, 0, 0))))
+    delta = sender.encode(0, 1, m.WriteRequest(2, "x", 1, VectorClock((2, 0, 0, 0))))
+    with pytest.raises(WireDesyncError):
+        WireCodec().decode(0, 1, delta.data)
+
+
+def test_a_failed_decode_drops_the_basis():
+    """After any rejected frame only a full stamp restarts the channel."""
+    codec = WireCodec()
+    clock = VectorClock((1, 0, 0, 0))
+    first = codec.encode(0, 1, m.WriteRequest(1, "x", 1, clock))
+    second = codec.encode(0, 1, m.WriteRequest(2, "x", 1, clock.increment(0)))
+    codec.decode(0, 1, first.data)
+    with pytest.raises(WireError):
+        codec.decode(0, 1, second.data[:-1])
+    with pytest.raises(WireDesyncError):
+        codec.decode(0, 1, second.data)
+
+
+# -- the live runtime's reader, fed from memory (no sockets) ------------
+def _read(stream: bytes):
+    """Run AsyncioRuntime._read_loop over ``stream``; returns the runtime
+    and what its handler received."""
+    from repro.runtime.live import AsyncioRuntime, _Side
+
+    runtime = AsyncioRuntime(2, codec=WireCodec())
+    received = []
+    runtime.register(0, lambda src, message: None)
+    runtime.register(1, lambda src, message: received.append(message))
+
+    async def main():
+        reader = asyncio.StreamReader()
+        reader.feed_data(stream)
+        reader.feed_eof()
+        await runtime._read_loop(_Side(1, 0, reader, None))
+
+    asyncio.run(main())
+    assert runtime._error is None
+    return runtime, received
+
+
+def _framed(data: bytes) -> bytes:
+    return struct.pack(">I", len(data)) + data
+
+
+def test_reader_delivers_good_frames_and_stops_at_the_first_bad_one():
+    sender = WireCodec()
+    good = [
+        sender.encode(0, 1, m.WriteRequest(i, "x", i, VectorClock((i, 0))))
+        for i in (1, 2, 3)
+    ]
+    runtime, received = _read(b"".join(_framed(f.data) for f in good))
+    assert [msg.request_id for msg in received] == [1, 2, 3]
+    assert runtime.frames_rejected == 0 and runtime.frames_delivered == 3
+
+    corrupt = bytearray(good[1].data)
+    corrupt[1] = 0xEE
+    runtime, received = _read(
+        _framed(good[0].data) + _framed(bytes(corrupt)) + _framed(good[2].data)
+    )
+    assert [msg.request_id for msg in received] == [1]
+    assert runtime.frames_rejected == 1
+    assert "unknown frame kind" in runtime.last_rejection
+
+
+@pytest.mark.parametrize("length", [0, HEADER_BYTES - 1, MAX_FRAME + 1, 2 ** 32 - 1])
+def test_reader_checks_the_length_before_reading_that_much(length):
+    """A 4 GiB length header is refused on sight, not waited for."""
+    runtime, received = _read(struct.pack(">I", length) + b"\x00" * 64)
+    assert received == []
+    assert runtime.frames_rejected == 1
+    assert f"frame length {length}" in runtime.last_rejection
+
+
+def test_reader_survives_random_streams():
+    rng = random.Random(2024)
+    for _ in range(200):
+        runtime, _ = _read(rng.randbytes(rng.randrange(0, 200)))
+        assert runtime.frames_rejected <= 1  # it stops at the first one
+
+
+def test_handler_failures_still_fail_the_run():
+    """Rejecting hostile input must not soften engine errors."""
+    from repro.runtime.live import AsyncioRuntime, _Side
+
+    runtime = AsyncioRuntime(2)
+    runtime.register(0, lambda src, message: None)
+
+    def broken(src, message):
+        raise RuntimeError("engine bug")
+
+    runtime.register(1, broken)
+    frame = WireCodec(delta=False).encode(0, 1, m.Invalidate(1, "x"))
+
+    async def main():
+        reader = asyncio.StreamReader()
+        reader.feed_data(_framed(frame.data))
+        reader.feed_eof()
+        await runtime._read_loop(_Side(1, 0, reader, None))
+
+    asyncio.run(main())
+    assert isinstance(runtime._error, RuntimeError)
+    assert runtime.frames_rejected == 0
