@@ -61,8 +61,11 @@ Examples
 from __future__ import annotations
 
 import argparse
+import contextlib
+import statistics
 import sys
 import time
+from collections import defaultdict, deque
 from datetime import datetime, timezone
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -777,6 +780,97 @@ def bench_live(n_nodes: int, ops_per_proc: int) -> Dict[str, Any]:
         ),
         "verdicts_equal": check_causal(sim.history).ok
         == check_causal(live.history).ok,
+    }
+
+
+#: ``live_over_sim`` as recorded in EXPERIMENTS.md ("The live gate's
+#: recorded ratio"); CI's ``live-smoke`` job fails under 0.85x of it.
+LIVE_GATE_RATIO = 0.64
+#: One-way delay of the gate's delayed run, and how far above it the
+#: median send()-to-handler transit may sit (seconds).
+LIVE_GATE_DELAY = 0.002
+LIVE_GATE_TRANSIT_SLACK = 0.001
+
+
+@contextlib.contextmanager
+def _timed_transit(samples: List[float]):
+    """Time each live message from its ``send()`` call to its handler's
+    entry (FIFO-matched per channel, so only for a run that drops none)."""
+    from repro.runtime.live import AsyncioRuntime
+
+    in_flight: Dict[Any, deque] = defaultdict(deque)
+    send, register = AsyncioRuntime.send, AsyncioRuntime.register
+
+    def timed_send(runtime, src, dst, message):
+        in_flight[src, dst].append(time.perf_counter())
+        send(runtime, src, dst, message)
+
+    def timed_register(runtime, node_id, handler):
+        def timed_handler(src, message):
+            sent = in_flight[src, node_id].popleft()
+            samples.append(time.perf_counter() - sent)
+            handler(src, message)
+
+        register(runtime, node_id, timed_handler)
+
+    AsyncioRuntime.send, AsyncioRuntime.register = timed_send, timed_register
+    try:
+        yield
+    finally:
+        AsyncioRuntime.send, AsyncioRuntime.register = send, register
+
+
+def bench_live_gate(rounds: int = 5, ops_per_proc: int = 1000) -> Dict[str, Any]:
+    """What CI's live gate reads: live speed relative to the simulator.
+
+    Alternates the n=4 delta-stamp workload on ``SimRuntime`` and on
+    ``AsyncioRuntime`` (UDS, no link delay) in one process, a fresh
+    seed per round, and reports the median ops/s of each and their
+    ratio — the simulator runs the same engines and codec without a
+    transport, so the ratio is the transport's share and (unlike raw
+    ops/s) travels between machines.  One more run over 2 ms links
+    gives the median send()-to-handler transit, whose excess over the
+    delay is what the event loop and the sockets add per message.
+    """
+    from repro.apps.workload import WorkloadConfig, run_random_execution
+    from repro.runtime import run_workload_live
+
+    def config(seed: int) -> WorkloadConfig:
+        return WorkloadConfig(
+            protocol="causal", n_nodes=4, n_locations=8,
+            ops_per_proc=ops_per_proc, seed=seed, delta_stamps=True,
+        )
+
+    sim_rates, live_runs = [], []
+    for seed in range(1991, 1991 + rounds):
+        started = time.perf_counter()
+        sim = run_random_execution(config(seed))
+        sim_rates.append(len(sim.history) / (time.perf_counter() - started))
+        live_runs.append(run_workload_live(config(seed), link_delay=0.0))
+    transit: List[float] = []
+    with _timed_transit(transit):
+        delayed = run_workload_live(config(1991), link_delay=LIVE_GATE_DELAY)
+    sim_rate = statistics.median(sim_rates)
+    live_rate = statistics.median(
+        len(run.history) / (run.elapsed - run.cluster.runtime.settle)
+        for run in live_runs
+    )
+    return {
+        "rounds": rounds,
+        "ops": 4 * ops_per_proc,
+        "sim_ops_per_sec": sim_rate,
+        "live_ops_per_sec": live_rate,
+        "live_over_sim": live_rate / sim_rate,
+        "transit_p50_ms": statistics.median(transit) * 1e3,
+        "transit_over_delay_ms":
+            (statistics.median(transit) - LIVE_GATE_DELAY) * 1e3,
+        "frames_per_write": delayed.total_messages / delayed.socket_writes,
+        # Nothing lost, refused or leaked, and every message timed.
+        "clean": len(transit) == delayed.total_messages and not any(
+            run.resyncs or run.frames_rejected or run.dropped_messages
+            or run.cluster.runtime.leaked_tasks
+            for run in live_runs + [delayed]
+        ),
     }
 
 

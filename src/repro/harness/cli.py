@@ -398,7 +398,10 @@ def _print_live_stats(outcome) -> None:
     print(
         f"  bytes: {outcome.model_bytes} wire-model, "
         f"{outcome.socket_bytes} on the socket "
-        f"(x{outcome.socket_bytes / max(outcome.model_bytes, 1):.2f})"
+        f"(x{outcome.socket_bytes / max(outcome.model_bytes, 1):.2f}) in "
+        f"{outcome.socket_writes} writes "
+        f"({outcome.total_messages / max(outcome.socket_writes, 1):.2f} "
+        f"frames/write)"
     )
 
 

@@ -14,10 +14,10 @@ What the panel shows, and where each number comes from:
 * **ops/s** — the merged stream's ``proto.op.commit`` counter (shards
   share the plane's metrics registry, so this ticks in real time, not
   merge time), differenced per repaint interval.
-* **per-link rows** — model bytes (``NetworkStats.bytes_by_pair``,
-  the simulator-comparable wire model) beside actual socket bytes
-  (``AsyncioRuntime.socket_bytes_by_link``) and the outbound queue
-  depth, per directed channel.
+* **per-link rows** — ``AsyncioRuntime.link_stats()``: model bytes
+  (the simulator-comparable wire model) beside actual socket bytes,
+  the ``transport.write`` calls that carried them and the outbound
+  queue depth, per directed channel.
 * **resyncs / drops** — the runtime's codec-resync and dropped-frame
   counters.
 * **telemetry** — frames/events merged and lost, per-node skew
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import asyncio
 import sys
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 __all__ = ["DashboardState", "collect", "render", "Dashboard"]
 
@@ -55,8 +55,8 @@ class DashboardState:
         self.elapsed = 0.0
         self.ops_total = 0
         self.ops_rate = 0.0
-        #: (src, dst, model_msgs, model_bytes, socket_bytes, queue_depth)
-        self.links: List[Tuple[int, int, int, int, int, int]] = []
+        #: The runtime's :class:`~repro.runtime.live.LinkStats` records.
+        self.links: List[Any] = []
         self.resyncs = 0
         self.dropped = 0
         self.frames_merged = 0
@@ -94,23 +94,7 @@ def collect(
     state.resyncs = runtime.resyncs
     state.dropped = runtime.stats.dropped
 
-    pairs = runtime.stats.by_pair
-    byte_pairs = runtime.stats.bytes_by_pair
-    socket_by_link = getattr(runtime, "socket_bytes_by_link", {})
-    queues = getattr(runtime, "_out", {})
-    channels = sorted(set(pairs) | set(socket_by_link) | set(queues))
-    for src, dst in channels:
-        queue = queues.get((src, dst))
-        state.links.append(
-            (
-                src,
-                dst,
-                pairs.get((src, dst), 0),
-                byte_pairs.get((src, dst), 0),
-                socket_by_link.get((src, dst), 0),
-                len(queue.items) if queue is not None else 0,
-            )
-        )
+    state.links = runtime.link_stats()
 
     if plane is not None:
         counter = plane.out.metrics.counter("proto.op.commit")
@@ -159,12 +143,14 @@ def render(state: DashboardState, width: int = 78) -> str:
         f"ops {state.ops_total} ({state.ops_rate:.0f}/s) · "
         f"resyncs {state.resyncs} · drops {state.dropped}",
         bar,
-        "link      msgs   model-B   socket-B   queue",
+        "link      msgs   model-B   socket-B  writes   queue",
     ]
-    for src, dst, msgs, model_b, sock_b, depth in state.links:
+    for link in state.links:
         lines.append(
-            f"{src}->{dst:<5} {msgs:6d} {_fmt_bytes(model_b):>9} "
-            f"{_fmt_bytes(sock_b):>10} {depth:7d}"
+            f"{link.src}->{link.dst:<5} {link.messages:6d} "
+            f"{_fmt_bytes(link.model_bytes):>9} "
+            f"{_fmt_bytes(link.socket_bytes):>10} {link.socket_writes:7d} "
+            f"{link.queue_depth:7d}"
         )
     if not state.links:
         lines.append("  (no traffic yet)")

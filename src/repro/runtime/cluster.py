@@ -153,6 +153,8 @@ class LiveOutcome:
         self.dropped_messages = runtime.stats.dropped
         self.model_bytes = runtime.stats.bytes_total
         self.socket_bytes = runtime.socket_bytes
+        #: ``transport.write`` calls that carried them.
+        self.socket_writes = runtime.socket_writes
         self.resyncs = runtime.resyncs
         self.frames_rejected = runtime.frames_rejected
         #: Per-directed-channel accounting at teardown.

@@ -20,19 +20,35 @@ connection gives exactly the per-channel FIFO the codec requires; a run
 without ``delta_stamps`` uses the same codec with every stamp full.
 
 Nothing read from a socket is trusted: a bad hello, a length outside
-``[HEADER_BYTES, MAX_FRAME]`` (checked before the read it would size),
-and any frame the codec refuses are counted in ``frames_rejected`` and
-close that connection, which then resyncs from full stamps like any
-other lost connection.  Only an exception raised by an engine's own
-handler fails the run.
+``[HEADER_BYTES, MAX_FRAME]`` (checked when the prefix arrives, before
+any of that frame is waited for), and any frame the codec refuses are
+counted in ``frames_rejected`` and close that connection, which then
+resyncs from full stamps like any other lost connection.  Only an
+exception raised by an engine's own handler fails the run.
+
+Transport: callbacks, no tasks
+------------------------------
+Each connection endpoint is one :class:`asyncio.Protocol` and each
+directed pair one plain channel record that outlives connections, so no
+message costs a task switch.  ``send()`` appends to the channel and
+flushes it: on a zero-delay link inline (encode, count,
+``transport.write`` before ``send()`` returns), on a delayed link from
+one ``loop.call_later`` per channel that writes every message that has
+come due in a single ``transport.write``.  A frame is encoded only in
+that flush, so a message still in the channel has consumed no sequence
+number.  ``data_received`` slices complete ``u32 length | frame``
+records out of what has arrived and calls ``decode`` and the handler
+directly — **the engine's handler runs inside the transport's read
+callback**.  Back-pressure: between asyncio's ``pause_writing`` and
+``resume_writing`` a channel's messages stay in it, un-encoded.
 
 What is and is not preserved
 ----------------------------
 * Handler atomicity: the event loop is single-threaded and handlers are
   plain synchronous calls — an engine's ``handle_message`` runs to
   completion exactly as in the simulator.
-* Per-channel FIFO: frames are encoded by a single writer task per
-  directed channel and decoded in stream order.
+* Per-channel FIFO: a channel is one deque flushed from its head into
+  one connection, and the receiver parses the stream in order.
 * Determinism is **not** preserved: wall-clock scheduling makes message
   interleavings racy.  The differential harness therefore compares
   checker *verdicts*, never raw histories.
@@ -42,11 +58,12 @@ Faults
 ``fail_link`` mirrors the simulator's partition (sends dropped before
 encoding, channel marked dirty).  ``kill_connection`` is a harder fault
 with no simulator twin: it aborts the live transport mid-run, losing
-any frames still queued or buffered in the socket — frames that already
-consumed a channel sequence number.  The receiver sees a sequence gap,
-the sender's next frame carries a full writestamp (``mark_dirty``), and
-the codec's resync path recovers; connections re-establish
-automatically.  ``drop_next_frames`` deterministically forces the same
+any frames buffered in the socket — frames that already consumed a
+channel sequence number.  The receiver sees a sequence gap, the
+sender's next frame carries a full writestamp (``mark_dirty``), and the
+codec's resync path recovers; the lower id of the pair redials, and
+messages sent while the link is down wait in the channel for the new
+connection.  ``drop_next_frames`` deterministically forces the same
 encoded-then-lost gap (the live analogue of the simulator's
 crash-on-arrival drop) for tests that must not race.
 """
@@ -55,6 +72,7 @@ from __future__ import annotations
 
 import asyncio
 import os
+import random
 import struct
 import tempfile
 import time
@@ -85,8 +103,9 @@ class LinkStats:
     ``model_bytes`` is the wire-model cost (the number the simulator
     would report for the same messages); ``socket_bytes`` is what
     actually hit the socket (each frame's bytes plus its 4-byte length
-    prefix).  ``queue_depth`` is the outbound backlog at sampling time.
-    """
+    prefix), in ``socket_writes`` calls to ``transport.write`` — a
+    delayed channel coalesces, so ``messages / socket_writes`` can exceed
+    1.  ``queue_depth`` is the backlog when sampled: sent, not encoded."""
 
     src: int
     dst: int
@@ -94,6 +113,8 @@ class LinkStats:
     model_bytes: int
     socket_bytes: int
     queue_depth: int
+    socket_writes: int
+
 
 _LENGTH = struct.Struct(">I")
 _HELLO = struct.Struct(">4sBH")  # magic, wire version, dialling node id
@@ -126,31 +147,138 @@ class _LiveScheduler:
         return task
 
 
-class _Side:
-    """One endpoint's live view of a connection: its reader and writer."""
+class _Channel:
+    """One directed pair's outbound state; outlives its connections.
 
-    __slots__ = ("owner", "peer", "reader", "writer", "tasks")
+    ``items`` holds ``(ready_at, message)`` in send order, un-encoded:
+    messages sent while the link is down, paused or not yet due wait
+    here for the next flush (the codec's full-stamp resync covers the
+    frames a lost connection had in flight)."""
 
-    def __init__(self, owner: int, peer: int, reader, writer):
+    __slots__ = ("src", "dst", "delay", "items", "conn", "timer",
+                 "drop_next", "socket_bytes", "socket_writes")
+
+    def __init__(self, src: int, dst: int, delay: float):
+        self.src = src
+        self.dst = dst
+        self.delay = delay
+        self.items: deque = deque()
+        #: ``src``'s endpoint of the live connection to ``dst``, if any.
+        self.conn: Optional["_Conn"] = None
+        #: The pending ``call_later`` flush of a delayed channel.
+        self.timer: Optional[asyncio.TimerHandle] = None
+        self.drop_next = 0  # frames to lose after encoding
+        self.socket_bytes = 0
+        self.socket_writes = 0
+
+
+class _Conn(asyncio.Protocol):
+    """``owner``'s endpoint of one connection: parses what arrives.
+
+    Dialled endpoints know their ``peer``; an accepted one learns it
+    from the hello (``peer is None`` until then).  ``channel`` is the
+    outbound ``(owner, peer)`` channel this endpoint writes for, from
+    :meth:`AsyncioRuntime._attach` until the endpoint closes."""
+
+    __slots__ = ("runtime", "owner", "peer", "transport", "channel",
+                 "pending", "paused")
+
+    def __init__(self, runtime: "AsyncioRuntime", owner: int,
+                 peer: Optional[int] = None):
+        self.runtime = runtime
         self.owner = owner
         self.peer = peer
-        self.reader = reader
-        self.writer = writer
-        self.tasks: List[asyncio.Task] = []
+        self.transport: Optional[asyncio.Transport] = None
+        self.channel: Optional[_Channel] = None
+        self.pending = b""  # bytes received short of a whole record
+        self.paused = False
 
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        runtime = self.runtime
+        runtime._conns.add(self)
+        if runtime._closing:
+            self.shut(abort=True)
+        elif self.peer is not None:  # the dialling end speaks first
+            transport.write(_HELLO.pack(_MAGIC, WIRE_VERSION, self.owner))
+            runtime._attach(self)
 
-class _OutQueue:
-    """Persistent outbound queue for one directed channel.
+    def shut(self, abort: bool = False) -> None:
+        """Close this endpoint; its channel stops writing at once (and
+        the transport, its reader removed, delivers nothing more)."""
+        self.runtime._detach(self)
+        (self.transport.abort if abort else self.transport.close)()
 
-    Survives connection loss: messages enqueued while the link is down
-    are transmitted after reconnection (the codec's full-stamp resync
-    covers the frames that were lost in flight)."""
+    def connection_lost(self, exc) -> None:
+        self.runtime._conns.discard(self)
+        self.runtime._detach(self)
 
-    __slots__ = ("items", "wake")
+    def pause_writing(self) -> None:
+        self.paused = True
 
-    def __init__(self):
-        self.items: deque = deque()
-        self.wake = asyncio.Event()
+    def resume_writing(self) -> None:
+        self.paused = False
+        if self.channel is not None and self.channel.timer is None:
+            self.runtime._flush(self.channel)
+
+    def _refuse(self, reason: str) -> None:
+        """Count input this endpoint will not take and close the link."""
+        runtime = self.runtime
+        runtime.frames_rejected += 1
+        runtime.last_rejection = reason
+        self.shut()
+
+    def data_received(self, data: bytes) -> None:
+        if self.pending:
+            data = self.pending + data
+        pos, end = 0, len(data)
+        runtime, dst = self.runtime, self.owner
+        if self.peer is None:
+            if end < _HELLO.size:
+                self.pending = data
+                return
+            pos = _HELLO.size
+            magic, version, peer = _HELLO.unpack_from(data)
+            # Only the lower id of a pair dials, and only one connection
+            # per pair is live: anything else is not one of ours.
+            if (
+                magic != _MAGIC
+                or version != WIRE_VERSION
+                or peer not in runtime._handlers
+                or peer >= dst
+                or runtime._channel(dst, peer).conn is not None
+            ):
+                self._refuse(f"hello {data[:pos]!r} refused by node {dst}")
+                return
+            self.peer = peer
+            runtime._attach(self)
+        src = self.peer
+        decode = runtime.codec.decode
+        handler = runtime._handlers[dst]
+        while self.channel is not None and end - pos >= _LENGTH.size:
+            (length,) = _LENGTH.unpack_from(data, pos)
+            if not HEADER_BYTES <= length <= MAX_FRAME:
+                self._refuse(f"{src}->{dst}: frame length {length}")
+                return
+            start = pos + _LENGTH.size
+            if end - start < length:
+                break
+            pos = start + length
+            try:
+                message = decode(src, dst, data[start:pos])
+            except WireError as exc:
+                # Closing ends this connection; both directions then
+                # resync from full stamps like any lost link.
+                self._refuse(f"{src}->{dst}: {exc}")
+                return
+            runtime.frames_delivered += 1
+            if runtime.stream is not None:
+                runtime.stream((src, dst))
+            try:
+                handler(src, message)
+            except Exception as exc:  # noqa: BLE001 - fail the whole run
+                runtime._abort(exc)
+        self.pending = data[pos:]
 
 
 class AsyncioRuntime(Runtime):
@@ -206,12 +334,6 @@ class AsyncioRuntime(Runtime):
                 DEFAULT_LINK_DELAY if link_delay is None else float(link_delay)
             )
         self.stats = NetworkStats()
-        #: Actual bytes written to sockets (frames + headers); the
-        #: NetworkStats byte column keeps the wire *model* cost so live
-        #: and simulated runs stay comparable.
-        self.socket_bytes = 0
-        #: Same, broken down per directed channel (LinkStats feedstock).
-        self.socket_bytes_by_link: Dict[Tuple[int, int], int] = {}
         self.frames_delivered = 0
         #: Hellos and frames refused (malformed, oversized, wrong channel
         #: or version; 0 on a clean run), and why the latest one was.
@@ -237,15 +359,12 @@ class AsyncioRuntime(Runtime):
         self._error: Optional[BaseException] = None
         self._done = None  # asyncio.Event, created inside the loop
         self._failed_links: Set[Tuple[int, int]] = set()
-        self._force_drop: Dict[Tuple[int, int], int] = {}
-        self._out: Dict[Tuple[int, int], _OutQueue] = {}
-        self._sides: Dict[Tuple[int, int], _Side] = {}
+        self._channels: Dict[Tuple[int, int], _Channel] = {}
+        #: Every open endpoint, accepted ones awaiting a hello included.
+        self._conns: Set[_Conn] = set()
         self._servers: List = []
-        self._supervisors: List[asyncio.Task] = []
-        self._io_tasks: Set[asyncio.Task] = set()
-        self._accept_tasks: Set[asyncio.Task] = set()
-        #: Accepted connections still waiting for their hello.
-        self._greeting: Set[asyncio.StreamWriter] = set()
+        #: Connection attempts in flight — the only tasks besides _main.
+        self._dials: Set[asyncio.Task] = set()
         self._tmpdir: Optional[tempfile.TemporaryDirectory] = None
         self._addrs: Dict[int, Any] = {}
         #: Channels forced full-stamp at least once (resync evidence).
@@ -254,9 +373,7 @@ class AsyncioRuntime(Runtime):
         #: shutdown accounting has a bug); populated by :meth:`_shutdown`.
         self.leaked_tasks: List[str] = []
 
-    # ------------------------------------------------------------------
-    # Runtime interface: time, callbacks, rng, tasks
-    # ------------------------------------------------------------------
+    # -- Runtime interface: time, callbacks, rng, tasks ----------------
     @property
     def now(self) -> float:
         if self._t0 is None:
@@ -276,8 +393,6 @@ class AsyncioRuntime(Runtime):
             self._loop.call_later(delay, callback, arg)
 
     def derived_rng(self, label: str):
-        import random
-
         return random.Random(f"{self.seed}/{label}")
 
     def sleep(self, duration: float) -> Future:
@@ -294,40 +409,91 @@ class AsyncioRuntime(Runtime):
         self.tasks.append(task)
         return task
 
-    # ------------------------------------------------------------------
-    # Runtime interface: messaging
-    # ------------------------------------------------------------------
+    # -- Runtime interface: messaging ----------------------------------
     def register(self, node_id: int, handler) -> None:
         if node_id in self._handlers:
             raise SimulationError(f"node {node_id} registered twice")
         self._handlers[node_id] = handler
 
     def send(self, src: int, dst: int, message: object) -> None:
-        if src == dst or dst not in self._handlers or src not in self._handlers:
-            raise SimulationError(f"invalid live channel {src}->{dst}")
-        if (src, dst) in self._failed_links:
+        channel = self._channels.get((src, dst)) or self._channel(src, dst)
+        if self._failed_links and (src, dst) in self._failed_links:
             # Mirror of the simulator's partition drop: the receiver
             # never sees the frame, so the delta chain must restart.
             self.codec.mark_dirty(src, dst)
             self.stats.dropped += 1
             return
-        queue = self._out.get((src, dst))
-        if queue is None:
-            queue = self._out[(src, dst)] = _OutQueue()
-        ready_at = time.monotonic() + self._link_delay(src, dst)
-        queue.items.append((ready_at, message))
-        queue.wake.set()
+        delay = channel.delay
+        ready_at = time.monotonic() + delay if delay else 0.0
+        channel.items.append((ready_at, message))
+        if channel.timer is None:
+            self._flush(channel)
 
     def send_fanout(self, src: int, dsts: Sequence[int], message: object) -> None:
         for dst in dsts:
             self.send(src, dst, message)
 
-    def _link_delay(self, src: int, dst: int) -> float:
-        return self._delay_map.get((src, dst), self._delay_default)
+    def _channel(self, src: int, dst: int) -> _Channel:
+        channel = self._channels.get((src, dst))
+        if channel is None:
+            if src == dst or dst not in self._handlers or src not in self._handlers:
+                raise SimulationError(f"invalid live channel {src}->{dst}")
+            delay = self._delay_map.get((src, dst), self._delay_default)
+            channel = self._channels[(src, dst)] = _Channel(src, dst, delay)
+        return channel
 
-    # ------------------------------------------------------------------
-    # Back-compat views: DSMNode exposes .sim/.network through these.
-    # ------------------------------------------------------------------
+    def _flush(self, channel: _Channel) -> None:
+        """Encode and write what ``channel`` holds that has come due.
+
+        Runs inline from ``send()`` on a zero-delay link and from the
+        channel's one timer on a delayed one; everything due goes out in
+        a single ``transport.write``.  Without a connection, or with a
+        paused one, messages stay here un-encoded until ``_attach`` /
+        ``resume_writing`` flush again."""
+        channel.timer = None
+        conn = channel.conn
+        if conn is None or conn.paused:
+            return
+        items = channel.items
+        src, dst, delay = channel.src, channel.dst, channel.delay
+        now = time.monotonic() if delay else 0.0
+        records = []
+        try:
+            while items:
+                ready_at, message = items[0]
+                if ready_at > now:
+                    channel.timer = self._loop.call_later(
+                        ready_at - now, self._flush, channel
+                    )
+                    break
+                items.popleft()
+                data, nbytes, stamp_entries, stamp_entries_full = (
+                    self.codec.encode(src, dst, message)
+                )
+                if channel.drop_next:
+                    # Encoded (sequence number consumed) then lost: the
+                    # receiver sees a gap on the next frame.
+                    channel.drop_next -= 1
+                    self.codec.mark_dirty(src, dst)
+                    self.stats.dropped += 1
+                    continue
+                self.stats.count_sent(
+                    message.kind, src, dst, delay,
+                    byte_size=nbytes,
+                    stamp_entries=stamp_entries,
+                    stamp_entries_full=stamp_entries_full,
+                )
+                records.append(_LENGTH.pack(len(data)))
+                records.append(data)
+        except Exception as exc:  # noqa: BLE001 - fail the whole run
+            self._abort(exc)
+        if records:
+            data = b"".join(records)
+            channel.socket_bytes += len(data)
+            channel.socket_writes += 1
+            conn.transport.write(data)
+
+    # -- Back-compat views: DSMNode exposes .sim/.network through these
     @property
     def sim(self):
         return self
@@ -336,54 +502,56 @@ class AsyncioRuntime(Runtime):
     def network(self):
         return self
 
-    # ------------------------------------------------------------------
-    # Link accounting (the obs-gauge surface of the live transport)
-    # ------------------------------------------------------------------
+    # -- Link accounting (the obs-gauge surface of the live transport) -
+    @property
+    def socket_bytes(self) -> int:
+        """Bytes written to sockets (frames + prefixes); ``stats`` is the model."""
+        return sum(c.socket_bytes for c in self._channels.values())
+
+    @property
+    def socket_writes(self) -> int:
+        """The ``transport.write`` calls that carried them."""
+        return sum(c.socket_writes for c in self._channels.values())
+
     def link_stats(self) -> List[LinkStats]:
         """Per-directed-channel accounting, model beside socket truth."""
         pairs = self.stats.by_pair
         byte_pairs = self.stats.bytes_by_pair
-        channels = sorted(
-            set(pairs) | set(self.socket_bytes_by_link) | set(self._out)
-        )
-        out = []
-        for src, dst in channels:
-            queue = self._out.get((src, dst))
-            out.append(
-                LinkStats(
-                    src=src,
-                    dst=dst,
-                    messages=pairs.get((src, dst), 0),
-                    model_bytes=byte_pairs.get((src, dst), 0),
-                    socket_bytes=self.socket_bytes_by_link.get((src, dst), 0),
-                    queue_depth=len(queue.items) if queue is not None else 0,
-                )
+        return [
+            LinkStats(
+                src=src,
+                dst=dst,
+                messages=pairs.get((src, dst), 0),
+                model_bytes=byte_pairs.get((src, dst), 0),
+                socket_bytes=channel.socket_bytes,
+                queue_depth=len(channel.items),
+                socket_writes=channel.socket_writes,
             )
-        return out
+            for (src, dst), channel in sorted(self._channels.items())
+        ]
 
     def export_gauges(self, metrics) -> None:
         """Publish live link/transport stats as obs gauges.
 
-        Makes socket bytes, resyncs and queue depths visible to
-        ``metrics.snapshot()`` and :func:`repro.analysis.tables.snapshot_table`
-        — not only to bench output.  Called automatically at the end of
-        every observed run; callable any time for a mid-run sample.
-        """
+        Makes socket bytes and writes, resyncs and queue depths visible
+        to ``metrics.snapshot()`` and
+        :func:`repro.analysis.tables.snapshot_table`.  Called at the end
+        of every observed run; callable any time for a mid-run sample."""
         for link in self.link_stats():
             prefix = f"live.link.{link.src}->{link.dst}"
             metrics.gauge(f"{prefix}.socket_bytes").set(link.socket_bytes)
             metrics.gauge(f"{prefix}.model_bytes").set(link.model_bytes)
             metrics.gauge(f"{prefix}.queue_depth").set(link.queue_depth)
+            metrics.gauge(f"{prefix}.socket_writes").set(link.socket_writes)
         metrics.gauge("live.socket_bytes").set(self.socket_bytes)
+        metrics.gauge("live.socket_writes").set(self.socket_writes)
         metrics.gauge("live.model_bytes").set(self.stats.bytes_total)
         metrics.gauge("live.resyncs").set(self.resyncs)
         metrics.gauge("live.frames_rejected").set(self.frames_rejected)
         metrics.gauge("live.frames_delivered").set(self.frames_delivered)
         metrics.gauge("live.dropped").set(self.stats.dropped)
 
-    # ------------------------------------------------------------------
-    # Fault injection
-    # ------------------------------------------------------------------
+    # -- Fault injection -----------------------------------------------
     def fail_link(self, src: int, dst: int) -> None:
         """Drop all (src → dst) sends until :meth:`heal_link`."""
         self._failed_links.add((src, dst))
@@ -397,7 +565,7 @@ class AsyncioRuntime(Runtime):
         The frames consume channel sequence numbers, so the receiver
         sees a gap — the deterministic analogue of frames lost in
         socket buffers when a connection dies."""
-        self._force_drop[(src, dst)] = self._force_drop.get((src, dst), 0) + count
+        self._channel(src, dst).drop_next += count
 
     def kill_connection(self, a: int, b: int) -> None:
         """Abort the live connection between ``a`` and ``b`` mid-run.
@@ -406,22 +574,14 @@ class AsyncioRuntime(Runtime):
         encoded — no gap) and frames buffered in the sockets (encoded —
         a real sequence gap).  Both directions resync from full stamps
         and the client side reconnects automatically."""
-        for channel in ((a, b), (b, a)):
-            queue = self._out.get(channel)
-            if queue is not None:
-                self.stats.dropped += len(queue.items)
-                queue.items.clear()
-            self.codec.mark_dirty(*channel)
-        for channel in ((a, b), (b, a)):
-            side = self._sides.get(channel)
-            if side is not None:
-                for task in side.tasks:
-                    task.cancel()
-                side.writer.transport.abort()
+        for channel in (self._channel(a, b), self._channel(b, a)):
+            self.stats.dropped += len(channel.items)
+            channel.items.clear()
+            self.codec.mark_dirty(channel.src, channel.dst)
+            if channel.conn is not None:
+                channel.conn.shut(abort=True)
 
-    # ------------------------------------------------------------------
-    # Top-level run
-    # ------------------------------------------------------------------
+    # -- Top-level run -------------------------------------------------
     def run(self, timeout: float = 30.0) -> None:
         """Bring the mesh up, run every spawned program, tear down.
 
@@ -450,7 +610,10 @@ class AsyncioRuntime(Runtime):
                 # Telemetry sideband up before any protocol task runs,
                 # so the very first op.commit is already streamable.
                 await self.plane.start_live()
-            self._start_supervisors()
+            node_ids = sorted(self._handlers)
+            for i, a in enumerate(node_ids):
+                for b in node_ids[i + 1:]:
+                    self._dial(a, b)
             for gen, name in self._pending_spawns:
                 task = self._scheduler.spawn(gen, name=name)
                 self.tasks.append(task)
@@ -473,39 +636,26 @@ class AsyncioRuntime(Runtime):
                 await asyncio.sleep(self.settle)
         finally:
             self.elapsed = time.monotonic() - self._t0
-            registry = None
-            if self.plane is not None:
-                registry = self.plane.out.metrics
-            elif self.obs is not None:
-                registry = self.obs.metrics
-            if registry is not None:
-                self.export_gauges(registry)
+            observer = self.plane.out if self.plane is not None else self.obs
+            if observer is not None:
+                self.export_gauges(observer.metrics)
             if self.plane is not None:
                 await self.plane.stop_live()
             await self._shutdown()
 
     async def _wait_tasks(self) -> None:
-        if not self.tasks:
-            return
+        """Until every task spawned so far resolves, or :meth:`_abort`."""
         remaining = [len(self.tasks)]
-        done = asyncio.Event()
 
         def on_done(_):
             remaining[0] -= 1
             if remaining[0] == 0:
-                done.set()
+                self._done.set()
 
         for task in self.tasks:
             task.add_done_callback(on_done)
-        waiter = asyncio.ensure_future(done.wait())
-        aborted = asyncio.ensure_future(self._done.wait())
-        try:
-            await asyncio.wait(
-                {waiter, aborted}, return_when=asyncio.FIRST_COMPLETED
-            )
-        finally:
-            waiter.cancel()
-            aborted.cancel()
+        if self.tasks:
+            await self._done.wait()
 
     def _abort(self, exc: BaseException) -> None:
         if self._error is None:
@@ -517,236 +667,86 @@ class AsyncioRuntime(Runtime):
         if self._done is not None:
             self._done.set()
 
-    # ------------------------------------------------------------------
-    # Connection establishment
-    # ------------------------------------------------------------------
+    # -- Connection establishment --------------------------------------
     async def _start_servers(self) -> None:
-        node_ids = sorted(self._handlers)
         if self.transport == "uds":
             self._tmpdir = tempfile.TemporaryDirectory(prefix="repro-live-")
-            for node in node_ids:
+        for node in sorted(self._handlers):
+            accept = lambda node=node: _Conn(self, node)  # noqa: E731
+            if self.transport == "uds":
                 path = os.path.join(self._tmpdir.name, f"node{node}.sock")
-                server = await asyncio.start_unix_server(
-                    self._make_accept_handler(node), path=path
-                )
-                self._servers.append(server)
+                server = await self._loop.create_unix_server(accept, path=path)
                 self._addrs[node] = path
-        else:
-            for node in node_ids:
-                server = await asyncio.start_server(
-                    self._make_accept_handler(node), host="127.0.0.1", port=0
-                )
-                self._servers.append(server)
+            else:
+                server = await self._loop.create_server(accept, "127.0.0.1", 0)
                 self._addrs[node] = server.sockets[0].getsockname()[:2]
+            self._servers.append(server)
 
-    def _make_accept_handler(self, node: int):
-        async def handle(reader, writer):
-            # The Server owns this task; track it ourselves because (on
-            # 3.11) Server.wait_closed does not wait for open handlers,
-            # and _shutdown must see it finish before the leak audit.
-            self._accept_tasks.add(asyncio.current_task())
-            self._greeting.add(writer)
-            try:
-                hello = await reader.readexactly(_HELLO.size)
-            except (asyncio.IncompleteReadError, ConnectionError, OSError):
-                writer.close()
-                return
-            finally:
-                self._greeting.discard(writer)
-            magic, version, peer = _HELLO.unpack(hello)
-            # Only the lower id of a pair dials, and only one connection
-            # per pair is live: anything else is not one of ours.
-            if (
-                magic != _MAGIC
-                or version != WIRE_VERSION
-                or peer not in self._handlers
-                or peer >= node
-                or (node, peer) in self._sides
-            ):
-                self._reject(f"hello {hello!r} refused by node {node}")
-                writer.close()
-                return
-            await self._serve_side(_Side(node, peer, reader, writer))
+    def _dial(self, a: int, b: int) -> None:
+        """Start node ``a``'s connection to ``b`` (the lower id dials)."""
+        if not self._closing:
+            self._dials.add(asyncio.ensure_future(self._connect(a, b)))
 
-        return handle
-
-    def _reject(self, reason: str) -> None:
-        """Count input this runtime refused; the caller closes the link."""
-        self.frames_rejected += 1
-        self.last_rejection = reason
-
-    def _start_supervisors(self) -> None:
-        node_ids = sorted(self._handlers)
-        for i, a in enumerate(node_ids):
-            for b in node_ids[i + 1 :]:
-                task = asyncio.ensure_future(self._client_supervisor(a, b))
-                self._supervisors.append(task)
-
-    async def _client_supervisor(self, a: int, b: int) -> None:
-        """Node ``a``'s side of the (a, b) connection; reconnects on loss."""
-        while not self._closing:
-            try:
-                if self.transport == "uds":
-                    reader, writer = await asyncio.open_unix_connection(
-                        self._addrs[b]
-                    )
-                else:
-                    host, port = self._addrs[b]
-                    reader, writer = await asyncio.open_connection(host, port)
-            except (ConnectionError, OSError):
-                await asyncio.sleep(self.reconnect_delay)
-                continue
-            writer.write(_HELLO.pack(_MAGIC, WIRE_VERSION, a))
-            try:
-                await writer.drain()
-            except (ConnectionError, OSError):
-                writer.close()
-                continue
-            await self._serve_side(_Side(a, b, reader, writer))
-            await asyncio.sleep(self.reconnect_delay)
-
-    async def _serve_side(self, side: _Side) -> None:
-        """Pump one endpoint's reader+writer until the connection dies."""
-        self._sides[(side.owner, side.peer)] = side
-        side.tasks = [
-            asyncio.ensure_future(self._read_loop(side)),
-            asyncio.ensure_future(self._write_loop(side)),
-        ]
-        self._io_tasks.update(side.tasks)
+    async def _connect(self, a: int, b: int) -> None:
+        dial = lambda: _Conn(self, a, b)  # noqa: E731
         try:
-            await asyncio.wait(side.tasks, return_when=asyncio.FIRST_COMPLETED)
-        finally:
-            for task in side.tasks:
-                task.cancel()
-            await asyncio.gather(*side.tasks, return_exceptions=True)
-            self._io_tasks.difference_update(side.tasks)
-            if self._sides.get((side.owner, side.peer)) is side:
-                del self._sides[(side.owner, side.peer)]
-            side.writer.close()
-            if not self._closing:
-                # Lost connection: this endpoint's outbound chain must
-                # restart from a full stamp once the peers reconnect.
-                self.codec.mark_dirty(side.owner, side.peer)
-                self.resyncs += 1
-
-    # ------------------------------------------------------------------
-    # Per-connection I/O loops
-    # ------------------------------------------------------------------
-    async def _read_loop(self, side: _Side) -> None:
-        reader = side.reader
-        src, dst = side.peer, side.owner
-        decode = self.codec.decode
-        handler = self._handlers[dst]
-        try:
-            while True:
-                (length,) = _LENGTH.unpack(await reader.readexactly(4))
-                if not HEADER_BYTES <= length <= MAX_FRAME:
-                    self._reject(f"{src}->{dst}: frame length {length}")
-                    return
-                data = await reader.readexactly(length)
-                try:
-                    message = decode(src, dst, data)
-                except WireError as exc:
-                    # Returning ends this connection; both directions
-                    # then resync from full stamps like any lost link.
-                    self._reject(f"{src}->{dst}: {exc}")
-                    return
-                self.frames_delivered += 1
-                if self.stream is not None:
-                    self.stream((src, dst))
-                try:
-                    handler(src, message)
-                except BaseException as exc:  # noqa: BLE001 - fail the whole run
-                    self._abort(exc)
-        except (asyncio.IncompleteReadError, ConnectionError, OSError):
-            return  # connection lost; the supervisor handles resync
-
-    async def _write_loop(self, side: _Side) -> None:
-        src, dst = side.owner, side.peer
-        writer = side.writer
-        queue = self._out.get((src, dst))
-        if queue is None:
-            queue = self._out[(src, dst)] = _OutQueue()
-        codec = self.codec
-        try:
-            while True:
-                while not queue.items:
-                    queue.wake.clear()
-                    await queue.wake.wait()
-                ready_at, message = queue.items[0]
-                delay = ready_at - time.monotonic()
-                if delay > 0:
-                    await asyncio.sleep(delay)
-                    continue  # re-check: the queue may have been cleared
-                queue.items.popleft()
-                data, nbytes, stamp_entries, stamp_entries_full = (
-                    codec.encode(src, dst, message)
-                )
-                force = self._force_drop.get((src, dst), 0)
-                if force > 0:
-                    # Encoded (sequence number consumed) then lost: the
-                    # receiver will see a gap on the next frame.
-                    self._force_drop[(src, dst)] = force - 1
-                    codec.mark_dirty(src, dst)
-                    self.stats.dropped += 1
-                    continue
-                self.stats.count_sent(
-                    message.kind, src, dst, self._link_delay(src, dst),
-                    byte_size=nbytes,
-                    stamp_entries=stamp_entries,
-                    stamp_entries_full=stamp_entries_full,
-                )
-                nbytes_wire = _LENGTH.size + len(data)
-                self.socket_bytes += nbytes_wire
-                self.socket_bytes_by_link[(src, dst)] = (
-                    self.socket_bytes_by_link.get((src, dst), 0) + nbytes_wire
-                )
-                writer.write(_LENGTH.pack(len(data)) + data)
-                await writer.drain()
-        except asyncio.CancelledError:
-            raise
+            if self.transport == "uds":
+                await self._loop.create_unix_connection(dial, self._addrs[b])
+            else:
+                await self._loop.create_connection(dial, *self._addrs[b])
         except (ConnectionError, OSError):
-            return  # connection lost mid-write; frames in flight are gone
-        except BaseException as exc:  # noqa: BLE001 - fail the whole run
+            self._loop.call_later(self.reconnect_delay, self._dial, a, b)
+        except Exception as exc:  # noqa: BLE001 - fail the whole run
             self._abort(exc)
+        finally:
+            self._dials.discard(asyncio.current_task())
 
-    # ------------------------------------------------------------------
-    # Tear-down
-    # ------------------------------------------------------------------
+    def _attach(self, conn: _Conn) -> None:
+        """``conn`` is now its channel's connection: send what waited."""
+        channel = conn.channel = self._channel(conn.owner, conn.peer)
+        channel.conn = conn
+        if channel.timer is None:
+            self._flush(channel)
+
+    def _detach(self, conn: _Conn) -> None:
+        """``conn`` is gone (closed by us, by the peer, or aborted)."""
+        channel = conn.channel
+        if channel is not None:
+            channel.conn = conn.channel = None
+        if channel is None or self._closing:
+            return  # never said hello, detached already, or tearing down
+        # Lost connection: this endpoint's outbound chain must restart
+        # from a full stamp once the peers reconnect.
+        self.codec.mark_dirty(conn.owner, conn.peer)
+        self.resyncs += 1
+        if conn.owner < conn.peer:  # the lower id dialled, and redials
+            self._loop.call_later(
+                self.reconnect_delay, self._dial, conn.owner, conn.peer
+            )
+
+    # -- Tear-down -----------------------------------------------------
     async def _shutdown(self) -> None:
         self._closing = True
-        for task in self._supervisors:
+        for task in self._dials:
             task.cancel()
-        for task in list(self._io_tasks):
-            task.cancel()
-        pending = self._supervisors + list(self._io_tasks)
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
-        self._io_tasks.clear()
-        for side in list(self._sides.values()):
-            side.writer.close()
-        self._sides.clear()
+        if self._dials:
+            await asyncio.gather(*self._dials, return_exceptions=True)
         for server in self._servers:
             server.close()
-        # Accept handlers are never cancelled: asyncio's stream protocol
-        # reads each handler task's exception() when it finishes and logs
-        # a cancelled one as an error.  With their I/O tasks gone (above)
-        # and any connection still waiting for its hello closed (here),
-        # every handler returns by itself.
-        for writer in list(self._greeting):
-            writer.close()
-        if self._accept_tasks:
-            await asyncio.gather(*self._accept_tasks, return_exceptions=True)
-        self._accept_tasks.clear()
+        for conn in list(self._conns):
+            conn.shut(abort=True)
+        while self._conns:
+            # Each abort queued its connection_lost; an endpoint that
+            # connects this late is shut by its own connection_made.
+            await asyncio.sleep(0)
         for server in self._servers:
             await server.wait_closed()
         self._servers.clear()
         if self._tmpdir is not None:
             self._tmpdir.cleanup()
             self._tmpdir = None
-        # Anything still alive at this point (besides the _main task
-        # itself) escaped the supervisor/IO-task accounting — the leak
-        # test asserts this list is empty after every run.
+        # Anything still alive now (besides the _main task itself)
+        # escaped the dial accounting: the leak test wants this empty.
         current = asyncio.current_task()
         self.leaked_tasks = [
             task.get_name()

@@ -43,6 +43,7 @@ from repro.obs.plane import (
 )
 from repro.obs.plane.dashboard import DashboardState, render
 from repro.protocols.base import DSMCluster
+from repro.runtime.live import LinkStats
 from repro.runtime.scenarios import SCENARIO_OWNERS, SCENARIOS, SIM_TICK
 
 COMMON = dict(
@@ -586,7 +587,7 @@ class TestDashboardRender:
         state.elapsed = 1.5
         state.ops_total = 120
         state.ops_rate = 80.0
-        state.links = [(0, 1, 14, 576, 2700, 2)]
+        state.links = [LinkStats(0, 1, 14, 576, 2700, 2, 9)]
         state.frames_merged = 7
         state.events_merged = 124
         state.sideband_bytes = 25_000
@@ -597,7 +598,7 @@ class TestDashboardRender:
         state = self._state()
         panel = render(state)
         assert "ops 120 (80/s)" in panel
-        assert "0->1" in panel and "2.6K" in panel
+        assert "0->1" in panel and "2.6K" in panel and "      9 " in panel
         assert "frames 7" in panel and "events 124" in panel
         assert "skew est" in panel
         assert "monitor" not in panel  # no monitor attached

@@ -212,6 +212,12 @@ class TestIsolation:
         }
         assert link_gauges
         assert any(name.endswith(".socket_bytes") for name in link_gauges)
+        writes = [
+            value for name, value in link_gauges.items()
+            if name.endswith(".socket_writes")
+        ]
+        assert sum(writes) == snapshot["gauges"]["live.socket_writes"]
+        assert sum(writes) == outcome.socket_writes > 0
 
         from repro.analysis import gauge_table
 

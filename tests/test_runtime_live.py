@@ -114,6 +114,11 @@ class TestCleanShutdown:
         overhead = outcome.socket_bytes - outcome.model_bytes
         assert 4 * outcome.total_messages <= overhead <= 8 * outcome.total_messages
         assert outcome.cluster.runtime.frames_rejected == 0
+        # Delayed links coalesce what came due: never more writes than frames.
+        assert 0 < outcome.socket_writes <= outcome.total_messages
+        assert outcome.socket_writes == sum(
+            link.socket_writes for link in outcome.link_stats
+        )
 
     @pytest.mark.parametrize("transport", ["uds", "tcp"])
     def test_workload_teardown_logs_nothing(self, caplog, transport):
@@ -311,6 +316,223 @@ class TestHostileInput:
         assert runtime.codec.stamps_full > 3  # the chains reopened
         result = check_causal(cluster.history())
         assert result.ok, result.explain()
+
+
+def _links_up(runtime, pairs=1):
+    """Every channel of ``pairs`` node pairs has its connection."""
+    channels = runtime._channels.values()
+    return len(channels) == 2 * pairs and all(c.conn is not None for c in channels)
+
+
+def test_the_ci_gate_measures_a_clean_run():
+    """`bench_live_gate` at toy size: every message of the delayed run is
+    timed, nothing is lost, and the timing hooks are gone afterwards."""
+    from repro.bench import LIVE_GATE_DELAY, bench_live_gate
+    from repro.runtime.live import AsyncioRuntime
+
+    before = AsyncioRuntime.send, AsyncioRuntime.register
+    gate = bench_live_gate(rounds=1, ops_per_proc=30)
+    assert (AsyncioRuntime.send, AsyncioRuntime.register) == before
+    assert gate["clean"] and gate["ops"] == 120
+    assert gate["live_over_sim"] > 0 and gate["frames_per_write"] >= 1
+    assert gate["transit_p50_ms"] >= LIVE_GATE_DELAY * 1e3
+
+
+@pytest.mark.parametrize("delay, writes", [(0.0, 5), (0.01, 1)])
+def test_a_flush_writes_everything_that_has_come_due(delay, writes):
+    """Zero delay: encoded and written inside ``send()``, one write per
+    frame.  Delayed: one timer per channel, one write for all five."""
+    from repro.protocols import messages as m
+    from repro.runtime.live import AsyncioRuntime
+
+    runtime = AsyncioRuntime(2, link_delay=delay)
+    received = []
+    runtime.register(0, lambda src, message: None)
+    runtime.register(1, lambda src, message: received.append(message.request_id))
+
+    def driver():
+        while not _links_up(runtime):
+            yield runtime.sleep(0.002)
+        channel = runtime._channels[(0, 1)]
+        timers = set()
+        for request_id in range(5):
+            runtime.send(0, 1, m.Invalidate(request_id, "x"))
+            timers.add(channel.timer)
+        assert len(timers) == 1 and (channel.timer is None) == (delay == 0)
+        assert channel.socket_writes == (writes if delay == 0 else 0)
+        while len(received) < 5:
+            yield runtime.sleep(0.002)
+
+    runtime.spawn(driver(), name="driver")
+    runtime.run(timeout=10.0)
+    assert received == [0, 1, 2, 3, 4]
+    (link,) = [s for s in runtime.link_stats() if s.messages]
+    assert (link.src, link.dst, link.messages) == (0, 1, 5)
+    assert link.socket_writes == runtime.socket_writes == writes
+
+
+class TestBackPressure:
+    """A stalled peer: messages wait in the channel, un-encoded."""
+
+    K = 7
+
+    def _stalled(self, after_stall):
+        """Stall 0->1 for real (tiny send buffer, write-buffer limit 0,
+        peer not reading), queue K messages behind the stall, then hand
+        over to ``after_stall(runtime, sender, receiver, filler, seq)``,
+        a generator.  Returns the runtime and node 1's request ids."""
+        from repro.clocks import VectorClock
+        from repro.protocols import messages as m
+        from repro.protocols.wire import WireCodec
+        from repro.runtime.live import AsyncioRuntime
+
+        runtime = AsyncioRuntime(2, codec=WireCodec(), link_delay=0.0)
+        received = []
+        runtime.register(0, lambda src, message: None)
+        runtime.register(1, lambda src, message: received.append(message.request_id))
+        ids = iter(range(1, 10_000))
+
+        def send(value="v"):
+            request_id = next(ids)
+            stamp = VectorClock((request_id, 0))
+            runtime.send(0, 1, m.WriteRequest(request_id, "x", value, stamp))
+
+        def queued():
+            (link,) = [s for s in runtime.link_stats() if (s.src, s.dst) == (0, 1)]
+            return link.queue_depth
+
+        def driver():
+            while not _links_up(runtime):
+                yield runtime.sleep(0.002)
+            sender = runtime._channels[(0, 1)].conn
+            receiver = runtime._channels[(1, 0)].conn
+            sock = sender.transport.get_extra_info("socket")
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            sender.transport.set_write_buffer_limits(high=0)
+            receiver.transport.pause_reading()
+            filler = 0
+            while not sender.paused:
+                send("f" * 8192)
+                filler += 1
+                assert filler < 1000, "the socket never filled"
+            assert queued() == 0  # everything so far was encoded
+            seq = runtime.codec._send_state[(0, 1)].seq
+            assert seq == filler
+            for _ in range(self.K):
+                send()
+            assert queued() == self.K
+            assert runtime.codec._send_state[(0, 1)].seq == seq
+            assert runtime.stats.by_pair[(0, 1)] == filler
+            yield from after_stall(runtime, sender, receiver, filler, seq)
+
+        runtime.spawn(driver(), name="driver")
+        runtime.run(timeout=30.0)
+        assert runtime.leaked_tasks == [] and runtime.frames_rejected == 0
+        return runtime, received
+
+    def test_messages_wait_unencoded_and_arrive_in_order(self):
+        def after_stall(runtime, sender, receiver, filler, seq):
+            receiver.transport.resume_reading()
+            while runtime.frames_delivered < filler + self.K:
+                yield runtime.sleep(0.002)
+            assert not sender.paused
+            assert runtime.codec._send_state[(0, 1)].seq == seq + self.K
+
+        runtime, received = self._stalled(after_stall)
+        assert received == list(range(1, len(received) + 1))
+        assert len(received) == runtime.stats.by_pair[(0, 1)] > self.K
+        assert (runtime.stats.dropped, runtime.resyncs) == (0, 0)
+
+    def test_kill_during_the_stall_drops_them_without_a_sequence_gap(self):
+        from repro.clocks import VectorClock
+        from repro.protocols import messages as m
+
+        dropped = []
+
+        def after_stall(runtime, sender, receiver, filler, seq):
+            dropped.extend(range(filler + 1, filler + self.K + 1))
+            runtime.kill_connection(0, 1)
+            # Never encoded: dropped and counted, no sequence number used.
+            assert runtime.stats.dropped == self.K
+            assert runtime.link_stats()[0].queue_depth == 0
+            assert runtime.codec._send_state[(0, 1)].seq == seq
+            # Sent while the link is down: waits for the redial.
+            runtime.send(0, 1, m.WriteRequest(9999, "x", "v", VectorClock((1, 0))))
+            assert runtime.link_stats()[0].queue_depth == 1
+            before = runtime.frames_delivered
+            while runtime.frames_delivered == before:
+                yield runtime.sleep(0.002)
+            assert runtime.codec._send_state[(0, 1)].seq == seq + 1
+
+        runtime, received = self._stalled(after_stall)
+        assert received[-1] == 9999
+        assert len(dropped) == self.K and not set(received) & set(dropped)
+        assert runtime.resyncs == 2  # both ends of the killed connection
+
+
+class TestNoTaskPerConnection:
+    """The transport is callbacks: tasks do not scale with connections
+    or messages, through a kill and a rejected frame included."""
+
+    MAIN = {"AsyncioRuntime._main", "AsyncioRuntime._wait_tasks"}  # + wait_for's
+    #: A dial in flight: our connect, and asyncio's own accept half of it.
+    DIALS = {"AsyncioRuntime._connect", "BaseSelectorEventLoop._accept_connection2"}
+
+    def test_mid_run_tasks_are_main_its_waiter_and_pending_dials(self, caplog):
+        cluster = LiveCluster(
+            4, protocol="broadcast", seed=11, delta_stamps=True, link_delay=0.001,
+        )
+        runtime = cluster.runtime
+        samples = []
+
+        def writer(api, me):
+            for i in range(30):
+                yield api.write(f"loc{i % 3}", f"n{me}v{i}")
+                yield runtime.sleep(0.002)
+
+        def corrupt_one_frame():
+            encode = runtime.codec.encode
+
+            def corrupting(src, dst, message):
+                frame = encode(src, dst, message)
+                if (src, dst) == (2, 3):
+                    runtime.codec.encode = encode
+                    frame = frame._replace(data=frame.data[:1] + b"\xee" + frame.data[2:])
+                return frame
+
+            runtime.codec.encode = corrupting
+
+        def probe():
+            for step in range(40):
+                yield runtime.sleep(0.002)
+                if step == 8:
+                    runtime.kill_connection(0, 1)
+                if step == 16:
+                    corrupt_one_frame()
+                samples.append((
+                    [t.get_coro().__qualname__ for t in asyncio.all_tasks()],
+                    sum(c.conn is not None for c in runtime._channels.values()),
+                ))
+
+        for proc in range(4):
+            cluster.spawn(proc, writer, proc, name=f"w{proc}")
+        runtime.spawn(probe(), name="probe")
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            cluster.run()
+        assert runtime.resyncs >= 4 and runtime.frames_rejected == 1
+        assert len(samples) == 40
+        for names, connected in samples:
+            assert set(names) <= self.MAIN | self.DIALS, names
+            assert len([n for n in names if n in self.MAIN]) == len(set(names) & self.MAIN)
+            if connected == 12:  # nothing left to dial
+                assert set(names) <= self.MAIN, names
+        # Twelve endpoints up and hundreds of frames moving, on two tasks.
+        assert sum(connected == 12 for _, connected in samples) > 10
+        assert any(connected < 12 for _, connected in samples)
+        assert runtime.stats.total > 300
+        assert runtime.leaked_tasks == []
+        assert _asyncio_errors(caplog) == []
+        assert check_causal(cluster.history()).ok
 
 
 class TestByteLedger:

@@ -14,7 +14,6 @@ Three claims about :class:`~repro.protocols.wire.WireCodec`:
    the allocation-free :func:`fast_cost` agree.
 """
 
-import asyncio
 import pickle
 import random
 import struct
@@ -332,87 +331,179 @@ def test_a_failed_decode_drops_the_basis():
         codec.decode(0, 1, second.data)
 
 
-# -- the live runtime's reader, fed from memory (no sockets) ------------
-def _read(stream: bytes):
-    """Run AsyncioRuntime._read_loop over ``stream``; returns the runtime
-    and what its handler received."""
-    from repro.runtime.live import AsyncioRuntime, _Side
+# -- the live runtime's reader, fed from memory (no sockets, no loop) ----
+class _FakeTransport:
+    """What ``_Conn`` needs of a transport: somewhere to be closed."""
+
+    def __init__(self):
+        self.closed = False
+
+    def close(self):
+        self.closed = True
+
+    abort = close
+
+
+_HELLO = struct.pack(">4sBH", b"cDSM", WIRE_VERSION, 0)
+
+
+def _read(stream: bytes, chunks=None, handler=None):
+    """Feed ``stream`` (node 0's bytes after its hello) to node 1's
+    accepted endpoint through ``data_received``, cut at the offsets in
+    ``chunks``; returns the runtime, what its handler received, and how
+    many bytes had been fed when the endpoint closed (None: still open).
+    """
+    from repro.runtime.live import AsyncioRuntime, _Conn
 
     runtime = AsyncioRuntime(2, codec=WireCodec())
     received = []
     runtime.register(0, lambda src, message: None)
-    runtime.register(1, lambda src, message: received.append(message))
-
-    async def main():
-        reader = asyncio.StreamReader()
-        reader.feed_data(stream)
-        reader.feed_eof()
-        await runtime._read_loop(_Side(1, 0, reader, None))
-
-    asyncio.run(main())
-    assert runtime._error is None
-    return runtime, received
+    runtime.register(
+        1, handler or (lambda src, message: received.append((src, message)))
+    )
+    conn = _Conn(runtime, 1)
+    transport = _FakeTransport()
+    conn.connection_made(transport)
+    data = _HELLO + stream
+    cuts = sorted({0, len(data), *(chunks or ())})
+    closed_at = None
+    for lo, hi in zip(cuts, cuts[1:]):
+        conn.data_received(data[lo:hi])
+        if transport.closed:
+            closed_at = hi
+            break
+    return runtime, received, closed_at
 
 
 def _framed(data: bytes) -> bytes:
     return struct.pack(">I", len(data)) + data
 
 
-def test_reader_delivers_good_frames_and_stops_at_the_first_bad_one():
+def _good_frames(count=3):
     sender = WireCodec()
-    good = [
+    return [
         sender.encode(0, 1, m.WriteRequest(i, "x", i, VectorClock((i, 0))))
-        for i in (1, 2, 3)
+        for i in range(1, count + 1)
     ]
-    runtime, received = _read(b"".join(_framed(f.data) for f in good))
-    assert [msg.request_id for msg in received] == [1, 2, 3]
+
+
+def test_reader_delivers_good_frames_and_stops_at_the_first_bad_one():
+    good = _good_frames()
+    runtime, received, closed_at = _read(b"".join(_framed(f.data) for f in good))
+    assert [(src, msg.request_id) for src, msg in received] == [
+        (0, 1), (0, 2), (0, 3)
+    ]
     assert runtime.frames_rejected == 0 and runtime.frames_delivered == 3
+    assert closed_at is None and runtime._error is None
 
     corrupt = bytearray(good[1].data)
     corrupt[1] = 0xEE
-    runtime, received = _read(
+    runtime, received, closed_at = _read(
         _framed(good[0].data) + _framed(bytes(corrupt)) + _framed(good[2].data)
     )
-    assert [msg.request_id for msg in received] == [1]
+    assert [msg.request_id for _, msg in received] == [1]
     assert runtime.frames_rejected == 1
     assert "unknown frame kind" in runtime.last_rejection
+    # Closed, and both directions will restart from full stamps.
+    assert closed_at is not None and runtime.resyncs == 1
 
 
 @pytest.mark.parametrize("length", [0, HEADER_BYTES - 1, MAX_FRAME + 1, 2 ** 32 - 1])
 def test_reader_checks_the_length_before_reading_that_much(length):
     """A 4 GiB length header is refused on sight, not waited for."""
-    runtime, received = _read(struct.pack(">I", length) + b"\x00" * 64)
-    assert received == []
-    assert runtime.frames_rejected == 1
-    assert f"frame length {length}" in runtime.last_rejection
+    stream = struct.pack(">I", length) + b"\x00" * 64
+    # Refused the moment the prefix is complete: byte 7 + 4, not later.
+    prefix_end = len(_HELLO) + 4
+    for chunks in (None, range(len(_HELLO) + len(stream))):
+        runtime, received, closed_at = _read(stream, chunks)
+        assert received == []
+        assert runtime.frames_rejected == 1
+        assert f"frame length {length}" in runtime.last_rejection
+        assert closed_at == (prefix_end if chunks else len(_HELLO) + len(stream))
 
 
 def test_reader_survives_random_streams():
     rng = random.Random(2024)
     for _ in range(200):
-        runtime, _ = _read(rng.randbytes(rng.randrange(0, 200)))
+        stream = rng.randbytes(rng.randrange(0, 200))
+        chunks = rng.sample(range(len(stream) + 7), rng.randrange(0, 5))
+        runtime, _, _ = _read(stream, chunks)
         assert runtime.frames_rejected <= 1  # it stops at the first one
+        assert runtime._error is None
 
 
 def test_handler_failures_still_fail_the_run():
     """Rejecting hostile input must not soften engine errors."""
-    from repro.runtime.live import AsyncioRuntime, _Side
-
-    runtime = AsyncioRuntime(2)
-    runtime.register(0, lambda src, message: None)
-
     def broken(src, message):
         raise RuntimeError("engine bug")
 
-    runtime.register(1, broken)
-    frame = WireCodec(delta=False).encode(0, 1, m.Invalidate(1, "x"))
-
-    async def main():
-        reader = asyncio.StreamReader()
-        reader.feed_data(_framed(frame.data))
-        reader.feed_eof()
-        await runtime._read_loop(_Side(1, 0, reader, None))
-
-    asyncio.run(main())
+    frame = WireCodec().encode(0, 1, m.Invalidate(1, "x"))
+    runtime, _, closed_at = _read(_framed(frame.data), handler=broken)
     assert isinstance(runtime._error, RuntimeError)
-    assert runtime.frames_rejected == 0
+    assert runtime.frames_rejected == 0 and closed_at is None
+
+
+def _outcome(stream, chunks):
+    runtime, received, closed_at = _read(stream, chunks)
+    return (
+        [(src, repr(msg)) for src, msg in received],
+        runtime.frames_rejected, runtime.last_rejection, closed_at is None,
+    )
+
+
+@settings(**COMMON)
+@given(data=st.data())
+def test_any_chunking_of_a_stream_reads_the_same(data):
+    """The bytes decide what is delivered and where the stream is
+    refused, never how ``recv`` happened to cut them: 1-byte chunks,
+    cuts inside the hello, the length prefix or a frame, and several
+    frames in one chunk all match the stream fed whole."""
+    good = [_framed(f.data) for f in _good_frames(4)]
+    bad = data.draw(st.sampled_from([
+        b"",                                      # a clean stream
+        struct.pack(">I", MAX_FRAME + 1),         # refused at its prefix
+        _framed(b"\xee" * HEADER_BYTES),          # refused by decode
+    ]))
+    at = data.draw(st.integers(0, len(good)))
+    stream = b"".join(good[:at]) + bad + b"".join(good[at:])
+    size = len(_HELLO) + len(stream)
+    whole = _outcome(stream, None)
+    assert len(whole[0]) == (at if bad else len(good))
+    assert whole[1] == (1 if bad else 0)
+    assert _outcome(stream, range(size)) == whole
+    cuts = data.draw(st.lists(st.integers(0, size), max_size=8))
+    assert _outcome(stream, cuts) == whole
+    # Rejection happens at the same byte: with 1-byte chunks the
+    # endpoint closes exactly where the refused record became readable
+    # (the end of a bad prefix, the end of a frame decode refuses).
+    if bad:
+        refused_at = len(_HELLO) + len(b"".join(good[:at])) + len(bad)
+        assert _read(stream, range(size))[2] == refused_at
+
+
+def test_a_hello_cut_anywhere_is_still_one_hello():
+    """Splits inside the 7-byte hello neither reject nor lose a frame;
+    a wrong hello is refused once all 7 bytes are there, however cut."""
+    frame = _framed(_good_frames(1)[0].data)
+    for cut in range(1, len(_HELLO)):
+        runtime, received, closed_at = _read(frame, [cut])
+        assert len(received) == 1 and runtime.frames_rejected == 0
+        assert closed_at is None
+    from repro.runtime.live import AsyncioRuntime, _Conn
+
+    for hello in (
+        b"cDSX" + _HELLO[4:],
+        _HELLO[:4] + bytes([WIRE_VERSION + 1]) + _HELLO[5:],
+        struct.pack(">4sBH", b"cDSM", WIRE_VERSION, 1),  # node 1 dialling itself
+    ):
+        runtime = AsyncioRuntime(2)
+        runtime.register(0, lambda src, message: None)
+        runtime.register(1, lambda src, message: pytest.fail("delivered"))
+        conn, transport = _Conn(runtime, 1), _FakeTransport()
+        conn.connection_made(transport)
+        for byte in hello[:-1]:
+            conn.data_received(bytes([byte]))
+            assert not transport.closed and runtime.frames_rejected == 0
+        conn.data_received(hello[-1:] + frame)
+        assert transport.closed and runtime.frames_rejected == 1
+        assert "hello" in runtime.last_rejection and runtime.resyncs == 0
