@@ -874,6 +874,50 @@ def bench_live_gate(rounds: int = 5, ops_per_proc: int = 1000) -> Dict[str, Any]
     }
 
 
+#: ``check_over_sim`` as recorded in EXPERIMENTS.md ("The check gate's
+#: recorded ratio"); CI's ``check-gate`` job fails under 0.85x of it.
+CHECK_GATE_RATIO = 3.0
+
+
+def bench_check_gate(rounds: int = 5, ops_per_proc: int = 150) -> Dict[str, Any]:
+    """What CI's check gate reads: verifying a run relative to producing it.
+
+    Alternates, in one process and with a fresh seed per round,
+    producing an n=8 history on ``SimRuntime`` (1 200 ops at the
+    default size, the ``check-offline`` shape) and verifying it with
+    ``check_causal``, and reports the median ops/s of each and their
+    ratio — which, unlike raw ops/s, travels between machines.  Above 1
+    the verifier is cheaper than the run it verifies.
+    """
+    from repro.apps.workload import WorkloadConfig, run_random_execution
+    from repro.checker import check_causal
+
+    sim_rates, check_rates = [], []
+    causal = True
+    for seed in range(1991, 1991 + rounds):
+        config = WorkloadConfig(
+            protocol="causal", n_nodes=8, n_locations=16,
+            ops_per_proc=ops_per_proc, seed=seed,
+        )
+        started = time.perf_counter()
+        history = run_random_execution(config).history
+        produced = time.perf_counter()
+        causal &= check_causal(history).ok
+        checked = time.perf_counter()
+        sim_rates.append(len(history) / (produced - started))
+        check_rates.append(len(history) / (checked - produced))
+    sim_rate = statistics.median(sim_rates)
+    check_rate = statistics.median(check_rates)
+    return {
+        "rounds": rounds,
+        "ops": 8 * ops_per_proc,
+        "sim_ops_per_sec": sim_rate,
+        "check_ops_per_sec": check_rate,
+        "check_over_sim": check_rate / sim_rate,
+        "causal": causal,
+    }
+
+
 def bench_obs_plane(
     n_nodes: int, ops_per_proc: int, repeats: int
 ) -> Dict[str, Any]:

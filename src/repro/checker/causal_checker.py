@@ -70,6 +70,9 @@ class CausalCheckResult:
     ok: bool
     verdicts: List[ReadVerdict] = field(default_factory=list)
     cycle: Optional[CausalityCycleError] = None
+    _by_op: Optional[Dict[Tuple[int, int], ReadVerdict]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def violations(self) -> List[ReadVerdict]:
@@ -78,10 +81,13 @@ class CausalCheckResult:
 
     def verdict_for(self, proc: int, index: int) -> ReadVerdict:
         """The verdict of the ``index``-th op of process ``proc``."""
-        for verdict in self.verdicts:
-            if verdict.read.op_id == (proc, index):
-                return verdict
-        raise KeyError(f"no read verdict for op ({proc}, {index})")
+        by_op = self._by_op
+        if by_op is None:
+            by_op = self._by_op = {v.read.op_id: v for v in self.verdicts}
+        try:
+            return by_op[proc, index]
+        except KeyError:
+            raise KeyError(f"no read verdict for op ({proc}, {index})") from None
 
     def alpha(self, proc: int, index: int) -> Set[Any]:
         """Shorthand for the live-value set of one read."""
@@ -124,7 +130,10 @@ def check_causal(
         order = CausalOrder(history)
     except CausalityCycleError as cycle:
         if obs is not None:
-            obs.emit("check", "verdict", ok=False, cycle=str(cycle))
+            obs.emit(
+                "check", "verdict", ok=False, reads=0, violations=0,
+                cached=False, cycle=str(cycle),
+            )
         return CausalCheckResult(ok=False, cycle=cycle)
 
     verdicts: List[ReadVerdict] = []

@@ -6,24 +6,31 @@ read is caused by the write it reads) — and ``*->`` is the transitive
 closure.  Operations unrelated by ``*->`` are *concurrent*.  Initial
 writes causally precede every operation of every process.
 
-This module materializes ``*->`` once per history as bitset descendant
-maps (one Python int per operation), giving O(1) ``precedes`` queries;
-the live-set computation of Definition 1 then needs one pass over writes
-per read.
+A :class:`CausalOrder` is the one place a history is indexed, once per
+check.  Construction materializes ``*->`` as two bitsets per operation
+(one Python int each, bit ``i`` standing for ``ops[i]``): its strict
+descendants, from a backward pass over a topological order, and its
+strict ancestors, from a forward pass over the same order.  ``precedes``
+is then one bit test.  On first use it also groups the operations by
+location (:class:`LocationOps`: every op, the candidate writes, the ops
+carrying each write's value) and records which ops are reads, in one
+pass.  Definition 1 (:mod:`repro.checker.live_values`) is mask
+arithmetic over that index; nothing there walks the history again.
 
-A special accessor, :meth:`CausalOrder.precedes_excluding_rf`, computes
-reachability to a read *excluding the reads-from edge established by that
-read itself* — exactly the caveat in the paper's Definition 1.  Because a
-read's only other incoming edges are its program-order predecessor (and
-the initial writes, for a process's first operation), this reduces to
-reachability to those predecessors.
+Definition 1 considers a read's causal past *excluding the reads-from
+edge established by that read itself*.  A read's only other incoming
+edges are its program-order predecessor (and the initial writes, for a
+process's first operation), so that past is the union of those
+predecessors' reflexive ancestor sets — :meth:`CausalOrder.past_mask`,
+one OR per predecessor — and :meth:`CausalOrder.precedes_excluding_rf`
+is the per-pair form of the same statement.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.checker.history import History, INIT_PROC, Operation
 from repro.errors import CheckError
@@ -42,11 +49,22 @@ class LocationOps:
     by the write whose value each op carries (the write itself plus every
     read of it) — the paper's "serves notice" exclusion, precomputed so
     the live-set check is pure bit arithmetic.
+
+    ``writes`` are the location's candidate writes, initial write first,
+    in the order ``History.writes(location)`` yields them (which is
+    ascending position, so walking a sub-mask of ``writes_mask`` from
+    its lowest bit visits candidates in candidate order);
+    ``write_ids`` are their identities and ``write_position`` maps a
+    write's position in ``ops`` to its place among the candidates.
     """
 
-    indices: Tuple[int, ...]
-    mask: int
-    source_masks: Dict[Any, int]
+    indices: Tuple[int, ...] = ()
+    mask: int = 0
+    source_masks: Dict[Any, int] = field(default_factory=dict)
+    writes: Tuple[Operation, ...] = ()
+    write_ids: Tuple[Any, ...] = ()
+    writes_mask: int = 0
+    write_position: Dict[int, int] = field(default_factory=dict)
 
 
 class CausalityCycleError(CheckError):
@@ -84,7 +102,7 @@ class CausalOrder:
         self._pred_non_rf: List[List[int]] = [[] for _ in self.ops]
         self._rf_pred: List[Optional[int]] = [None] * len(self.ops)
         self._build_edges()
-        self._desc: List[int] = self._transitive_closure()
+        self._desc, self._anc = self._transitive_closure()
         # Non-rf predecessor bitset per op (Definition 1's "excluding the
         # reads-from ordering established by o itself" reduces to
         # reachability into these — see precedes_excluding_rf).
@@ -92,6 +110,7 @@ class CausalOrder:
             _mask_of(preds) for preds in self._pred_non_rf
         ]
         self._loc_ops: Optional[Dict[str, LocationOps]] = None
+        self._reads_mask = 0
 
     # ------------------------------------------------------------------
     # Graph construction
@@ -129,7 +148,8 @@ class CausalOrder:
     # ------------------------------------------------------------------
     # Transitive closure (bitsets over a topological order)
     # ------------------------------------------------------------------
-    def _transitive_closure(self) -> List[int]:
+    def _transitive_closure(self) -> Tuple[List[int], List[int]]:
+        """Strict descendant and strict ancestor bitsets of every op."""
         n = len(self.ops)
         indegree = [0] * n
         for succs in self._succ:
@@ -153,7 +173,12 @@ class CausalOrder:
             for j in self._succ[i]:
                 bits |= desc[j] | (1 << j)
             desc[i] = bits
-        return desc
+        anc = [0] * n
+        for i in topo:
+            bits = anc[i] | (1 << i)
+            for j in self._succ[i]:
+                anc[j] |= bits
+        return desc, anc
 
     # ------------------------------------------------------------------
     # Queries
@@ -198,51 +223,81 @@ class CausalOrder:
         """Bitset of strict ``*->`` descendants of the op at ``index``."""
         return self._desc[index]
 
-    def non_rf_pred_mask(self, index: int) -> int:
-        """Bitset of direct non-reads-from predecessors of ``index``."""
-        return self._pred_non_rf_mask[index]
+    def ancestor_mask(self, index: int) -> int:
+        """Bitset of strict ``*->`` ancestors of the op at ``index``."""
+        return self._anc[index]
+
+    def past_mask(self, index: int) -> int:
+        """Bitset of the ops that ``*->`` the op at ``index`` once its
+        own reads-from edge is left out: its non-reads-from predecessors
+        and everything before them."""
+        anc = self._anc
+        bits = self._pred_non_rf_mask[index]
+        for p in self._pred_non_rf[index]:
+            bits |= anc[p]
+        return bits
+
+    def reads_mask(self) -> int:
+        """Bitset of all read operations."""
+        if self._loc_ops is None:
+            self._index_locations()
+        return self._reads_mask
 
     def location_ops(self, location: str) -> LocationOps:
         """The precomputed :class:`LocationOps` for ``location``.
 
         Built lazily for *all* locations in one pass over the history on
-        first use, then served from cache.
+        first use, then served from cache; an unknown location gets an
+        empty view.
         """
         table = self._loc_ops
         if table is None:
-            grouped: Dict[str, Tuple[List[int], Dict[Any, int]]] = {}
-            for i, op in enumerate(self.ops):
-                entry = grouped.get(op.location)
-                if entry is None:
-                    entry = ([], {})
-                    grouped[op.location] = entry
-                entry[0].append(i)
-                source = op.write_id if op.is_write else op.read_from
-                entry[1][source] = entry[1].get(source, 0) | (1 << i)
-            table = {
-                location: LocationOps(
-                    indices=tuple(indices),
-                    mask=_mask_of(indices),
-                    source_masks=sources,
-                )
-                for location, (indices, sources) in grouped.items()
-            }
-            self._loc_ops = table
-        entry = table.get(location)
-        if entry is None:
-            entry = LocationOps(indices=(), mask=0, source_masks={})
-            table[location] = entry
-        return entry
+            table = self._index_locations()
+        return table.get(location, _NO_OPS)
+
+    def _index_locations(self) -> Dict[str, LocationOps]:
+        grouped: Dict[str, Tuple[List[int], Dict[Any, int], List[int]]] = {}
+        reads = 0
+        for i, op in enumerate(self.ops):
+            entry = grouped.get(op.location)
+            if entry is None:
+                entry = grouped[op.location] = ([], {}, [])
+            entry[0].append(i)
+            if op.is_write:
+                source = op.write_id
+                entry[2].append(i)
+            else:
+                source = op.read_from
+                reads |= 1 << i
+            entry[1][source] = entry[1].get(source, 0) | (1 << i)
+        ops = self.ops
+        table = {
+            location: LocationOps(
+                indices=tuple(indices),
+                mask=_mask_of(indices),
+                source_masks=sources,
+                writes=tuple(ops[i] for i in writes),
+                write_ids=tuple(ops[i].write_id for i in writes),
+                writes_mask=_mask_of(writes),
+                write_position={i: p for p, i in enumerate(writes)},
+            )
+            for location, (indices, sources, writes) in grouped.items()
+        }
+        self._loc_ops, self._reads_mask = table, reads
+        return table
 
     def followers(self, op: Operation) -> List[Operation]:
         """All operations ``b`` with ``op *-> b`` (diagnostics)."""
         i = self.index_of(op)
         bits = self._desc[i]
-        return [self.ops[j] for j in _bit_indices(bits)]
+        return [self.ops[j] for j in bit_indices(bits)]
 
     def sort_key(self) -> Dict[OpId, int]:
         """A topological position per op (for deterministic reports)."""
         return dict(self._pos)
+
+
+_NO_OPS = LocationOps()
 
 
 def _mask_of(indices: Iterable[int]) -> int:
@@ -252,10 +307,9 @@ def _mask_of(indices: Iterable[int]) -> int:
     return bits
 
 
-def _bit_indices(bits: int) -> Iterable[int]:
-    index = 0
+def bit_indices(bits: int) -> Iterator[int]:
+    """Positions of the set bits of ``bits``, lowest first."""
     while bits:
-        if bits & 1:
-            yield index
-        bits >>= 1
-        index += 1
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low

@@ -96,6 +96,13 @@ class History:
     protocol runs.
     """
 
+    #: ``(reads, writes by location)`` over the application operations,
+    #: built by the first :meth:`reads` / :meth:`writes` call — never by
+    #: the constructor, which sits on every recorded run's path.
+    _kind_index: Optional[
+        Tuple[List[Operation], Dict[str, List[Operation]]]
+    ] = None
+
     def __init__(
         self,
         processes: List[List[Operation]],
@@ -275,18 +282,38 @@ class History:
         out.extend(self._app_operations())
         return out
 
+    def _by_kind(self) -> Tuple[List[Operation], Dict[str, List[Operation]]]:
+        index = self._kind_index
+        if index is None:
+            reads: List[Operation] = []
+            writes: Dict[str, List[Operation]] = {}
+            for op in self._app_operations():
+                if op.is_read:
+                    reads.append(op)
+                else:
+                    writes.setdefault(op.location, []).append(op)
+            index = self._kind_index = (reads, writes)
+        return index
+
     def reads(self) -> List[Operation]:
         """All application read operations."""
-        return [op for op in self._app_operations() if op.is_read]
+        reads, _ = self._by_kind()
+        return list(reads)
 
     def writes(self, location: Optional[str] = None, include_init: bool = True) -> List[Operation]:
         """All writes (optionally restricted to one location)."""
-        ops = self.operations(include_init=include_init)
-        return [
-            op
-            for op in ops
-            if op.is_write and (location is None or op.location == location)
-        ]
+        if location is None:
+            return [
+                op for op in self.operations(include_init=include_init)
+                if op.is_write
+            ]
+        out: List[Operation] = []
+        init = self._writes_by_id.get(initial_write_id(location))
+        if include_init and init is not None:
+            out.append(init)
+        _, writes = self._by_kind()
+        out.extend(writes.get(location, ()))
+        return out
 
     def write_by_id(self, write_id: Tuple) -> Operation:
         """Look up a write operation by its identity."""

@@ -12,15 +12,26 @@ The initial write of each location participates like any other write, so
 ``alpha`` sets can contain the distinguished initial value, matching the
 paper's worked examples (``alpha(r1(z)5) = {0, 5}`` in Figure 2).
 
-The computation runs entirely on the :class:`CausalOrder` bitsets: for a
-read ``o`` we first build the bitset of same-location operations that
-reach ``o`` with its reads-from edge excluded (one big-int test per op on
-the location), then every candidate write is classified with O(1) bitwise
-operations — "causally later", "concurrent", and "overwritten by an
-intervening op carrying a different value" are all mask intersections.
-This replaces the previous per-pair ``precedes`` loops, which made the
-causal checker quadratic in the number of same-location operations per
-candidate and dominated property-test time.
+The computation is mask arithmetic over the index a
+:class:`CausalOrder` builds once per history; nothing here walks the
+history.  For a read ``o`` on location ``x``, ``past`` is its causal
+past with its own reads-from edge left out (one OR per non-reads-from
+predecessor) and ``reaching = past & ops(x)`` the same-location
+operations in it.  The candidate writes ``W(x)`` then split three ways
+with three ANDs:
+
+* ``W(x) & desc(o)`` — causally later, never live;
+* ``W(x) & ~past & ~desc(o)`` — concurrent, live by condition 1, with no
+  per-candidate work;
+* ``W(x) & past`` — live by condition 2 unless
+  ``desc(w) & reaching & ~same_source(w)`` is non-empty, i.e. unless an
+  intervening operation carrying another write's value serves notice.
+
+Only the third group costs one big-int test per write, so a check is one
+such test per (read, causally preceding same-location write) pair; with
+masks as wide as the history that is what keeps the checker super-linear
+in history length.  ``tests/test_checker_index.py`` pins this against a
+literal per-pair reading of the definition.
 
 Memoisation (the ROADMAP "checker search pruning" item): the live set of
 a read is fully determined by its *causal-past fingerprint* — the read's
@@ -41,7 +52,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.checker.causality import CausalOrder
+from repro.checker.causality import CausalOrder, bit_indices
 from repro.checker.history import History, Operation
 from repro.errors import CheckError
 
@@ -109,27 +120,21 @@ def read_fingerprint(
       past components.
     """
     j = order.index_of(read)
-    pred_mask = order.non_rf_pred_mask(j)
-    desc_of_read = order.descendant_mask(j)
-    past_reads: List[Tuple] = []
-    for op in history.reads():
-        k = order.index_of(op)
-        if k != j and (order.descendant_mask(k) | (1 << k)) & pred_mask:
-            past_reads.append((op.proc, op.index, op.read_from))
+    ops = order.ops
+    past = order.past_mask(j)
     loc = order.location_ops(read.location)
+    past_reads: List[Tuple] = []
+    for k in bit_indices(past & order.reads_mask()):
+        op = ops[k]
+        past_reads.append((op.proc, op.index, op.read_from))
     past_loc: List[Tuple] = []
-    for k in loc.indices:
-        if k == j:
-            continue
-        if (order.descendant_mask(k) | (1 << k)) & pred_mask:
-            op = order.ops[k]
-            source = op.write_id if op.is_write else op.read_from
-            past_loc.append((op.proc, op.index, source))
-    candidates = history.writes(location=read.location, include_init=True)
+    for k in bit_indices(past & loc.mask):
+        op = ops[k]
+        source = op.write_id if op.is_write else op.read_from
+        past_loc.append((op.proc, op.index, source))
     follows = tuple(
-        write.write_id
-        for write in candidates
-        if (desc_of_read >> order.index_of(write)) & 1
+        ops[k].write_id
+        for k in bit_indices(order.descendant_mask(j) & loc.writes_mask)
     )
     return (
         read.op_id,
@@ -137,7 +142,7 @@ def read_fingerprint(
         read.read_from,
         tuple(past_reads),
         tuple(past_loc),
-        tuple(write.write_id for write in candidates),
+        loc.write_ids,
         follows,
     )
 
@@ -156,51 +161,37 @@ def live_set(
     """
     if not read.is_read:
         raise CheckError(f"live_set called on non-read {read}")
-    candidates = history.writes(location=read.location, include_init=True)
+    loc = order.location_ops(read.location)
     key: Optional[Tuple] = None
     if cache is not None:
         key = read_fingerprint(history, order, read)
         positions = cache._table.get(key)
         if positions is not None:
             cache.hits += 1
-            return [candidates[p] for p in positions]
+            return [loc.writes[p] for p in positions]
         cache.misses += 1
     j = order.index_of(read)
-    pred_mask = order.non_rf_pred_mask(j)
-    loc = order.location_ops(read.location)
-    read_bit = 1 << j
+    ops = order.ops
+    past = order.past_mask(j)
     # Same-location ops that reach `read` with its rf edge excluded
     # (candidates for condition 2's intervening operation o'').
-    reaching = 0
-    for k in loc.indices:
-        if k == j:
-            continue
-        if (order.descendant_mask(k) | (1 << k)) & pred_mask:
-            reaching |= 1 << k
-    desc_of_read = order.descendant_mask(j)
-    live: List[Operation] = []
-    live_positions: List[int] = []
-    for position, write in enumerate(candidates):
-        i = order.index_of(write)
-        # Writes that causally follow the read are never live.
-        if (desc_of_read >> i) & 1:
-            continue
-        desc_of_write = order.descendant_mask(i)
-        if not ((desc_of_write | (1 << i)) & pred_mask):
-            # Not following, not preceding (rf edge excluded): concurrent.
-            live.append(write)
-            live_positions.append(position)
-            continue
-        # Condition 2: an intervening same-location op between `write` and
-        # `read` serves notice unless it carries `write`'s own value.
-        same_source = loc.source_masks.get(write.write_id, 0)
-        if desc_of_write & reaching & ~same_source & ~read_bit:
-            continue
-        live.append(write)
-        live_positions.append(position)
-    if cache is not None and key is not None:
-        cache._table[key] = tuple(live_positions)
-    return live
+    reaching = past & loc.mask
+    # Condition 1: neither following the read nor in its past.
+    live_mask = loc.writes_mask & ~past & ~order.descendant_mask(j)
+    # Condition 2: an intervening same-location op between a past write
+    # and `read` serves notice unless it carries that write's own value.
+    source_masks = loc.source_masks
+    for i in bit_indices(loc.writes_mask & past):
+        if not (
+            order.descendant_mask(i) & reaching
+            & ~source_masks[ops[i].write_id]
+        ):
+            live_mask |= 1 << i
+    live_indices = list(bit_indices(live_mask))
+    if key is not None:
+        position = loc.write_position
+        cache._table[key] = tuple(position[i] for i in live_indices)
+    return [ops[i] for i in live_indices]
 
 
 def live_values(

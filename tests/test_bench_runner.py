@@ -321,3 +321,15 @@ def test_speedup_is_latest_over_first():
     )
     assert trajectory.speedup("kernel", "events_per_sec") == pytest.approx(2.5)
     assert trajectory.speedup("kernel", "missing") is None
+
+
+def test_the_ci_check_gate_runs_at_toy_size():
+    """`bench_check_gate` as CI's `check-gate` job calls it, smaller."""
+    from repro.bench import CHECK_GATE_RATIO, bench_check_gate
+
+    gate = bench_check_gate(rounds=2, ops_per_proc=20)
+    assert gate["causal"] and gate["ops"] == 160 and gate["rounds"] == 2
+    assert gate["check_over_sim"] == pytest.approx(
+        gate["check_ops_per_sec"] / gate["sim_ops_per_sec"]
+    )
+    assert CHECK_GATE_RATIO > 1  # verifying a run is cheaper than producing it
