@@ -285,8 +285,9 @@ def bench_obs(events: int, repeats: int) -> Dict[str, Any]:
     * ``attached_untagged`` — collector attached but events untagged:
       the instrumented twin loop runs, never emits — isolates the
       per-event guard (this is the ratio CI bounds at 10%);
-    * ``attached_tagged`` — collector attached (metrics only, no event
-      retention) and every tick tagged: the full emit cost.
+    * ``attached_tagged`` — collector attached (no event retention, one
+      discarding subscriber so the kind is wanted) and every tick
+      tagged: the full emit cost.
 
     The ``traced_fig4`` block is the yield side: the metrics snapshot of
     one traced Figure 4 run, with the checker re-checking its history
@@ -304,6 +305,9 @@ def bench_obs(events: int, repeats: int) -> Dict[str, Any]:
                 collector = TraceCollector(keep_events=False)
                 collector.bind(sim)
                 sim.obs = collector
+                if tagged:
+                    # A reader, or the events would be counted, not built.
+                    collector.subscribe(deque(maxlen=0).append)
             tag = ("task", "tick") if tagged else None
             count = [0]
 
@@ -357,7 +361,7 @@ def bench_monitor(
 
     The same mixed workload :func:`bench_protocol` uses, timed four
     ways: detached (no collector), attached (metrics-only collector, no
-    monitor — the emit cost the obs section already bounds), hooked
+    monitor — every kind counted, none built), hooked
     (collector plus a filtered subscriber whose filters never match —
     what the streaming-subscriber machinery costs every attached run
     that does *not* monitor, the ratio bounded at 10%), and monitored
@@ -402,9 +406,9 @@ def bench_monitor(
         cluster.run()
 
     def run_hooked() -> None:
-        # A subscriber whose filters match nothing: every emitted event
-        # pays the inline filter compare and no callback — the pure
-        # cost of the subscriber hook riding along.
+        # A subscriber whose filters match nothing: they are resolved
+        # once per kind into the collector's plan, so every kind stays
+        # unwanted — the pure cost of the subscriber hook riding along.
         cluster = build()
         collector = TraceCollector(keep_events=False)
         cluster.attach_obs(collector)

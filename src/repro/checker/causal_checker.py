@@ -129,7 +129,7 @@ def check_causal(
     try:
         order = CausalOrder(history)
     except CausalityCycleError as cycle:
-        if obs is not None:
+        if obs is not None and obs.wants("check", "verdict"):
             obs.emit(
                 "check", "verdict", ok=False, reads=0, violations=0,
                 cached=False, cycle=str(cycle),
@@ -147,7 +147,7 @@ def check_causal(
     result = CausalCheckResult(
         ok=all(v.ok for v in verdicts), verdicts=verdicts
     )
-    if obs is not None:
+    if obs is not None and obs.wants("check", "verdict"):
         obs.emit(
             "check", "verdict", ok=result.ok,
             reads=len(verdicts), violations=len(result.violations),
@@ -198,7 +198,7 @@ class CachedCausalChecker:
         result = self._results.get(key)
         if result is not None:
             self.history_hits += 1
-            if self.obs is not None:
+            if self.obs is not None and self.obs.wants("check", "verdict"):
                 self.obs.emit("check", "verdict", ok=result.ok, cached=True)
             return result
         self.history_misses += 1

@@ -224,7 +224,7 @@ class LocalStore:
     def put(self, location: str, entry: MemoryEntry) -> None:
         """Install a value (a local write, a reply, or a serviced WRITE)."""
         self._install(location, entry)
-        if self.obs is not None:
+        if self.obs is not None and self.obs.wants("store", "apply"):
             self.obs.emit(
                 "store", "apply", node=self.node_id, clock=entry.stamp,
                 location=location, writer=entry.writer,
@@ -247,7 +247,7 @@ class LocalStore:
             self._arena_dirty[location] = None
         if location in self._cached:
             self._watermark_clean = False
-        if self.obs is not None:
+        if self.obs is not None and self.obs.wants("store", "apply"):
             self.obs.emit(
                 "store", "apply", node=self.node_id, clock=stamp,
                 location=location, writer=entry.writer,
@@ -264,7 +264,7 @@ class LocalStore:
             )
         if location in self._entries:
             self._remove_cached(location, invalidation=True)
-            if self.obs is not None:
+            if self.obs is not None and self.obs.wants("store", "invalidate"):
                 self.obs.emit(
                     "store", "invalidate", node=self.node_id,
                     location=location,
@@ -348,7 +348,7 @@ class LocalStore:
             )
         if location in self._entries:
             self._remove_cached(location, invalidation=False)
-            if self.obs is not None:
+            if self.obs is not None and self.obs.wants("store", "discard"):
                 self.obs.emit(
                     "store", "discard", node=self.node_id, location=location,
                 )
@@ -360,7 +360,7 @@ class LocalStore:
         cached = list(self._cached)
         for location in cached:
             self._remove_cached(location, invalidation=False)
-        if self.obs is not None and cached:
+        if self.obs is not None and cached and self.obs.wants("store", "discard_all"):
             self.obs.emit(
                 "store", "discard_all", node=self.node_id, count=len(cached),
             )

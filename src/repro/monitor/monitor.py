@@ -58,6 +58,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import le
 from time import perf_counter
 from typing import (
     Any,
@@ -101,7 +102,7 @@ def _merge(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
 
 
 def _leq(a: Tuple[int, ...], b: Tuple[int, ...]) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _tuple_id(source: Any) -> Tuple:

@@ -4,10 +4,8 @@ Three ingestion paths, one monitor:
 
 * :func:`attach_monitor` — subscribe to a live cluster's collector (the
   ``repro monitor`` CLI's live-attach mode).  The monitor sees each
-  ``proto.op.commit`` the instant it is emitted; the cluster also gets
-  the kernel's streaming hook pointed at the subscription so the
-  events-per-second accounting covers kernel ticks, not just
-  application ops.
+  ``proto.op.commit`` the instant it is emitted — on a metrics-only
+  collector that is the one event kind built at all.
 * :func:`feed_trace` — replay an exported trace file (``repro trace
   --format json``) or an in-memory event list through the monitor.
 * :func:`feed_history` — drive the monitor from an offline
@@ -40,22 +38,24 @@ class MonitorSubscription:
         self.monitor = monitor
         self.collector = collector
         self._sim = sim
-        self.kernel_events = 0
+        self._ticks_at_attach = self._ticks()
         collector.subscribe(monitor.observe, category="proto", name="op.commit")
-        if sim is not None:
-            sim.stream = self._on_kernel_event
 
-    def _on_kernel_event(self, event) -> None:
-        # The kernel streaming hook: every executed ScheduledEvent lands
-        # here.  The monitor works purely from op.commit events, so this
-        # only counts ticks (the bench's events/sec denominator).
-        self.kernel_events += 1
+    def _ticks(self) -> int:
+        # The counter the substrate keeps anyway: kernel events on the
+        # simulator, delivered frames on the live runtime.
+        if hasattr(self._sim, "events_processed"):
+            return self._sim.events_processed
+        return getattr(self._sim, "frames_delivered", 0)
+
+    @property
+    def kernel_events(self) -> int:
+        """Substrate events executed since the monitor was attached."""
+        return self._ticks() - self._ticks_at_attach
 
     def detach(self) -> None:
-        """Unsubscribe from the collector (and the kernel hook)."""
+        """Unsubscribe from the collector."""
         self.collector.unsubscribe(self.monitor.observe)
-        if self._sim is not None and self._sim.stream == self._on_kernel_event:
-            self._sim.stream = None
 
     def result(self) -> MonitorResult:
         return self.monitor.result()

@@ -10,10 +10,10 @@ relation itself, Fidge/Mattern style, and the exporters in
 :mod:`repro.obs.export` can rebuild the causal DAG without re-running
 anything.
 
-The class is ``__slots__``-only and construction happens *only* behind
-an ``if collector is not None`` guard at every emit site — when no
-collector is attached, no event object is ever allocated (the
-zero-overhead-when-disabled guarantee, DESIGN.md Section 4.7).
+The class is ``__slots__``-only and construction happens *only* in the
+collector, for kinds something will read — with no collector attached,
+or no reader for the kind, no event object is ever allocated (the cost
+contract, DESIGN.md Section 4.7).
 """
 
 from __future__ import annotations

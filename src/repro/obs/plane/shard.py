@@ -1,8 +1,10 @@
 """Per-node collector shards — the local half of the telemetry plane.
 
 A :class:`NodeShard` *is* a :class:`~repro.obs.collector.TraceCollector`
-(every ``obs.emit`` guard in the tree works against it unchanged), but
-instead of accumulating an unbounded in-process event list it:
+(every ``obs.wants`` / ``obs.emit`` guard in the tree works against it
+unchanged) that retains every event by construction — it subscribes
+itself, unfiltered, so no kind is ever declined — but instead of
+accumulating an unbounded in-process event list it:
 
 * keeps the last ``ring_capacity`` events in a bounded ring — the
   flight recorder's raw material, sized so a crash dump is always
@@ -84,9 +86,11 @@ class NodeShard(TraceCollector):
         self.frames_cut = 0
         self._pending: List[TraceEvent] = []
         self._pending_first_seq = 0
+        # The shard is its own first, unfiltered reader: that is what
+        # makes every kind wanted, so ring and frames miss nothing.
+        self.subscribe(self._retain)
 
-    def emit(self, category: str, name: str, **kwargs: Any) -> TraceEvent:
-        event = super().emit(category, name, **kwargs)
+    def _retain(self, event: TraceEvent) -> None:
         if event.wall is not None and self.wall_offset:
             event.wall += self.wall_offset
         self.ring.append(event)
@@ -95,7 +99,6 @@ class NodeShard(TraceCollector):
         self._pending.append(event)
         if len(self._pending) >= self.flush_every:
             self.flush()
-        return event
 
     def flush(self) -> Optional[TelemetryFrame]:
         """Cut a frame from pending events and push it to the sink.

@@ -257,7 +257,7 @@ class AtomicOwnerNode(DSMNode):
         self._active_writes[location] = job
         targets = self._copyset.get(location, set()) - {self.node_id, job.writer}
         job.awaiting = set(targets)
-        if self.obs is not None:
+        if self.obs is not None and self.obs.wants("proto", "inv.round"):
             self.obs.emit(
                 "proto", "inv.round", node=self.node_id,
                 clock=_identity_stamp(self.n_nodes, job.writer, job.seq),
@@ -300,7 +300,7 @@ class AtomicOwnerNode(DSMNode):
             stamp=_identity_stamp(self.n_nodes, job.writer, job.seq),
             writer=job.writer,
         )
-        if self.obs is not None:
+        if self.obs is not None and self.obs.wants("proto", "op.write.done"):
             self.obs.emit(
                 "proto", "op.write.done", node=self.node_id,
                 clock=entry.stamp, location=location, writer=job.writer,

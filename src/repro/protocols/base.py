@@ -188,7 +188,7 @@ class DSMNode:
                 value=entry.value,
                 read_from=_write_identity(location, entry),
             )
-        if self.obs is not None:
+        if self.obs is not None and self.obs.wants("proto", "op.commit"):
             self.obs.emit(
                 "proto", "op.commit",
                 node=self.node_id,
@@ -207,7 +207,7 @@ class DSMNode:
                 value=value,
                 write_id=_write_identity(location, entry),
             )
-        if self.obs is not None:
+        if self.obs is not None and self.obs.wants("proto", "op.commit"):
             self.obs.emit(
                 "proto", "op.commit",
                 node=self.node_id,

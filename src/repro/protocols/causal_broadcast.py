@@ -99,7 +99,7 @@ class CausalBroadcastNode(DSMNode):
         self.stats.reads += 1
         self.stats.local_read_hits += 1
         entry = self._entry(location)
-        if self.obs is not None:
+        if self.obs is not None and self.obs.wants("proto", "op.read"):
             self.obs.emit(
                 "proto", "op.read", node=self.node_id, clock=self.delivered,
                 location=location, hit=True,
@@ -115,7 +115,7 @@ class CausalBroadcastNode(DSMNode):
         self.stats.local_writes += 1
         self.delivered = self.delivered.increment(self.node_id)
         stamp = self.delivered
-        if self.obs is not None:
+        if self.obs is not None and self.obs.wants("proto", "op.write"):
             self.obs.emit(
                 "proto", "op.write", node=self.node_id, clock=stamp,
                 location=location,
@@ -139,7 +139,7 @@ class CausalBroadcastNode(DSMNode):
             # the batched delivery rule is built to jump.
             if location in self._wb_window:
                 self.wb_coalesced += 1
-                if self.obs is not None:
+                if self.obs is not None and self.obs.wants("proto", "wb.coalesce"):
                     self.obs.emit(
                         "proto", "wb.coalesce", node=self.node_id,
                         clock=stamp, location=location,
@@ -195,7 +195,7 @@ class CausalBroadcastNode(DSMNode):
         self._wb_window = {}
         self.wb_batches += 1
         self.wb_batched_writes += len(survivors)
-        if self.obs is not None:
+        if self.obs is not None and self.obs.wants("proto", "wb.flush"):
             self.obs.emit(
                 "proto", "wb.flush", node=self.node_id, clock=self.delivered,
                 writes=len(survivors),
@@ -334,7 +334,7 @@ class CausalBroadcastNode(DSMNode):
 
     def _apply(self, msg: BroadcastWrite) -> None:
         self.delivered = self.delivered.update(msg.stamp)
-        if self.obs is not None:
+        if self.obs is not None and self.obs.wants("proto", "bc.apply"):
             self.obs.emit(
                 "proto", "bc.apply", node=self.node_id, clock=msg.stamp,
                 location=msg.location, sender=msg.sender,

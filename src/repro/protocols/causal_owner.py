@@ -206,7 +206,7 @@ class CausalOwnerNode(DSMNode):
         if entry is not None:
             self.stats.local_read_hits += 1
             self._record_read(location, entry)
-            if self.obs is not None:
+            if self.obs is not None and self.obs.wants("proto", "op.read"):
                 self.obs.emit(
                     "proto", "op.read", node=self.node_id, clock=self.vt,
                     location=location, hit=True,
@@ -214,7 +214,7 @@ class CausalOwnerNode(DSMNode):
             future.resolve(entry.value)
             return future
         self.stats.remote_reads += 1
-        if self.obs is not None:
+        if self.obs is not None and self.obs.wants("proto", "op.read"):
             self.obs.emit(
                 "proto", "op.read", node=self.node_id, clock=self.vt,
                 location=location, hit=False,
@@ -275,7 +275,7 @@ class CausalOwnerNode(DSMNode):
         """Write ``location``; local if owned, certified by the owner if not."""
         self.stats.writes += 1
         self.vt = self.vt.increment(self.node_id)
-        if self.obs is not None:
+        if self.obs is not None and self.obs.wants("proto", "op.write"):
             mode = (
                 "local" if self.store.owns(location)
                 else ("batched" if self.batching else "remote")
@@ -381,7 +381,7 @@ class CausalOwnerNode(DSMNode):
                 # queue along, serve after the drain.
                 self.wb_deferred_read_count += 1
                 self._wb_deferred_reads.append((src, message))
-                if self.obs is not None:
+                if self.obs is not None and self.obs.wants("proto", "wb.defer_read"):
                     self.obs.emit(
                         "proto", "wb.defer_read", node=self.node_id,
                         clock=self.vt, location=message.location,
@@ -468,7 +468,7 @@ class CausalOwnerNode(DSMNode):
                 # overwrote.  Ask the owner again; by now it has applied
                 # the write the dominating stamp carries word of.
                 self.stale_read_retries += 1
-                if self.obs is not None:
+                if self.obs is not None and self.obs.wants("proto", "read.stale_retry"):
                     self.obs.emit(
                         "proto", "read.stale_retry", node=self.node_id,
                         clock=self.vt, location=location,
@@ -498,7 +498,7 @@ class CausalOwnerNode(DSMNode):
             ]
             installed = [payload.location for payload in fresh]
             swept = self.store.invalidate_older_than(msg.stamp, keep=installed)
-            if self.obs is not None and swept:
+            if self.obs is not None and swept and self.obs.wants("proto", "inv.sweep"):
                 # The triggering write is the requested payload's: its
                 # (writer, own-component) pair names the write whose
                 # arrival forced stale cached values out.
@@ -578,7 +578,7 @@ class CausalOwnerNode(DSMNode):
             swept = self.store.invalidate_older_than(
                 self.vt, keep=self._dirty_keep(msg.stamp)
             )
-            if self.obs is not None and swept:
+            if self.obs is not None and swept and self.obs.wants("proto", "inv.sweep"):
                 self.obs.emit(
                     "proto", "inv.sweep", node=self.node_id, clock=self.vt,
                     invalidated=swept, cause="serve_write",
@@ -664,7 +664,7 @@ class CausalOwnerNode(DSMNode):
             swept = self.store.invalidate_older_than(
                 survivor.stamp, keep=[location]
             )
-            if self.obs is not None and swept:
+            if self.obs is not None and swept and self.obs.wants("proto", "inv.sweep"):
                 self.obs.emit(
                     "proto", "inv.sweep", node=self.node_id, clock=self.vt,
                     invalidated=swept, cause="write_rejected",
@@ -775,7 +775,7 @@ class CausalOwnerNode(DSMNode):
                     run.writes.append(_QueuedWrite(location, value, stamp, seq))
                     run.seqs.append(seq)
                     self.wb_coalesced += 1
-                    if self.obs is not None:
+                    if self.obs is not None and self.obs.wants("proto", "wb.coalesce"):
                         self.obs.emit(
                             "proto", "wb.coalesce", node=self.node_id,
                             clock=stamp, location=location,
@@ -839,7 +839,7 @@ class CausalOwnerNode(DSMNode):
         self._wb_outstanding = run
         self.wb_batches += 1
         self.wb_batched_writes += len(run.writes)
-        if self.obs is not None:
+        if self.obs is not None and self.obs.wants("proto", "wb.flush"):
             self.obs.emit(
                 "proto", "wb.flush", node=self.node_id, clock=self.vt,
                 owner=run.owner, writes=len(run.writes),
@@ -923,7 +923,7 @@ class CausalOwnerNode(DSMNode):
             swept = self.store.invalidate_older_than(
                 self.vt, keep=self._dirty_keep(msg.stamp)
             )
-            if self.obs is not None and swept:
+            if self.obs is not None and swept and self.obs.wants("proto", "inv.sweep"):
                 self.obs.emit(
                     "proto", "inv.sweep", node=self.node_id, clock=self.vt,
                     invalidated=swept, cause="serve_batch",
@@ -1036,7 +1036,7 @@ class CausalOwnerNode(DSMNode):
         self._wb_outstanding = None
         self.vt = self.vt.update(msg.stamp)
         self._note_stamp(msg.stamp)
-        if self.obs is not None:
+        if self.obs is not None and self.obs.wants("proto", "wb.ack"):
             self.obs.emit(
                 "proto", "wb.ack", node=self.node_id, clock=self.vt,
                 writes=len(run.writes),
@@ -1085,7 +1085,7 @@ class CausalOwnerNode(DSMNode):
             swept = self.store.invalidate_older_than(
                 survivor.stamp, keep=[queued.location]
             )
-            if self.obs is not None and swept:
+            if self.obs is not None and swept and self.obs.wants("proto", "inv.sweep"):
                 self.obs.emit(
                     "proto", "inv.sweep", node=self.node_id, clock=self.vt,
                     invalidated=swept, cause="batch_rejected",

@@ -51,7 +51,7 @@ class CentralServerNode(DSMNode):
         if isinstance(message, CentralRead):
             entry = self.store.get(message.location)
             assert entry is not None
-            if self.obs is not None:
+            if self.obs is not None and self.obs.wants("proto", "serve.read"):
                 self.obs.emit(
                     "proto", "serve.read", node=self.node_id,
                     clock=entry.stamp, location=message.location,
@@ -76,7 +76,7 @@ class CentralServerNode(DSMNode):
             )
             self.store.put(message.location, entry)
             self._notify_watchers(message.location, message.value)
-            if self.obs is not None:
+            if self.obs is not None and self.obs.wants("proto", "serve.write"):
                 self.obs.emit(
                     "proto", "serve.write", node=self.node_id,
                     clock=entry.stamp, location=message.location, writer=src,
@@ -109,7 +109,7 @@ class CentralServerClient(DSMNode):
         """Read RPC (2 messages, unconditionally)."""
         self.stats.reads += 1
         self.stats.remote_reads += 1
-        if self.obs is not None:
+        if self.obs is not None and self.obs.wants("proto", "op.read"):
             self.obs.emit(
                 "proto", "op.read", node=self.node_id,
                 location=location, hit=False,
@@ -129,7 +129,7 @@ class CentralServerClient(DSMNode):
         self.stats.writes += 1
         self.stats.remote_writes += 1
         self._write_seq += 1
-        if self.obs is not None:
+        if self.obs is not None and self.obs.wants("proto", "op.write"):
             self.obs.emit(
                 "proto", "op.write", node=self.node_id,
                 clock=_identity_stamp(self.n_nodes, self.node_id, self._write_seq),

@@ -376,7 +376,7 @@ class LiHudakNode(DSMNode):
                 return
             state = self._owned.pop(location)
             self._prob_owner[location] = msg.requester
-            if self.obs is not None:
+            if self.obs is not None and self.obs.wants("proto", "own.grant"):
                 self.obs.emit(
                     "proto", "own.grant", node=self.node_id,
                     clock=state.entry.stamp, location=location,
@@ -407,7 +407,7 @@ class LiHudakNode(DSMNode):
 
     def _on_grant(self, msg: MigGrant) -> None:
         location = msg.location
-        if self.obs is not None:
+        if self.obs is not None and self.obs.wants("proto", "own.transfer"):
             self.obs.emit(
                 "proto", "own.transfer", node=self.node_id,
                 clock=msg.stamp, location=location,
@@ -423,7 +423,11 @@ class LiHudakNode(DSMNode):
 
     # -- invalidation ------------------------------------------------------
     def _on_invalidate(self, src: int, msg: MigInvalidate) -> None:
-        if self.obs is not None and msg.location in self._cache:
+        if (
+            self.obs is not None
+            and msg.location in self._cache
+            and self.obs.wants("proto", "inv.cache")
+        ):
             self.obs.emit(
                 "proto", "inv.cache", node=self.node_id,
                 location=msg.location, owner=src,

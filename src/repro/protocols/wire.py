@@ -772,7 +772,7 @@ class WireCodec:
         state = self._send_state.get((src, dst))
         if state is not None and self.delta:
             state.basis = None
-            if self.obs is not None:
+            if self.obs is not None and self.obs.wants("net", "resync"):
                 self.obs.emit("net", "resync", src=src, dst=dst)
 
     def mark_node_dirty(self, node_id: int) -> None:
@@ -780,7 +780,7 @@ class WireCodec:
         for (src, dst), state in self._send_state.items():
             if src == node_id or dst == node_id:
                 state.basis = None
-        if self.obs is not None:
+        if self.obs is not None and self.obs.wants("net", "resync.node"):
             self.obs.emit("net", "resync.node", node=node_id)
 
     # -- encode / decode -----------------------------------------------

@@ -272,8 +272,6 @@ class _Conn(asyncio.Protocol):
                 self._refuse(f"{src}->{dst}: {exc}")
                 return
             runtime.frames_delivered += 1
-            if runtime.stream is not None:
-                runtime.stream((src, dst))
             try:
                 handler(src, message)
             except Exception as exc:  # noqa: BLE001 - fail the whole run
@@ -349,9 +347,8 @@ class AsyncioRuntime(Runtime):
         self._scheduler = _LiveScheduler(self)
         self.tasks: List[Task] = []
         self._pending_spawns: List[Tuple[Any, str]] = []
-        #: Observability hooks (collector / kernel-stream compatible).
+        #: Attached collector, or None (same contract as ``Simulator.obs``).
         self.obs = None
-        self.stream = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._t0: Optional[float] = None
         self.elapsed = 0.0

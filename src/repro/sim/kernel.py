@@ -174,13 +174,6 @@ class Simulator:
         #: path branches on this ONCE before its loop, so a detached run
         #: executes byte-identical bytecode to the pre-obs kernel.
         self.obs = None
-        #: Streaming-subscriber hook: a callable receiving every executed
-        #: :class:`ScheduledEvent` (tagged or not) just before its
-        #: callback runs, or None.  Same twin-loop discipline as ``obs``:
-        #: the bare ``run()`` branches once, so a detached run pays
-        #: nothing per event.  Used by ``repro monitor`` to observe
-        #: kernel progress live.
-        self.stream = None
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -252,8 +245,8 @@ class Simulator:
         """Schedule several callbacks as ONE heap entry at one instant.
 
         The callbacks run back-to-back, in the given order, when the
-        entry's time arrives — amortising the per-event heap push/pop,
-        trace emission, and stream call across the whole group.  Because
+        entry's time arrives — amortising the per-event heap push/pop
+        and trace emission across the whole group.  Because
         consecutively scheduled events carry consecutive sequence numbers,
         a batch executes in exactly the order the same callbacks would
         have executed if scheduled individually at the same instant (no
@@ -410,12 +403,11 @@ class Simulator:
         try:
             if until is None and max_events is None:
                 obs = self.obs
-                stream = self.stream
-                if obs is None and stream is None:
+                if obs is None:
                     # Fast path for the by-far common bare ``run()``: no
                     # budget or horizon checks inside the event loop, and
                     # — the zero-overhead-when-disabled guarantee — no
-                    # per-event obs or stream test either.
+                    # per-event obs test either.
                     no_arg = NO_ARG
                     while queue:
                         time, _, event = heappop(queue)
@@ -438,9 +430,7 @@ class Simulator:
                     return
                 # Instrumented twin of the loop above: identical
                 # semantics, plus a scheduling-decision event for every
-                # tagged (externally meaningful) event executed and a
-                # streaming-subscriber call for every event when a
-                # stream hook is installed.
+                # tagged (externally meaningful) event executed.
                 while queue:
                     time, _, event = heappop(queue)
                     event._in_heap = False
@@ -454,10 +444,8 @@ class Simulator:
                         )
                     self.now = time
                     self._events_processed += 1
-                    if obs is not None and event.tag is not None:
+                    if event.tag is not None and obs.wants("kernel", "execute"):
                         obs.emit("kernel", "execute", time=time, tag=event.tag)
-                    if stream is not None:
-                        stream(event)
                     event.execute()
                 return
             while queue:
@@ -481,10 +469,12 @@ class Simulator:
                     raise SimulationError("event queue produced a time in the past")
                 self.now = time
                 self._events_processed += 1
-                if self.obs is not None and event.tag is not None:
+                if (
+                    self.obs is not None
+                    and event.tag is not None
+                    and self.obs.wants("kernel", "execute")
+                ):
                     self.obs.emit("kernel", "execute", time=time, tag=event.tag)
-                if self.stream is not None:
-                    self.stream(event)
                 event.execute()
                 executed += 1
             if until is not None and until > self.now:
@@ -530,13 +520,11 @@ class Simulator:
         if event.time > self.now:
             self.now = event.time
         self._events_processed += 1
-        if self.obs is not None:
+        if self.obs is not None and self.obs.wants("kernel", "choose"):
             self.obs.emit(
                 "kernel", "choose", time=self.now,
                 tag=event.tag, scheduled_at=event.time,
             )
-        if self.stream is not None:
-            self.stream(event)
         event.execute()
 
     # ------------------------------------------------------------------
@@ -568,10 +556,12 @@ class Simulator:
             raise SimulationError("event queue produced a time in the past")
         self.now = head.time
         self._events_processed += 1
-        if self.obs is not None and head.tag is not None:
+        if (
+            self.obs is not None
+            and head.tag is not None
+            and self.obs.wants("kernel", "execute")
+        ):
             self.obs.emit("kernel", "execute", time=head.time, tag=head.tag)
-        if self.stream is not None:
-            self.stream(head)
         head.execute()
 
     def _note_cancelled(self) -> None:

@@ -150,7 +150,7 @@ class Network:
         if bidirectional:
             self._partitioned.add((dst, src))
         self._refresh_faults_flag()
-        if self.obs is not None:
+        if self.obs is not None and self.obs.wants("fault", "partition.open"):
             self.obs.emit(
                 "fault", "partition.open",
                 src=src, dst=dst, bidirectional=bidirectional,
@@ -162,7 +162,7 @@ class Network:
         if bidirectional:
             self._partitioned.discard((dst, src))
         self._refresh_faults_flag()
-        if self.obs is not None:
+        if self.obs is not None and self.obs.wants("fault", "partition.close"):
             self.obs.emit(
                 "fault", "partition.close",
                 src=src, dst=dst, bidirectional=bidirectional,
@@ -173,7 +173,7 @@ class Network:
         self._partitioned.clear()
         self._crashed.clear()
         self._refresh_faults_flag()
-        if self.obs is not None:
+        if self.obs is not None and self.obs.wants("fault", "heal_all"):
             self.obs.emit("fault", "heal_all")
 
     def crash(self, node_id: int) -> None:
@@ -184,7 +184,7 @@ class Network:
             # In-flight messages to the node will be lost on arrival;
             # restart every affected delta chain from a full stamp.
             self.codec.mark_node_dirty(node_id)
-        if self.obs is not None:
+        if self.obs is not None and self.obs.wants("fault", "crash"):
             self.obs.emit("fault", "crash", node=node_id)
 
     def set_drop_rate(self, rate: float) -> None:
@@ -193,7 +193,7 @@ class Network:
             raise NetworkError(f"drop rate must be in [0, 1], got {rate}")
         self._drop_rate = rate
         self._refresh_faults_flag()
-        if self.obs is not None:
+        if self.obs is not None and self.obs.wants("fault", "drop_rate"):
             self.obs.emit("fault", "drop_rate", rate=rate)
 
     def _refresh_faults_flag(self) -> None:
@@ -307,7 +307,7 @@ class Network:
             )
             self.stats.record(record)
             self.trace.record(record)
-            if self.obs is not None:
+            if self.obs is not None and self.obs.wants("net", "drop"):
                 self.obs.emit(
                     "net", "drop", node=src,
                     kind=kind, src=src, dst=dst, bytes=nbytes,
@@ -360,7 +360,7 @@ class Network:
                 sent_at=now, delivered_at=deliver_at, dropped=False,
                 byte_size=nbytes, stamp_entries=stamp_entries,
             ))
-        if self.obs is not None:
+        if self.obs is not None and self.obs.wants("net", "send"):
             # The flight is a span: ts = send time, dur = time on the wire.
             self.obs.emit(
                 "net", "send", node=src, dur=deliver_at - now,
@@ -377,7 +377,7 @@ class Network:
             # delta basis never advanced, so the channel must resync.
             if self.codec is not None:
                 self.codec.mark_dirty(src, dst)
-            if self.obs is not None:
+            if self.obs is not None and self.obs.wants("net", "drop_on_arrival"):
                 self.obs.emit(
                     "net", "drop_on_arrival", node=dst,
                     kind=delivery.kind, src=src, dst=dst,
@@ -385,7 +385,7 @@ class Network:
             return
         if self.codec is not None:
             payload = self.codec.decode(src, dst, payload)
-        if self.obs is not None:
+        if self.obs is not None and self.obs.wants("net", "deliver"):
             self.obs.emit(
                 "net", "deliver", node=dst,
                 kind=delivery.kind, src=src, dst=dst,

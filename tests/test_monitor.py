@@ -130,8 +130,8 @@ class TestLiveAttachment:
         result = subscription.result()
         assert result.ok
         assert result.reads_checked == 4
-        # The kernel streaming hook counted ticks alongside.
-        assert subscription.kernel_events > 0
+        # Kernel ticks since attach, from the kernel's own counter.
+        assert subscription.kernel_events == cluster.sim.events_processed > 0
 
     def test_detach_stops_delivery(self):
         cluster = self._fig4_cluster()
@@ -139,7 +139,12 @@ class TestLiveAttachment:
         subscription.detach()
         cluster.run()
         assert subscription.result().ops_processed == 0
-        assert cluster.sim.stream is None
+        # Detach leaves no subscriber behind: on the metrics-only
+        # collector every kind is unwanted again (still counted).
+        obs = cluster.obs
+        assert obs.metrics.count_of("proto.op.commit") > 0
+        assert not obs.wants("proto", "op.commit")
+        assert not obs.wants("kernel", "execute")
 
     def test_monitor_gauges_populated(self):
         cluster = self._fig4_cluster()
@@ -153,6 +158,81 @@ class TestLiveAttachment:
             subscription.monitor.window_size()
         )
         assert registry.gauge("monitor.frontier_width").value >= 0
+
+
+class TestDemandDrivenDifferential:
+    """What a run does, counts and is judged to be must not depend on
+    which of its events anybody asked to see."""
+
+    @staticmethod
+    def _run(monkeypatch, protocol, keep_events, monitored):
+        import repro.apps.workload as workload
+
+        captured = []
+
+        class Observed(DSMCluster):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.attach_obs(TraceCollector(keep_events=keep_events))
+                self.verdicts = []
+                if monitored:
+                    attach_monitor(self, on_verdict=lambda v: self.verdicts.append(
+                        (v.op.proc, v.op.index, v.ok)
+                    ))
+                captured.append(self)
+
+        monkeypatch.setattr(workload, "DSMCluster", Observed)
+        outcome = workload.run_random_execution(workload.WorkloadConfig(
+            n_nodes=4, n_locations=6, ops_per_proc=60,
+            protocol=protocol, seed=1991,
+        ))
+        (cluster,) = captured
+        counters = {
+            name: metric.value
+            for name, metric in cluster.obs.metrics.counters.items()
+            if not name.startswith("monitor.")
+        }
+        return outcome.history, counters, cluster
+
+    @pytest.mark.parametrize("protocol", ["causal", "broadcast"])
+    def test_same_run_same_counts_same_verdicts(self, monkeypatch, protocol):
+        from repro.checker import history_fingerprint
+
+        history, counters, full = self._run(
+            monkeypatch, protocol, True, monitored=True
+        )
+        assert len(full.obs.events) == sum(counters.values())
+        offline = check_causal(history)
+        for keep_events, monitored in ((False, False), (False, True)):
+            other_history, other_counters, other = self._run(
+                monkeypatch, protocol, keep_events, monitored
+            )
+            assert history_fingerprint(other_history) == (
+                history_fingerprint(history)
+            )
+            assert other_counters == counters
+            assert other.obs.events == []
+            if monitored:
+                assert other.verdicts == full.verdicts
+                assert len(other.verdicts) == len(history.reads())
+                assert all(ok for _, _, ok in other.verdicts) == offline.ok
+
+
+    def test_fig3_flagged_identically_on_a_metrics_only_collector(self):
+        flagged = []
+        for keep_events in (True, False):
+            collector = TraceCollector(keep_events=keep_events)
+            monitor = CausalStreamMonitor(3)
+            collector.subscribe(
+                monitor.observe, category="proto", name="op.commit"
+            )
+            run_traced_figure3(collector=collector)
+            result = monitor.result()
+            assert not result.ok
+            flagged.append([
+                (v.op.proc, v.op.index, v.reason) for v in result.violations
+            ])
+        assert flagged[0] == flagged[1] != []
 
 
 class TestWindowAndGC:

@@ -11,6 +11,7 @@ walking the exported happens-before DAG.
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ReproError
 from repro.obs import (
@@ -208,6 +209,138 @@ class TestZeroCostWhenDetached:
         assert detached.history().to_text() == attached.history().to_text()
         assert detached.stats.total == attached.stats.total
         assert detached.stats.bytes_total == attached.stats.bytes_total
+
+
+def _mixed_cluster(seed: int = 11, n_nodes: int = 3, ops: int = 30):
+    """A small seeded read/write/discard mix on the owner protocol."""
+    cluster = DSMCluster(n_nodes, protocol="causal", seed=seed)
+
+    def process(api, me):
+        rng = cluster.sim.derived_rng(f"mix-{me}")
+        for i in range(ops):
+            location = f"loc{rng.randrange(5)}"
+            roll = rng.random()
+            if roll < 0.1:
+                api.discard(location)
+                yield api.read(location)
+            elif roll < 0.6:
+                yield api.read(location)
+            else:
+                yield api.write(location, (me, i))
+
+    for node in range(n_nodes):
+        cluster.spawn(node, process, node)
+    return cluster
+
+
+@pytest.fixture
+def built_events(monkeypatch):
+    """Every TraceEvent a collector constructs while the test runs."""
+    import repro.obs.collector as module
+
+    built = []
+
+    class Counted(TraceEvent):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(module, "TraceEvent", Counted)
+    return built
+
+
+class TestDemandDrivenEmission:
+    """An event is built iff something will read it; every kind is
+    counted regardless (DESIGN.md §4.7)."""
+
+    def test_nothing_is_built_without_a_consumer(self, built_events):
+        cluster = _mixed_cluster()
+        collector = TraceCollector(keep_events=False)
+        cluster.attach_obs(collector)
+        cluster.run()
+        assert built_events == []
+        assert collector.emit("net", "send", node=0) is None
+        counters = collector.metrics.counters
+        assert counters["proto.op.commit"].value == len(cluster.history())
+        assert counters["net.send"].value == cluster.stats.total + 1
+
+    def test_commit_subscriber_builds_one_event_per_op(self, built_events):
+        cluster = _mixed_cluster()
+        collector = TraceCollector(keep_events=False)
+        cluster.attach_obs(collector)
+        seen = []
+        collector.subscribe(seen.append, category="proto", name="op.commit")
+        cluster.run()
+        assert len(built_events) == len(cluster.history()) > 0
+        assert seen == built_events
+        assert [event.seq for event in seen] == list(range(1, len(seen) + 1))
+
+    def test_subscribing_mid_run_takes_effect_at_the_next_emit(
+        self, built_events
+    ):
+        collector = TraceCollector(keep_events=False)
+        assert not collector.wants("net", "send")
+        sends, everything = [], []
+        collector.subscribe(sends.append, category="net", name="send")
+        assert collector.wants("net", "send")
+        assert not collector.wants("net", "deliver")
+        first = collector.emit("net", "send", node=0)
+        collector.subscribe(everything.append)  # wildcard: all kinds wanted
+        assert collector.wants("net", "deliver")
+        second = collector.emit("net", "deliver", node=1)
+        collector.unsubscribe(everything.append)
+        assert not collector.wants("net", "deliver")
+        assert collector.emit("net", "deliver", node=1) is None
+        collector.unsubscribe(sends.append)
+        assert not collector.wants("net", "send")
+        assert sends == [first] and everything == [second]
+        assert built_events == [first, second]
+        # wants() counted each declined ask, emit() every call.
+        assert collector.metrics.count_of("net.send") == 3
+        assert collector.metrics.count_of("net.deliver") == 4
+
+    def test_attaching_a_reader_to_a_running_cluster(self, built_events):
+        cluster = _mixed_cluster()
+        collector = TraceCollector(keep_events=False)
+        cluster.attach_obs(collector)
+        cluster.sim.run(until=10.0)
+        assert built_events == []
+        before = collector.metrics.count_of("kernel.execute")
+        seen = collector.subscribe([].append)
+        cluster.run()
+        after = collector.metrics.count_of("kernel.execute")
+        built = [e for e in built_events if e.name == "execute"]
+        assert len(built) == after - before > 0
+        collector.unsubscribe(seen)
+
+    @given(
+        filters=st.lists(
+            st.tuples(
+                st.sampled_from([None, "net", "proto"]),
+                st.sampled_from([None, "send", "op.commit"]),
+            ),
+            max_size=4,
+        ),
+        keep=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_wants_is_some_filter_matches_or_events_are_kept(
+        self, filters, keep
+    ):
+        collector = TraceCollector(keep_events=keep)
+        for category, name in filters:
+            collector.subscribe(lambda event: None, category, name)
+        for category in ("net", "proto", "store"):
+            for name in ("send", "op.commit", "apply"):
+                matched = any(
+                    c in (None, category) and n in (None, name)
+                    for c, n in filters
+                )
+                assert collector.wants(category, name) == (keep or matched)
+                built = collector.emit(category, name)
+                assert (built is not None) == (keep or matched)
 
 
 class TestChromeTraceExport:

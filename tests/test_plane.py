@@ -195,6 +195,25 @@ class TestNodeShard:
         # A free-standing shard has nobody to heartbeat to.
         assert NodeShard(1).flush() is None
 
+    def test_shard_retains_every_kind_it_is_offered(self):
+        """Demand-driven collectors decline kinds nobody reads; a shard
+        reads everything by construction (ring + frames)."""
+        frames = []
+        shard = NodeShard(0, sink=frames.append, ring_capacity=8, flush_every=4)
+        kinds = [("kernel", "execute"), ("net", "send"), ("store", "apply")]
+        for i in range(10):
+            category, name = kinds[i % 3]
+            assert shard.wants(category, name)
+            assert shard.emit(category, name, node=0, i=i).seq == i + 1
+        shard.flush()
+        carried = [event for frame in frames for event in frame.events]
+        assert [event.seq for event in carried] == list(range(1, 11))
+        assert [event.args["i"] for event in shard.ring_events()] == list(
+            range(2, 10)
+        )
+        assert shard.events == []  # the ring and frames, not the list
+        assert shard.metrics.count_of("net.send") == 3
+
     def test_wall_offset_applies_to_events_and_frames(self):
         shard = NodeShard(0, wall_offset=5.0)
         shard.bind_wall(lambda: 100.0)
@@ -476,6 +495,23 @@ class TestSimPlane:
         emitted = sum(shard._seq for shard in plane.shards.values())
         assert agg.events_merged + agg.events_lost == emitted
         assert plane.out.select("plane", "gap")
+
+    def test_metrics_only_out_changes_nothing_upstream(self):
+        """Demand is per collector: a merged collector that keeps
+        nothing and feeds only a monitor declines kinds at ingest, while
+        the shards still carry — and account for — every event."""
+        plane = TelemetryPlane(
+            out=TraceCollector(keep_events=False), flush_every=4
+        )
+        plane.sim_drop_next_frames(0, 1)
+        _, _, subscription = _run_sim_plane("fig4", plane=plane, monitor=True)
+        agg = plane.aggregator
+        emitted = sum(shard._seq for shard in plane.shards.values())
+        assert agg.events_lost > 0
+        assert agg.events_merged + agg.events_lost == emitted
+        assert plane.out.events == []
+        assert plane.out.metrics.count_of("plane.gap") >= 1
+        assert subscription.result().ops_processed > 0
 
     def test_plane_is_mutually_exclusive_with_attach_obs(self):
         cluster = DSMCluster(n_nodes=2, protocol="causal", seed=0)
