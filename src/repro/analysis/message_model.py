@@ -16,7 +16,7 @@ worker, and handshake bits owned by their worker:
   measurements.
 
 These closed forms are compared against *measured* counts by experiment
-E6 (``benchmarks/bench_table_message_counts.py``).
+E6 (``python -m repro solver-table``; see ``tests/test_experiments.py``).
 
 The wire layer (PR 3) adds a *byte* axis to the same analysis: the
 dominant metadata cost of causal DSM is the vector writestamp, ``4n``

@@ -11,7 +11,9 @@ seeds; the benchmark suite uses it for throughput measurements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass
+from itertools import accumulate
 from typing import List, Optional
 
 from repro.checker.history import History
@@ -21,7 +23,14 @@ from repro.protocols.policies import ConflictPolicy
 from repro.sim.latency import JitteredLatency, LatencyModel
 from repro.sim.tasks import sleep
 
-__all__ = ["WorkloadConfig", "WorkloadOutcome", "run_random_execution"]
+__all__ = [
+    "WorkloadConfig",
+    "WorkloadOutcome",
+    "run_random_execution",
+    "spawn_workload",
+    "workload_process",
+    "zipf_cdf",
+]
 
 
 @dataclass(frozen=True)
@@ -61,6 +70,59 @@ class WorkloadOutcome:
     elapsed_sim_time: float
 
 
+def zipf_cdf(n_locations: int, exponent: float) -> List[float]:
+    """Cumulative weights of a Zipf draw: rank ``k`` weighs ``1/k**exponent``."""
+    return list(
+        accumulate(1.0 / (rank + 1) ** exponent for rank in range(n_locations))
+    )
+
+
+def workload_process(api, proc: int, config: WorkloadConfig, runtime,
+                     cdf=None, latencies=None):
+    """One process of the random workload — the only per-op loop.
+
+    Both drivers run this generator: all randomness comes from the
+    runtime's derived RNG stream of this process, so a seeded config
+    issues the identical operation sequence on the simulator and live.
+    ``cdf`` (see :func:`zipf_cdf`) skews location choice Zipf-style, the
+    classic contended-hot-key mix; ``latencies`` collects per-operation
+    completion times in runtime seconds.
+    """
+    rng = runtime.derived_rng(f"workload-{proc}")
+    counter = 0
+    for _ in range(config.ops_per_proc):
+        if cdf is None:
+            location = config.location(rng.randrange(config.n_locations))
+        else:
+            location = config.location(bisect_left(cdf, rng.random() * cdf[-1]))
+        roll = rng.random()
+        if latencies is not None:
+            started = runtime.now
+        if roll < config.discard_fraction:
+            api.discard(location)
+            # A discard alone is not an operation; follow with a read
+            # so the slot's fresh value actually enters the history.
+            yield api.read(location)
+        elif roll < config.discard_fraction + config.read_fraction:
+            yield api.read(location)
+        else:
+            counter += 1
+            yield api.write(location, f"n{proc}v{counter}")
+        if latencies is not None:
+            latencies.append(runtime.now - started)
+        if config.think_time > 0:
+            yield sleep(runtime, rng.uniform(0, config.think_time))
+
+
+def spawn_workload(cluster, config: WorkloadConfig, cdf=None, latencies=None):
+    """Start one :func:`workload_process` per node of ``cluster``."""
+    for proc in range(config.n_nodes):
+        cluster.spawn(
+            proc, workload_process, proc, config, cluster.runtime, cdf,
+            latencies, name=f"wl-{proc}",
+        )
+
+
 def run_random_execution(
     config: WorkloadConfig,
     latency: Optional[LatencyModel] = None,
@@ -88,27 +150,7 @@ def run_random_execution(
         batch_delivery=config.batch_delivery,
     )
 
-    def process(api, proc: int):
-        rng = cluster.sim.derived_rng(f"workload-{proc}")
-        counter = 0
-        for _ in range(config.ops_per_proc):
-            location = config.location(rng.randrange(config.n_locations))
-            roll = rng.random()
-            if roll < config.discard_fraction:
-                api.discard(location)
-                # A discard alone is not an operation; follow with a read
-                # so the slot's fresh value actually enters the history.
-                yield api.read(location)
-            elif roll < config.discard_fraction + config.read_fraction:
-                yield api.read(location)
-            else:
-                counter += 1
-                yield api.write(location, f"n{proc}v{counter}")
-            if config.think_time > 0:
-                yield sleep(cluster.sim, rng.uniform(0, config.think_time))
-
-    for proc in range(config.n_nodes):
-        cluster.spawn(proc, process, proc, name=f"wl-{proc}")
+    spawn_workload(cluster, config)
     cluster.run()
     rejected = sum(node.stats.rejected_writes for node in cluster.nodes)
     invalidations = sum(node.store.invalidation_count for node in cluster.nodes)

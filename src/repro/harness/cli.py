@@ -25,6 +25,7 @@ import sys
 import time
 from typing import List, Optional
 
+from repro.apps.figures import SCENARIOS
 from repro.harness.experiments import EXPERIMENTS, run_experiment
 
 __all__ = ["main"]
@@ -87,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.add_argument(
         "--scenario",
         default="fig4",
-        choices=["fig3", "fig4"],
+        choices=sorted(SCENARIOS),
         help="which paper scenario to run with tracing on (default: fig4)",
     )
     trace.add_argument(
@@ -121,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
     monitor.add_argument(
         "--scenario",
         default="fig4",
-        choices=["fig3", "fig4"],
+        choices=sorted(SCENARIOS),
         help="live-attach: run this traced scenario with the monitor "
         "subscribed (default: fig4; ignored with --from-trace)",
     )
@@ -163,19 +164,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run a scenario or workload on the live asyncio/socket "
         "runtime — same engines, real transport — and check it",
     )
-    live.add_argument(
-        "--scenario",
-        default="fig3",
-        choices=["fig3", "fig4", "fig5", "workload"],
-        help="paper scenario, or 'workload' for the random Zipfian mix "
-        "(default: fig3)",
-    )
-    live.add_argument(
-        "--transport",
-        default="uds",
-        choices=["uds", "tcp"],
-        help="Unix-domain sockets or localhost TCP (default: uds)",
-    )
+    _add_live_run_arguments(live, scenario="fig3", ops=20, timeout=30.0)
     live.add_argument(
         "--differential",
         action="store_true",
@@ -187,32 +176,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="frame messages through the wire codec (delta writestamps, "
         "full-stamp resync on reconnect)",
-    )
-    live.add_argument("--seed", type=int, default=0)
-    live.add_argument(
-        "--protocol",
-        default="causal",
-        help="workload only: protocol under test (default: causal)",
-    )
-    live.add_argument(
-        "--nodes", type=int, default=3, help="workload only (default: 3)"
-    )
-    live.add_argument(
-        "--ops", type=int, default=20,
-        help="workload only: ops per process (default: 20)",
-    )
-    live.add_argument(
-        "--locations", type=int, default=4,
-        help="workload only: distinct locations (default: 4)",
-    )
-    live.add_argument(
-        "--zipf", type=float, default=0.0,
-        help="workload only: Zipf exponent for location choice "
-        "(0 = uniform; default: 0)",
-    )
-    live.add_argument(
-        "--timeout", type=float, default=30.0,
-        help="wall-clock deadline for the run (default: 30s)",
     )
     live.add_argument(
         "--plane",
@@ -233,35 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "asyncio runtime with the telemetry plane attached and repaint "
         "ops/s, per-link bytes, queue depths, monitor verdict, latency",
     )
-    top.add_argument(
-        "--scenario",
-        default="workload",
-        choices=["fig3", "fig4", "fig5", "workload"],
-        help="what to run under the dashboard (default: workload)",
-    )
-    top.add_argument(
-        "--transport", default="uds", choices=["uds", "tcp"],
-    )
-    top.add_argument("--seed", type=int, default=0)
-    top.add_argument(
-        "--protocol", default="causal",
-        help="workload only: protocol under test (default: causal)",
-    )
-    top.add_argument(
-        "--nodes", type=int, default=3, help="workload only (default: 3)"
-    )
-    top.add_argument(
-        "--ops", type=int, default=50,
-        help="workload only: ops per process (default: 50)",
-    )
-    top.add_argument(
-        "--locations", type=int, default=4,
-        help="workload only: distinct locations (default: 4)",
-    )
-    top.add_argument(
-        "--zipf", type=float, default=0.0,
-        help="workload only: Zipf exponent for location choice",
-    )
+    _add_live_run_arguments(top, scenario="workload", ops=50, timeout=60.0)
     top.add_argument(
         "--interval", type=float, default=0.2,
         help="repaint period in seconds (default: 0.2)",
@@ -271,15 +206,54 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="append panels instead of ANSI repaint (CI logs, pipes)",
     )
-    top.add_argument(
-        "--timeout", type=float, default=60.0,
-        help="wall-clock deadline for the run (default: 60s)",
-    )
     for name, factory in sorted(EXPERIMENTS.items()):
         doc = (factory.__doc__ or "").strip().splitlines()
         help_text = doc[0] if doc else name
         sub.add_parser(name, help=help_text)
     return parser
+
+
+def _add_live_run_arguments(parser, scenario: str, ops: int, timeout: float):
+    """What to run on the asyncio runtime (``live`` and ``top`` alike)."""
+    parser.add_argument(
+        "--scenario",
+        default=scenario,
+        choices=sorted(SCENARIOS) + ["workload"],
+        help="paper scenario, or 'workload' for the random Zipfian mix "
+        f"(default: {scenario})",
+    )
+    parser.add_argument(
+        "--transport",
+        default="uds",
+        choices=["uds", "tcp"],
+        help="Unix-domain sockets or localhost TCP (default: uds)",
+    )
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--protocol",
+        default="causal",
+        help="workload only: protocol under test (default: causal)",
+    )
+    parser.add_argument(
+        "--nodes", type=int, default=3, help="workload only (default: 3)"
+    )
+    parser.add_argument(
+        "--ops", type=int, default=ops,
+        help=f"workload only: ops per process (default: {ops})",
+    )
+    parser.add_argument(
+        "--locations", type=int, default=4,
+        help="workload only: distinct locations (default: 4)",
+    )
+    parser.add_argument(
+        "--zipf", type=float, default=0.0,
+        help="workload only: Zipf exponent for location choice "
+        "(0 = uniform; default: 0)",
+    )
+    parser.add_argument(
+        "--timeout", type=float, default=timeout,
+        help=f"wall-clock deadline for the run (default: {timeout:g}s)",
+    )
 
 
 def _run_one(name: str, store=None) -> bool:
@@ -303,15 +277,15 @@ def _cmd_trace(args) -> int:
     from pathlib import Path
 
     from repro.obs import (
-        SCENARIOS,
         format_timeline,
+        run_traced,
         to_causal_dag,
         to_chrome_trace,
         to_dot,
         validate_chrome_trace,
     )
 
-    run = SCENARIOS[args.scenario](seed=args.seed)
+    run = run_traced(args.scenario, seed=args.seed)
     events = list(run.collector)
     if args.format == "chrome":
         payload = to_chrome_trace(events)
@@ -347,14 +321,16 @@ def _cmd_monitor(args) -> int:
         source = args.from_trace
         protocol = None
     else:
-        from repro.obs.runs import SCENARIOS
+        from repro.obs.runs import run_traced
 
         collector = TraceCollector()
         monitor = CausalStreamMonitor(
-            3, metrics=collector.metrics, gc_interval=args.gc_interval
+            SCENARIOS[args.scenario].n_nodes,
+            metrics=collector.metrics,
+            gc_interval=args.gc_interval,
         )
         collector.subscribe(monitor.observe, category="proto", name="op.commit")
-        run = SCENARIOS[args.scenario](seed=args.seed, collector=collector)
+        run = run_traced(args.scenario, seed=args.seed, collector=collector)
         result = monitor.result()
         source = f"scenario {args.scenario}"
         protocol = run.protocol
@@ -417,7 +393,8 @@ def _print_plane_stats(plane) -> None:
 
 
 def _dump_flight(plane, path) -> None:
-    """Dump the first recorded incident as a replayable counterexample."""
+    """Dump the first recorded incident (if armed, and if any) as a
+    replayable counterexample."""
     flight = plane.flight
     if flight is None or not flight.triggered:
         return
@@ -435,14 +412,49 @@ def _dump_flight(plane, path) -> None:
         )
 
 
+def _live_outcome(args, plane, delta_stamps: bool, **observation):
+    """``live`` / ``top``: run the chosen scenario or workload, monitored."""
+    from repro.runtime import run_scenario_live, run_workload_live
+
+    if args.scenario != "workload":
+        return run_scenario_live(
+            args.scenario, seed=args.seed, transport=args.transport,
+            delta_stamps=delta_stamps, monitor=True, timeout=args.timeout,
+            plane=plane, **observation,
+        )
+    from repro.apps.workload import WorkloadConfig
+
+    config = WorkloadConfig(
+        protocol=args.protocol,
+        n_nodes=args.nodes,
+        n_locations=args.locations,
+        ops_per_proc=args.ops,
+        seed=args.seed,
+        delta_stamps=delta_stamps,
+    )
+    return run_workload_live(
+        config, zipf=args.zipf, transport=args.transport, monitor=True,
+        timeout=args.timeout, plane=plane, **observation,
+    )
+
+
 def _cmd_live(args) -> int:
     """Run a scenario/workload on the asyncio runtime; check the result."""
     from repro.checker import check_causal
-    from repro.runtime import run_workload_live
     from repro.runtime.differential import (
         compare_live_verdicts,
         run_differential,
     )
+
+    workload = args.scenario == "workload"
+    if args.differential and not workload:
+        result = run_differential(
+            args.scenario, seed=args.seed, transport=args.transport,
+            delta_stamps=args.delta_stamps, timeout=args.timeout,
+        )
+        print(result.explain())
+        _print_live_stats(result.live_outcome)
+        return 0 if result.equivalent else 1
 
     plane = None
     want_flight = bool(args.flight_recorder)
@@ -450,43 +462,32 @@ def _cmd_live(args) -> int:
         from repro.obs.plane import TelemetryPlane
 
         plane = TelemetryPlane()
-
-    if args.scenario == "workload":
-        from repro.apps.workload import WorkloadConfig
-
-        config = WorkloadConfig(
-            protocol=args.protocol,
-            n_nodes=args.nodes,
-            n_locations=args.locations,
-            ops_per_proc=args.ops,
-            seed=args.seed,
-            delta_stamps=args.delta_stamps,
+    try:
+        outcome = _live_outcome(
+            args, plane, delta_stamps=args.delta_stamps, flight=want_flight
         )
-        try:
-            outcome = run_workload_live(
-                config, zipf=args.zipf, transport=args.transport,
-                monitor=True, timeout=args.timeout,
-                plane=plane, flight=want_flight,
-            )
-        except Exception as error:
-            if plane is None:
-                raise
-            print(f"workload live run failed: {error}")
-            _print_plane_stats(plane)
-            if want_flight:
-                _dump_flight(plane, args.flight_recorder)
-            return 1
-        offline = check_causal(outcome.history)
-        status = "CAUSAL" if offline.ok else "VIOLATION"
+    except Exception as error:
+        if plane is None:
+            raise
+        print(f"{args.scenario} live run failed: {error}")
+        _print_plane_stats(plane)
+        _dump_flight(plane, args.flight_recorder)
+        return 1
+    offline = check_causal(outcome.history)
+    status = "CAUSAL" if offline.ok else "VIOLATION"
+    if workload:
         print(
             f"workload ({args.protocol}, {args.nodes} nodes x {args.ops} "
             f"ops, zipf={args.zipf}, {args.transport}): {status}"
         )
-        _print_live_stats(outcome)
-        if plane is not None:
-            _print_plane_stats(plane)
-            if want_flight:
-                _dump_flight(plane, args.flight_recorder)
+    else:
+        print(f"{args.scenario} live ({args.transport}): {status}")
+    _print_live_stats(outcome)
+    if plane is not None:
+        _print_plane_stats(plane)
+        _dump_flight(plane, args.flight_recorder)
+    expected = True
+    if workload:
         mismatches: List[str] = []
         compare_live_verdicts(
             outcome.history, outcome.monitor_result,
@@ -498,49 +499,12 @@ def _cmd_live(args) -> int:
                 print(f"    - {item}")
             return 1
         print("  online monitor agrees with the offline checker")
-        if args.protocol == "causal" and not offline.ok:
-            print("  " + offline.explain().replace("\n", "\n  "))
-            return 1
-        return 0
-
-    if args.differential:
-        result = run_differential(
-            args.scenario, seed=args.seed, transport=args.transport,
-            delta_stamps=args.delta_stamps, timeout=args.timeout,
-        )
-        print(result.explain())
-        _print_live_stats(result.live_outcome)
-        return 0 if result.equivalent else 1
-
-    from repro.runtime import run_scenario_live
-
-    try:
-        outcome = run_scenario_live(
-            args.scenario, seed=args.seed, transport=args.transport,
-            delta_stamps=args.delta_stamps, monitor=True,
-            timeout=args.timeout, plane=plane, flight=want_flight,
-        )
-    except Exception as error:
-        if plane is None:
-            raise
-        print(f"{args.scenario} live run failed: {error}")
-        _print_plane_stats(plane)
-        if want_flight:
-            _dump_flight(plane, args.flight_recorder)
-        return 1
-    offline = check_causal(outcome.history)
-    status = "CAUSAL" if offline.ok else "VIOLATION"
-    print(f"{args.scenario} live ({args.transport}): {status}")
-    _print_live_stats(outcome)
-    if plane is not None:
-        _print_plane_stats(plane)
-        if want_flight:
-            _dump_flight(plane, args.flight_recorder)
+        if args.protocol != "causal":
+            return 0  # the other protocols promise no causal verdict
+    else:
+        expected = SCENARIOS[args.scenario].expect_causal
     if not offline.ok:
         print("  " + offline.explain().replace("\n", "\n  "))
-    from repro.runtime import SCENARIOS
-
-    expected = SCENARIOS[args.scenario].expect_causal
     return 0 if offline.ok == expected else 1
 
 
@@ -548,42 +512,19 @@ def _cmd_top(args) -> int:
     """Live dashboard: run under the telemetry plane, repaint, verdict."""
     from repro.checker import check_causal
     from repro.obs.plane import Dashboard, TelemetryPlane
-    from repro.runtime import run_scenario_live, run_workload_live
 
     plane = TelemetryPlane()
     plane.dashboard = Dashboard(interval=args.interval, plain=args.plain)
-    if args.scenario == "workload":
-        from repro.apps.workload import WorkloadConfig
-
-        config = WorkloadConfig(
-            protocol=args.protocol,
-            n_nodes=args.nodes,
-            n_locations=args.locations,
-            ops_per_proc=args.ops,
-            seed=args.seed,
-            delta_stamps=True,
-        )
-        outcome = run_workload_live(
-            config, zipf=args.zipf, transport=args.transport,
-            monitor=True, timeout=args.timeout,
-            sample_latencies=True, plane=plane,
-        )
-    else:
-        outcome = run_scenario_live(
-            args.scenario, seed=args.seed, transport=args.transport,
-            monitor=True, timeout=args.timeout, plane=plane,
-        )
+    workload = args.scenario == "workload"
+    options = {"sample_latencies": True} if workload else {}
+    outcome = _live_outcome(args, plane, delta_stamps=workload, **options)
+    expected = True if workload else SCENARIOS[args.scenario].expect_causal
     offline = check_causal(outcome.history)
     status = "CAUSAL" if offline.ok else "VIOLATION"
     print(f"\n{args.scenario} ({args.transport}): {status}")
     _print_live_stats(outcome)
     _print_plane_stats(plane)
-    expect_ok = True
-    if args.scenario != "workload":
-        from repro.runtime import SCENARIOS
-
-        expect_ok = SCENARIOS[args.scenario].expect_causal
-    return 0 if offline.ok == expect_ok else 1
+    return 0 if offline.ok == expected else 1
 
 
 def _cmd_report_bench(path: str) -> int:

@@ -965,7 +965,8 @@ def generate_markdown_report() -> str:
         "",
         "Generated by `python -m repro report`.  Every experiment re-runs",
         "the full simulation/checker pipeline; the PASS flags are asserted",
-        "by `tests/test_experiments.py` and `pytest benchmarks/`.",
+        "by `tests/test_experiments.py`, which also checks that this file's",
+        "E1–E17 part is exactly that command's output.",
         "",
     ]
     reports = [(name, EXPERIMENTS[name]()) for name in EXPERIMENTS]

@@ -23,10 +23,12 @@ from dataclasses import dataclass
 from typing import Any, FrozenSet, List, Optional, Tuple
 
 from repro.apps.dictionary import FREE, DictionaryCluster
+from repro.apps.figures import program_process
 from repro.checker.history import History
 from repro.memory import Namespace
 from repro.protocols.base import DSMCluster
 from repro.protocols.policies import ConflictPolicy
+from repro.runtime.scenarios import run_scenario_sim
 from repro.sim.tasks import sleep
 
 __all__ = [
@@ -43,67 +45,20 @@ __all__ = [
 def run_figure3_on_broadcast(seed: int = 0) -> History:
     """Drive causal-broadcast memory into the Figure 3 execution.
 
-    P1 writes ``x=5`` then ``y=3``; P2 writes the concurrent ``x=2``,
-    then reads ``y=3`` and ``x`` (P1's 5 overwrote its own 2 on
-    delivery), then writes ``z=4``; P3 waits for ``z=4`` and then reads
-    ``x`` — seeing 2, because P2's concurrent ``x=2`` was delivered at
-    P3 *after* P1's ``x=5``.  The returned history is exactly Figure 3,
-    and ``check_causal`` rejects it.
+    The returned history is exactly Figure 3 (the ``fig3`` program of
+    :mod:`repro.apps.figures`), and ``check_causal`` rejects it.
     """
-    cluster = DSMCluster(n_nodes=3, protocol="broadcast", seed=seed)
-
-    def p1(api):
-        yield api.write("x", 5)
-        yield api.write("y", 3)
-
-    def p2(api):
-        yield api.write("x", 2)
-        yield api.watch("y", lambda v: v == 3)
-        yield api.read("y")
-        yield api.read("x")
-        yield api.write("z", 4)
-
-    def p3(api):
-        yield api.watch("z", lambda v: v == 4)
-        yield api.read("z")
-        yield api.read("x")
-
-    cluster.spawn(0, p1, name="P1")
-    cluster.spawn(1, p2, name="P2")
-    cluster.spawn(2, p3, name="P3")
-    cluster.run()
-    return cluster.history()
+    return run_scenario_sim("fig3", seed=seed)
 
 
 def run_figure5_on_causal(seed: int = 0) -> History:
     """The owner protocol produces Figure 5's weakly consistent execution.
 
-    With P1 owning ``x`` and P2 owning ``y`` (the paper's assignment),
-    both processes read the other's flag (miss, returns the initial 0),
-    write their own flag locally, and re-read the other's flag from
-    their now-stale cache — yielding ``r(y)0 w(x)1 r(y)0`` against
-    ``r(x)0 w(y)1 r(x)0``, which is causal but not sequentially
+    ``r(y)0 w(x)1 r(y)0`` against ``r(x)0 w(y)1 r(x)0`` (the ``fig5``
+    program of :mod:`repro.apps.figures`): causal but not sequentially
     consistent.
     """
-    namespace = Namespace.explicit(2, {"x": 0, "y": 1})
-    cluster = DSMCluster(
-        n_nodes=2, protocol="causal", seed=seed, namespace=namespace
-    )
-
-    def p1(api):
-        yield api.read("y")
-        yield api.write("x", 1)
-        yield api.read("y")
-
-    def p2(api):
-        yield api.read("x")
-        yield api.write("y", 1)
-        yield api.read("x")
-
-    cluster.spawn(0, p1, name="P1")
-    cluster.spawn(1, p2, name="P2")
-    cluster.run()
-    return cluster.history()
+    return run_scenario_sim("fig5", seed=seed)
 
 
 def run_write_behind_race(unsafe: bool, seed: int = 0) -> History:
@@ -134,17 +89,11 @@ def run_write_behind_race(unsafe: bool, seed: int = 0) -> History:
         unsafe_write_behind=unsafe,
     )
 
-    def writer(api):
-        yield api.write("x", 1)   # slow certification at P0
-        yield api.write("y", 2)   # fast certification at P2
-
-    def observer(api):
-        yield cluster.watch("y", lambda v: v == 2)
-        yield api.read("y")
-        yield api.read("x")
-
-    cluster.spawn(1, writer, name="writer")
-    cluster.spawn(2, observer, name="observer")
+    # x certifies slowly at P0, y fast at P2 — where the observer waits.
+    writer = (("w", "x", 1), ("w", "y", 2))
+    observer = (("await", "y", 2), ("r", "y"), ("r", "x"))
+    cluster.spawn(1, program_process, writer, name="writer")
+    cluster.spawn(2, program_process, observer, name="observer")
     cluster.run()
     return cluster.history()
 

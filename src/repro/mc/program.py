@@ -18,9 +18,11 @@ embed the exact program it falsifies (see :mod:`repro.mc.counterexample`).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from functools import partial
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.apps.figures import SCENARIOS, Op
 from repro.errors import ReproError
 
 __all__ = [
@@ -32,9 +34,6 @@ __all__ = [
     "preset",
     "PRESETS",
 ]
-
-#: ("w", location, value) | ("r", location) | ("d", location)
-Op = Tuple
 
 
 class McError(ReproError):
@@ -199,40 +198,19 @@ def random_program(
     return make_spec(processes, protocol=protocol, owners=owners)
 
 
-def _fig3_spec(protocol: str = "broadcast") -> ProgramSpec:
-    """The paper's Figure 3 program (broadcast memory's non-causal run).
+def _figure_spec(name: str) -> ProgramSpec:
+    """A registry figure as an explorable program.
 
-    P2 reads y then x after writing x; P3 reads z then x.  Under
-    broadcast memory some interleaving records Figure 3's history, which
-    violates causality (P3 sees w(z)4 — causally after r(x)5 — yet then
-    reads x as 2).
+    The program is :data:`repro.apps.figures.SCENARIOS`'s with the wait
+    steps stripped: under the explorer the schedule, not a watcher or a
+    clock, decides what each read sees.  So some interleaving of
+    ``fig3`` on broadcast memory records Figure 3's non-causal history,
+    and the causal protocol admits ``fig5``'s schedule where both
+    re-reads return 0 — legal causal memory, impossible sequentially.
     """
+    figure = SCENARIOS[name]
     return make_spec(
-        [
-            [("w", "x", 5), ("w", "y", 3)],
-            [("w", "x", 2), ("r", "y"), ("r", "x"), ("w", "z", 4)],
-            [("r", "z"), ("r", "x")],
-        ],
-        protocol=protocol,
-        owners={"x": 0, "y": 1, "z": 2},
-    )
-
-
-def _fig5_spec() -> ProgramSpec:
-    """The paper's Figure 5 weak execution (causal but not sequential).
-
-    Each process reads the other's flag (miss — caches the initial 0),
-    raises its own, and re-reads the other's from its now-stale cache.
-    The causal protocol admits the schedule where both re-reads return
-    0 — legal causal memory, impossible on sequential memory.
-    """
-    return make_spec(
-        [
-            [("r", "y"), ("w", "x", 1), ("r", "y")],
-            [("r", "x"), ("w", "y", 1), ("r", "x")],
-        ],
-        protocol="causal",
-        owners={"x": 0, "y": 1},
+        figure.wait_free, protocol=figure.protocol, owners=figure.owners
     )
 
 
@@ -244,8 +222,8 @@ def _exhaustive_spec() -> ProgramSpec:
 
 
 PRESETS: Dict[str, Any] = {
-    "fig3": _fig3_spec,
-    "fig5": _fig5_spec,
+    "fig3": partial(_figure_spec, "fig3"),
+    "fig5": partial(_figure_spec, "fig5"),
     "exhaustive": _exhaustive_spec,
 }
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.apps.figures import program_process
 from repro.checker.history import History
 from repro.mc.program import McError, ProgramSpec
 from repro.memory import Namespace
@@ -74,17 +75,6 @@ class RunOutcome:
         return self.completed and self.crashed is None
 
 
-def _program_process(api, ops):
-    for op in ops:
-        if op[0] == "w":
-            yield api.write(op[1], op[2])
-        elif op[0] == "r":
-            yield api.read(op[1])
-        else:
-            api.discard(op[1])
-    return None
-
-
 class ControlledRun:
     """One program execution driven action-by-action by an explorer."""
 
@@ -109,7 +99,7 @@ class ControlledRun:
         self.tasks = []
         for proc, ops in enumerate(spec.processes):
             task = self.cluster.spawn(
-                proc, _program_process, ops, name=f"P{proc}"
+                proc, program_process, ops, name=f"P{proc}"
             )
             self._proc_of_task[f"P{proc}"] = proc
             self.tasks.append(task)

@@ -5,7 +5,7 @@ with vector clocks (:mod:`repro.obs.events`), the collector every
 instrumented component emits into (:mod:`repro.obs.collector`), the
 metrics registry (:mod:`repro.obs.metrics`), exporters for Chrome
 ``trace_event`` JSON / causal DAGs / timelines (:mod:`repro.obs.export`),
-canonical traced scenario runs (:mod:`repro.obs.runs`), and the
+traced runs of the scenario registry (:mod:`repro.obs.runs`), and the
 distributed telemetry plane — per-node shards, sideband streaming,
 causal aggregation, flight recorder — in :mod:`repro.obs.plane`.
 
@@ -27,8 +27,8 @@ from repro.obs.export import (
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.plane import NodeShard, TelemetryAggregator, TelemetryPlane
 from repro.obs.runs import (
-    SCENARIOS,
     TracedRun,
+    run_traced,
     run_traced_figure3,
     run_traced_figure4,
 )
@@ -48,7 +48,7 @@ __all__ = [
     "dag_reachable",
     "format_timeline",
     "TracedRun",
-    "SCENARIOS",
+    "run_traced",
     "run_traced_figure3",
     "run_traced_figure4",
     "TelemetryPlane",

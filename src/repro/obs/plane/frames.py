@@ -132,30 +132,41 @@ def encode_frame(frame: TelemetryFrame) -> bytes:
     payload = json.dumps(
         frame.to_jsonable(), separators=(",", ":"), sort_keys=True
     ).encode("utf-8")
-    if len(payload) > MAX_FRAME_BYTES:  # pragma: no cover - defensive
+    if len(payload) > MAX_FRAME_BYTES:
         raise ValueError(f"telemetry frame too large: {len(payload)} bytes")
     return FRAME_HEADER.pack(len(payload)) + payload
 
 
 def decode_frame(data: bytes) -> TelemetryFrame:
     """Inverse of :func:`encode_frame` (expects exactly one frame)."""
-    frame, rest = _decode_one(data)
+    decoded = _decode_one(data)
+    if decoded is None:
+        raise ValueError("short frame")
+    frame, rest = decoded
     if rest:
         raise ValueError(f"{len(rest)} trailing bytes after frame")
     return frame
 
 
-def _decode_one(data: bytes) -> Tuple[TelemetryFrame, bytes]:
+def _decode_one(data: bytes) -> Optional[Tuple[TelemetryFrame, bytes]]:
+    """The first frame of ``data`` and what follows it; None while the
+    frame is incomplete.  Every way the bytes can fail to be a frame —
+    not UTF-8, not JSON, JSON of the wrong shape — is one ValueError:
+    that is all the stream reader catches."""
     if len(data) < FRAME_HEADER.size:
-        raise ValueError("short frame: missing length prefix")
+        return None
     (length,) = FRAME_HEADER.unpack_from(data)
     if length > MAX_FRAME_BYTES:
         raise ValueError(f"corrupt frame length {length}")
     end = FRAME_HEADER.size + length
     if len(data) < end:
-        raise ValueError("short frame: truncated payload")
-    payload = json.loads(data[FRAME_HEADER.size : end].decode("utf-8"))
-    return TelemetryFrame.from_jsonable(payload), data[end:]
+        return None
+    try:
+        payload = json.loads(data[FRAME_HEADER.size : end].decode("utf-8"))
+        frame = TelemetryFrame.from_jsonable(payload)
+    except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as error:
+        raise ValueError(f"malformed telemetry frame: {error!r}") from error
+    return frame, data[end:]
 
 
 def split_frames(buffer: bytes) -> Tuple[List[TelemetryFrame], bytes]:
@@ -166,14 +177,7 @@ def split_frames(buffer: bytes) -> Tuple[List[TelemetryFrame], bytes]:
     bytes arrive.
     """
     frames: List[TelemetryFrame] = []
-    while len(buffer) >= FRAME_HEADER.size:
-        (length,) = FRAME_HEADER.unpack_from(buffer)
-        if length > MAX_FRAME_BYTES:
-            raise ValueError(f"corrupt frame length {length}")
-        end = FRAME_HEADER.size + length
-        if len(buffer) < end:
-            break
-        frame, _ = _decode_one(buffer[:end])
+    while (decoded := _decode_one(buffer)) is not None:
+        frame, buffer = decoded
         frames.append(frame)
-        buffer = buffer[end:]
     return frames, buffer

@@ -106,6 +106,8 @@ class LiveSideband:
         self.reconnect_delay = reconnect_delay
         self.sideband_bytes = 0
         self.frames_dropped = 0
+        #: Connections closed for sending a frame that does not parse.
+        self.frames_rejected = 0
         self.links: Dict[Any, _ShardLink] = {}
         self._server = None
         self._addr: Any = None
@@ -296,7 +298,14 @@ class LiveSideband:
                 if not chunk:
                     return
                 buffer += chunk
-                frames, buffer = split_frames(buffer)
+                try:
+                    frames, buffer = split_frames(buffer)
+                except ValueError:
+                    # Hostile or corrupt input: close this connection
+                    # only.  A real shard reconnects, and the frames it
+                    # lost show as a sequence gap at the aggregator.
+                    self.frames_rejected += 1
+                    return
                 now = time.monotonic()
                 for frame in frames:
                     self.aggregator.feed(frame, recv_wall=now)
@@ -316,5 +325,6 @@ class LiveSideband:
             "transport": self.transport,
             "sideband_bytes": self.sideband_bytes,
             "frames_dropped": self.frames_dropped,
+            "frames_rejected": self.frames_rejected,
             "links": len(self.links),
         }

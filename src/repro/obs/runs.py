@@ -1,30 +1,26 @@
-"""Canonical traced scenario runs for the ``repro trace`` CLI and CI.
+"""Traced scenario runs for the ``repro trace`` / ``repro monitor`` CLI and CI.
 
-Each runner builds a small deterministic cluster, attaches a
-:class:`~repro.obs.collector.TraceCollector` to every layer via
-:meth:`~repro.protocols.base.DSMCluster.attach_obs`, drives a
-paper scenario, and returns the collector together with the recorded
-history.  The :data:`SCENARIOS` registry maps the CLI's scenario names
-onto these runners.
+:func:`run_traced` runs one scenario of the registry
+(:mod:`repro.apps.figures`) on the simulator with a
+:class:`~repro.obs.collector.TraceCollector` attached to every layer,
+and returns the collector together with the recorded history.
 
-``run_traced_figure4`` is the acceptance scenario: an owner-protocol run
-whose trace must show every ``proto.inv.sweep`` causally *after* the
-write that triggered it (the DAG-walking test in ``tests/test_obs.py``
-asserts exactly that on the exported causal DAG).
+``fig4`` is the acceptance scenario: an owner-protocol run whose trace
+must show every ``proto.inv.sweep`` causally *after* the write that
+triggered it (the DAG-walking test in ``tests/test_obs.py`` asserts
+exactly that on the exported causal DAG); ``fig3`` is the CI smoke
+trace — writes, broadcast applies and cross-node delivery under tracing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict
 
 from repro.checker.history import History
-from repro.memory import Namespace
 from repro.obs.collector import TraceCollector
-from repro.protocols.base import DSMCluster
-from repro.sim.tasks import sleep
+from repro.runtime.scenarios import SCENARIOS, run_scenario_sim
 
-__all__ = ["TracedRun", "run_traced_figure4", "run_traced_figure3", "SCENARIOS"]
+__all__ = ["TracedRun", "run_traced", "run_traced_figure3", "run_traced_figure4"]
 
 
 @dataclass
@@ -38,102 +34,20 @@ class TracedRun:
     history: History
 
 
-def run_traced_figure4(seed: int = 0, collector=None) -> TracedRun:
-    """Owner-protocol run exercising both invalidation-sweep paths.
-
-    Three nodes; ``x`` owned by P0, ``y`` by P1, ``z`` by P2.
-
-    * P1 and P2 read ``x`` early, caching P0's initial value.
-    * P0 then writes ``x=1`` (local, it owns ``x``) and ``y=1`` — the
-      remote write is certified at P1, whose serve-write sweep
-      invalidates its stale cached ``x``.
-    * P2 later reads ``y`` (miss; the reply's writestamp triggers the
-      read-side sweep, invalidating P2's cached ``x``) and re-reads
-      ``x``, now fetching the fresh value from the owner.
-
-    Every ``inv.sweep`` event in the trace is thus causally downstream
-    of P0's ``op.write`` of ``x`` — the acceptance property.
-    """
-    namespace = Namespace.explicit(3, {"x": 0, "y": 1, "z": 2})
-    cluster = DSMCluster(
-        n_nodes=3, protocol="causal", seed=seed, namespace=namespace
-    )
+def run_traced(name: str, seed: int = 0, collector=None) -> TracedRun:
+    """Run registry scenario ``name`` on the simulator, traced."""
     if collector is None:
         collector = TraceCollector()
-    cluster.attach_obs(collector)
-
-    def p0(api):
-        yield sleep(cluster.sim, 2.0)
-        yield api.write("x", 1)
-        yield api.write("y", 1)
-
-    def p1(api):
-        yield api.read("x")  # cache x before P0 rewrites it
-
-    def p2(api):
-        yield api.read("x")  # cache x before P0 rewrites it
-        yield sleep(cluster.sim, 6.0)
-        yield api.read("y")  # reply stamp sweeps the stale cached x
-        yield api.read("x")
-
-    cluster.spawn(0, p0, name="P0")
-    cluster.spawn(1, p1, name="P1")
-    cluster.spawn(2, p2, name="P2")
-    cluster.run()
-    return TracedRun(
-        scenario="fig4",
-        protocol="causal",
-        n_nodes=3,
-        collector=collector,
-        history=cluster.history(),
-    )
+    history = run_scenario_sim(name, seed=seed, collector=collector)
+    spec = SCENARIOS[name]
+    return TracedRun(name, spec.protocol, spec.n_nodes, collector, history)
 
 
 def run_traced_figure3(seed: int = 0, collector=None) -> TracedRun:
-    """Figure 3 on causal-broadcast memory, traced (the CI smoke run).
-
-    Same schedule as
-    :func:`repro.harness.scenarios.run_figure3_on_broadcast`: the
-    resulting history is the paper's Figure 3, which is *not* causal
-    memory — a good smoke trace because it exercises writes, broadcast
-    applies, and cross-node delivery under tracing.
-    """
-    cluster = DSMCluster(n_nodes=3, protocol="broadcast", seed=seed)
-    if collector is None:
-        collector = TraceCollector()
-    cluster.attach_obs(collector)
-
-    def p1(api):
-        yield api.write("x", 5)
-        yield api.write("y", 3)
-
-    def p2(api):
-        yield api.write("x", 2)
-        yield api.watch("y", lambda v: v == 3)
-        yield api.read("y")
-        yield api.read("x")
-        yield api.write("z", 4)
-
-    def p3(api):
-        yield api.watch("z", lambda v: v == 4)
-        yield api.read("z")
-        yield api.read("x")
-
-    cluster.spawn(0, p1, name="P1")
-    cluster.spawn(1, p2, name="P2")
-    cluster.spawn(2, p3, name="P3")
-    cluster.run()
-    return TracedRun(
-        scenario="fig3",
-        protocol="broadcast",
-        n_nodes=3,
-        collector=collector,
-        history=cluster.history(),
-    )
+    """Figure 3 on causal-broadcast memory, traced."""
+    return run_traced("fig3", seed=seed, collector=collector)
 
 
-#: CLI scenario name -> runner.
-SCENARIOS: Dict[str, Callable[[int], TracedRun]] = {
-    "fig4": run_traced_figure4,
-    "fig3": run_traced_figure3,
-}
+def run_traced_figure4(seed: int = 0, collector=None) -> TracedRun:
+    """The owner-protocol invalidation scenario, traced."""
+    return run_traced("fig4", seed=seed, collector=collector)

@@ -80,22 +80,13 @@ class DSMNode:
     def __init__(
         self,
         node_id: int,
-        sim: Optional[Simulator] = None,
-        network: Optional[Network] = None,
-        namespace: Namespace = None,
-        n_nodes: int = 0,
+        runtime,
+        namespace: Namespace,
+        n_nodes: int,
         recorder: Optional[HistoryRecorder] = None,
         initial_value: Any = 0,
         arena_backend: Optional[str] = None,
-        runtime=None,
     ):
-        if runtime is None:
-            # Legacy construction path: wrap the given simulator/network
-            # pair behind the runtime handle (pure bound-method
-            # forwarding — see repro.runtime.base).
-            from repro.runtime.base import SimRuntime
-
-            runtime = SimRuntime(sim, network)
         self.runtime = runtime
         self.node_id = node_id
         # Back-compat views: harnesses and tests reach the kernel and
@@ -315,13 +306,6 @@ class DSMCluster:
         arena_backend: Optional[str] = None,
         batch_delivery: bool = False,
     ):
-        if n_nodes <= 0:
-            raise ProtocolError(f"need at least one node, got {n_nodes}")
-        self.n_nodes = n_nodes
-        self.protocol = protocol
-        self.batching = batching
-        self.delta_stamps = delta_stamps
-        self.arena_backend = arena_backend
         self.sim = Simulator(seed=seed)
         self.network = Network(
             self.sim,
@@ -330,31 +314,56 @@ class DSMCluster:
             codec=WireCodec() if delta_stamps else None,
             batch_delivery=batch_delivery,
         )
-        self.namespace = namespace or Namespace.hashed(n_nodes)
         self.scheduler = TaskScheduler(self.sim)
         from repro.runtime.base import SimRuntime
 
         #: The driver handle every node holds (see repro.runtime).
         self.runtime = SimRuntime(self.sim, self.network, self.scheduler)
+        self._assemble(
+            n_nodes, protocol, namespace, policy, initial_value,
+            record_history, no_cache, unsafe_write_behind, batching,
+            delta_stamps, arena_backend,
+        )
+
+    def _assemble(
+        self,
+        n_nodes: int,
+        protocol: str = "causal",
+        namespace: Optional[Namespace] = None,
+        policy: Optional[object] = None,
+        initial_value: Any = 0,
+        record_history: bool = True,
+        no_cache: bool = False,
+        unsafe_write_behind: bool = False,
+        batching: bool = False,
+        delta_stamps: bool = False,
+        arena_backend: Optional[str] = None,
+    ) -> None:
+        """Build the cluster onto ``self.runtime`` — any driver's."""
+        if n_nodes <= 0:
+            raise ProtocolError(f"need at least one node, got {n_nodes}")
+        self.n_nodes = n_nodes
+        self.protocol = protocol
+        self.batching = batching
+        self.delta_stamps = delta_stamps
+        self.arena_backend = arena_backend
+        self.namespace = namespace or Namespace.hashed(n_nodes)
         self.recorder = HistoryRecorder() if record_history else None
         #: The collector bound by attach_obs (None until attached).
         self._obs = None
         self.server: Optional[DSMNode] = None
         self.nodes: List[DSMNode] = self._build_nodes(
-            protocol, policy, initial_value, no_cache, unsafe_write_behind,
-            batching, arena_backend,
+            policy, initial_value, no_cache, unsafe_write_behind
         )
 
     def _build_nodes(
         self,
-        protocol: str,
         policy: Optional[object],
         initial_value: Any,
         no_cache: bool,
         unsafe_write_behind: bool,
-        batching: bool,
-        arena_backend: Optional[str],
     ) -> List[DSMNode]:
+        protocol, batching = self.protocol, self.batching
         # Local imports: the concrete engines subclass DSMNode from this
         # module, so importing them at module load would be circular.
         from repro.protocols.atomic_owner import AtomicOwnerNode
@@ -371,7 +380,7 @@ class DSMCluster:
             n_nodes=self.n_nodes,
             recorder=self.recorder,
             initial_value=initial_value,
-            arena_backend=arena_backend,
+            arena_backend=self.arena_backend,
         )
         if protocol == "causal":
             return [

@@ -22,7 +22,7 @@ This engine implements that tempting-but-wrong design faithfully:
 Concurrent writes to one location may be delivered in different orders
 at different nodes, so replicas diverge and reads can return values
 outside their live sets — the Figure 3 anomaly, which the causal checker
-catches (see ``benchmarks/bench_fig3_broadcast_anomaly.py``).
+catches (the ``fig3`` program of :mod:`repro.apps.figures`).
 
 With ``batching=True`` (the wire-level fast path) writes still apply
 locally at once, but dissemination is deferred: writes accumulate in a

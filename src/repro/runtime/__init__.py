@@ -17,8 +17,9 @@ names that surface (:class:`Runtime`) and provides two drivers:
     state and full-stamp resync on reconnect.
 
 :class:`LiveCluster` mirrors :class:`~repro.protocols.base.DSMCluster`
-over the live driver; :mod:`repro.runtime.scenarios` holds the
-driver-agnostic Figure 3/4/5 programs and the random workload; and
+over the live driver; :mod:`repro.runtime.scenarios` runs the one
+Figure 3/4/5 registry (:mod:`repro.apps.figures`) and the one random
+workload generator (:mod:`repro.apps.workload`) under either driver; and
 :mod:`repro.runtime.differential` runs each scenario under both drivers
 and asserts checker/monitor verdict equality — the histories may differ
 (live nondeterminism), the legality verdicts must not.

@@ -87,12 +87,7 @@ class SimRuntime(Runtime):
     property (the kernel mutates it in place).
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        network: Network,
-        scheduler=None,
-    ):
+    def __init__(self, sim: Simulator, network: Network, scheduler):
         self.sim = sim
         self.network = network
         self.scheduler = scheduler
@@ -119,8 +114,4 @@ class SimRuntime(Runtime):
         return sim_sleep(self.sim, duration)
 
     def spawn(self, gen, name: str = ""):
-        if self.scheduler is None:
-            from repro.sim.tasks import TaskScheduler
-
-            self.scheduler = TaskScheduler(self.sim)
         return self.scheduler.spawn(gen, name=name)

@@ -3,10 +3,10 @@
 :class:`LiveCluster` mirrors :class:`~repro.protocols.base.DSMCluster`'s
 construction surface but wires the nodes onto an
 :class:`~repro.runtime.live.AsyncioRuntime` instead of a simulator.  The
-protocol dispatch is *inherited*, not copied: ``_build_nodes`` (and
+protocol dispatch is *inherited*, not copied: ``_assemble`` (and
 ``spawn``/``attach_obs``/``history``/``stats``/``watch``) run unchanged
-against the live runtime, because after the runtime refactor they only
-touch the driver through the handle.  Zero protocol-engine forks.
+against the live runtime, because they only touch the driver through
+the handle.  Zero protocol-engine forks.
 """
 
 from __future__ import annotations
@@ -14,10 +14,8 @@ from __future__ import annotations
 import time
 from typing import Any, Optional
 
-from repro.checker.history import HistoryRecorder
 from repro.errors import ProtocolError
-from repro.memory import Namespace
-from repro.protocols.base import DSMCluster, DSMNode
+from repro.protocols.base import DSMCluster
 from repro.protocols.wire import WireCodec
 from repro.runtime.live import AsyncioRuntime
 
@@ -27,11 +25,14 @@ __all__ = ["LiveCluster", "LiveOutcome"]
 class LiveCluster(DSMCluster):
     """``n`` processors running one DSM protocol over real sockets.
 
-    Accepts the :class:`DSMCluster` protocol/policy knobs plus the live
-    driver's: ``transport`` (``"uds"``/``"tcp"``), ``link_delay`` (float
-    or ``{(src, dst): seconds}``), ``settle`` (post-completion drain),
-    and ``timeout`` (wall-clock deadline for :meth:`run` — the live
-    analogue of deadlock detection).
+    Accepts the live driver's options — ``transport``
+    (``"uds"``/``"tcp"``), ``link_delay`` (float or ``{(src, dst):
+    seconds}``), ``settle`` (post-completion drain), and ``timeout``
+    (wall-clock deadline for :meth:`run` — the live analogue of deadlock
+    detection) — and passes every other keyword (``protocol``,
+    ``namespace``, ``policy``, ``initial_value``, ``record_history``,
+    ``no_cache``, ``unsafe_write_behind``, ``batching``,
+    ``arena_backend``) to the assembly :class:`DSMCluster` shares.
 
     ``seed`` feeds :meth:`~repro.runtime.base.Runtime.derived_rng`
     exactly as the simulator's does, so a seeded workload issues the
@@ -42,29 +43,14 @@ class LiveCluster(DSMCluster):
     def __init__(
         self,
         n_nodes: int,
-        protocol: str = "causal",
         seed: int = 0,
-        namespace: Optional[Namespace] = None,
-        policy: Optional[object] = None,
-        initial_value: Any = 0,
-        record_history: bool = True,
-        no_cache: bool = False,
-        unsafe_write_behind: bool = False,
-        batching: bool = False,
         delta_stamps: bool = False,
-        arena_backend: Optional[str] = None,
         transport: str = "uds",
         link_delay=None,
         settle: float = 0.05,
         timeout: float = 30.0,
+        **protocol_knobs: Any,
     ):
-        if n_nodes <= 0:
-            raise ProtocolError(f"need at least one node, got {n_nodes}")
-        self.n_nodes = n_nodes
-        self.protocol = protocol
-        self.batching = batching
-        self.delta_stamps = delta_stamps
-        self.arena_backend = arena_backend
         self.timeout = timeout
         self.runtime = AsyncioRuntime(
             n_nodes,
@@ -77,14 +63,7 @@ class LiveCluster(DSMCluster):
         # DSMCluster's methods reach the driver through these two names;
         # on the live runtime both resolve to the runtime itself.
         self.scheduler = self.runtime
-        self.namespace = namespace or Namespace.hashed(n_nodes)
-        self.recorder = HistoryRecorder() if record_history else None
-        self._obs = None
-        self.server: Optional[DSMNode] = None
-        self.nodes = self._build_nodes(
-            protocol, policy, initial_value, no_cache, unsafe_write_behind,
-            batching, arena_backend,
-        )
+        self._assemble(n_nodes, delta_stamps=delta_stamps, **protocol_knobs)
 
     # The inherited machinery addresses the kernel as ``self.sim`` and
     # the message layer as ``self.network``; both are the runtime here.

@@ -67,6 +67,21 @@ class TestMessageEconomy:
         )
 
 
+    @pytest.mark.parametrize("refresh", [2, 4])
+    def test_message_rate_scales_with_refresh(self, refresh):
+        # E9: lazier refresh trades staleness for messages — the rate
+        # falls as 2 (n - 1) / refresh, and the solver still converges.
+        n = 6
+        system = LinearSystem.random(n, seed=13)
+        result = AsynchronousSolver(
+            system, iterations=40 * refresh, refresh=refresh, seed=2
+        ).run()
+        assert result.steady_messages_per_processor == pytest.approx(
+            2 * (n - 1) / refresh, rel=0.15
+        )
+        assert result.max_error < 1e-6
+
+
 class TestValidation:
     def test_zero_refresh_rejected(self):
         system = LinearSystem.random(3, seed=1)

@@ -111,6 +111,22 @@ def test_smoke_suite_includes_bandwidth_section():
     assert bandwidth["fastpath"]["batch_occupancy"] >= 1.0
 
 
+def test_e18_fast_path_claim_at_n8():
+    """E18 (DESIGN.md experiment index): at n = 8 on the mixed workload
+    with write bursts, batching plus delta stamps cut bytes or stamp
+    entries per op by at least 30 % and strictly reduce the message
+    count."""
+    from repro.bench import bench_bandwidth
+
+    report = bench_bandwidth(n_nodes=8, ops_per_proc=120, repeats=1)
+    assert (
+        report["bytes_per_op_reduction"] >= 0.30
+        or report["stamp_entries_per_op_reduction"] >= 0.30
+    ), report
+    assert report["fastpath"]["messages"] < report["baseline"]["messages"]
+    assert report["fastpath"]["batch_occupancy"] > 1.0
+
+
 def _current_file(path, labels):
     """A trajectory saved at the current schema."""
     trajectory = BenchTrajectory()

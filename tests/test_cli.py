@@ -91,6 +91,24 @@ class TestMonitorCommand:
         out = capsys.readouterr().out
         assert "VIOLATION" in out and "stale-source" in out
 
+    def test_fig5_scenario_has_two_processes(self, capsys):
+        """The monitor is sized from the registry entry, not a constant."""
+        assert main(["monitor", "--scenario", "fig5"]) == 0
+        out = capsys.readouterr().out
+        assert "scenario fig5: CAUSAL" in out
+        assert "4 reads checked over 6 ops" in out
+
+    def test_trace_fig5_chrome_export_validates(self, tmp_path, capsys):
+        import json
+
+        from repro.obs import validate_chrome_trace
+
+        path = tmp_path / "fig5.trace.json"
+        assert main(["trace", "--scenario", "fig5", "--format", "chrome",
+                     "--output", str(path)]) == 0
+        assert "fig5: 36 events (chrome)" in capsys.readouterr().out
+        validate_chrome_trace(json.loads(path.read_text()))
+
     def test_expect_violation_inverts_exit_code(self, capsys):
         assert main(["monitor", "--scenario", "fig3",
                      "--expect-violation"]) == 0

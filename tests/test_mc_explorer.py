@@ -20,6 +20,7 @@ from repro.mc import (
     run_controlled,
 )
 from repro.mc.__main__ import main as mc_main
+from repro.runtime.scenarios import SCENARIOS
 
 
 def _random_chooser(seed):
@@ -223,6 +224,50 @@ class TestProgramSpec:
         assert spec.from_jsonable(
             json.loads(json.dumps(spec.to_jsonable()))
         ) == spec
+
+
+#: ``preset(...).to_jsonable()`` as the hand-written ``_fig3_spec`` /
+#: ``_fig5_spec`` produced it (counterexample files embed this form).
+PRESET_LITERALS = {
+    "fig3": {
+        "protocol": "broadcast",
+        "processes": [
+            [["w", "x", 5], ["w", "y", 3]],
+            [["w", "x", 2], ["r", "y"], ["r", "x"], ["w", "z", 4]],
+            [["r", "z"], ["r", "x"]],
+        ],
+        "owners": [["x", 0], ["y", 1], ["z", 2]],
+        "initial_value": 0,
+    },
+    "fig5": {
+        "protocol": "causal",
+        "processes": [
+            [["r", "y"], ["w", "x", 1], ["r", "y"]],
+            [["r", "x"], ["w", "y", 1], ["r", "x"]],
+        ],
+        "owners": [["x", 0], ["y", 1]],
+        "initial_value": 0,
+    },
+}
+
+
+class TestFigurePresets:
+    """The explorer's figures are the registry's, wait steps stripped."""
+
+    @pytest.mark.parametrize("name", sorted(PRESET_LITERALS))
+    def test_preset_is_the_registry_program(self, name):
+        figure = SCENARIOS[name]
+        spec = preset(name)
+        assert spec.to_jsonable() == PRESET_LITERALS[name]
+        assert spec == make_spec(
+            figure.wait_free, protocol=figure.protocol, owners=figure.owners
+        )
+        assert spec.n_procs == figure.n_nodes
+
+    @pytest.mark.parametrize("op", [("await", "y", 3), ("sleep", 2.0)])
+    def test_explorer_programs_stay_wait_free(self, op):
+        with pytest.raises(McError, match="malformed op"):
+            make_spec([[("w", "x", 1), op]])
 
 
 class TestCli:

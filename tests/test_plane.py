@@ -19,6 +19,7 @@ plane's contracts exactly:
 """
 
 import json
+import struct
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -115,6 +116,29 @@ def _same_event(a: TraceEvent, b: TraceEvent) -> bool:
 # ----------------------------------------------------------------------
 # Frame codec
 # ----------------------------------------------------------------------
+def _framed(payload: bytes) -> bytes:
+    return struct.pack("!I", len(payload)) + payload
+
+
+_FRAME_HEAD = b'"node":"1","fseq":1,"first":1,"n":1,"sw":0.0'
+
+#: Hostile sideband input (``test_plane_live.py`` sends the same table
+#: over a raw socket).  Before ``_decode_one`` folded them into
+#: ValueError these escaped as UnicodeDecodeError, JSONDecodeError,
+#: KeyError and TypeError.
+MALFORMED_STREAMS = {
+    "length-prefix-2^31": struct.pack("!I", 2**31) + b"xx",
+    "not-utf8": _framed(b"\xff\xfe\x00"),
+    "not-json": _framed(b"hello"),
+    "empty-object": _framed(b"{}"),
+    "header-incomplete": _framed(b'{"node":"1"}'),
+    "event-empty-object": _framed(b"{" + _FRAME_HEAD + b',"events":[{}]}'),
+    "json-list": _framed(b"[]"),
+    "json-null": _framed(b"null"),
+    "events-not-a-list": _framed(b"{" + _FRAME_HEAD + b',"events":5}'),
+}
+
+
 class TestFrameCodec:
     @settings(**COMMON)
     @given(_frames)
@@ -157,10 +181,23 @@ class TestFrameCodec:
         assert parsed == [] and rest == data[:-1]
 
     def test_corrupt_length_raises(self):
-        import struct
-
         with pytest.raises(ValueError):
             split_frames(struct.pack("!I", 2**31) + b"xx")
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_STREAMS))
+    def test_malformed_payload_raises_value_error(self, name):
+        """Whatever is wrong inside a complete frame, the reader sees one
+        exception class (the sideband catches exactly that one)."""
+        with pytest.raises(ValueError):
+            split_frames(MALFORMED_STREAMS[name])
+
+    def test_oversized_frame_refused_at_encode(self, monkeypatch):
+        from repro.obs.plane import frames
+
+        frame = TelemetryFrame("rt", 1, 0, 0, 0.0, [])
+        monkeypatch.setattr(frames, "MAX_FRAME_BYTES", 8)
+        with pytest.raises(ValueError, match="too large"):
+            encode_frame(frame)
 
 
 # ----------------------------------------------------------------------

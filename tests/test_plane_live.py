@@ -17,7 +17,11 @@ paper's observability story needs end to end:
   FORMAT_VERSION-2 counterexample reconstructed from the shard rings.
 """
 
+import logging
+import socket
+
 import pytest
+from test_plane import MALFORMED_STREAMS
 
 from repro.apps.workload import WorkloadConfig
 from repro.checker import check_causal
@@ -137,6 +141,42 @@ class TestSidebandFaults:
         outcome = run_scenario_live("fig3", monitor=True, plane=plane, fault=drop)
         assert check_causal(outcome.history).ok is False
         assert _conserved(plane)
+
+
+    @pytest.mark.parametrize("transport", ["uds", "tcp"])
+    def test_hostile_input_closes_only_its_own_connection(
+        self, transport, caplog
+    ):
+        """Each malformed stream of ``MALFORMED_STREAMS``, sent over a
+        raw socket to the aggregator's port: counted, that connection
+        closed, nothing logged as an unhandled task exception — and the
+        shards' own connections keep merging without loss."""
+        streams = list(MALFORMED_STREAMS.values())
+
+        def hostile(runtime, plane):
+            yield runtime.sleep(0.01)
+            sideband = plane.sideband
+            family = socket.AF_UNIX if transport == "uds" else socket.AF_INET
+            for stream in streams:
+                with socket.socket(family, socket.SOCK_STREAM) as client:
+                    client.connect(sideband._addr)
+                    client.sendall(stream)
+            while sideband.frames_rejected < len(streams):
+                yield runtime.sleep(0.004)
+
+        plane = TelemetryPlane()
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            outcome = run_scenario_live(
+                "fig4", transport=transport, monitor=True, plane=plane,
+                fault=hostile,
+            )
+        assert outcome.telemetry["sideband"]["frames_rejected"] == len(streams)
+        assert [r for r in caplog.records if r.name == "asyncio"] == []
+        agg = plane.aggregator
+        assert agg.events_merged > 0
+        assert agg.events_lost == 0 and agg.frames_lost == 0
+        assert _conserved(plane)
+        assert outcome.monitor_result.ok
 
 
 class TestSubscribeFiltersLive:

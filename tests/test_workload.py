@@ -1,7 +1,18 @@
 """Unit tests for the random workload generator."""
 
-from repro.apps.workload import WorkloadConfig, run_random_execution
+from collections import Counter
+from types import SimpleNamespace
+
+import pytest
+
+from repro.apps.workload import (
+    WorkloadConfig,
+    run_random_execution,
+    workload_process,
+    zipf_cdf,
+)
 from repro.checker import check_causal
+from repro.sim.kernel import Simulator
 
 
 class TestConfig:
@@ -79,3 +90,77 @@ class TestExecution:
         )
         assert not outcome.history.reads()
         assert check_causal(outcome.history).ok
+
+
+class _RecordingApi:
+    """Answers every operation at once and writes down what was asked."""
+
+    def __init__(self):
+        self.issued = []
+
+    def read(self, location):
+        self.issued.append(("r", location, None))
+
+    def write(self, location, value):
+        self.issued.append(("w", location, value))
+
+    def discard(self, location):
+        self.issued.append(("d", location, None))
+
+
+def _issued(config, proc, cdf=None):
+    """What ``workload_process`` asks of a stub api, with no cluster."""
+    api = _RecordingApi()
+    runtime = SimpleNamespace(derived_rng=Simulator(seed=config.seed).derived_rng)
+    for _ in workload_process(api, proc, config, runtime, cdf=cdf):
+        pass
+    return api.issued
+
+
+class TestSharedGenerator:
+    """The one per-op loop, driven without sockets or a simulator: what
+    it issues is what ``run_random_execution`` records (the live runner
+    spawns the same generator, so this pins both drivers' op sequence)."""
+
+    @pytest.mark.parametrize("discard_fraction", [0.0, 0.1, 0.4])
+    def test_issued_ops_equal_the_recorded_history(self, discard_fraction):
+        config = WorkloadConfig(
+            n_nodes=3, n_locations=5, ops_per_proc=40, seed=9,
+            discard_fraction=discard_fraction,
+        )
+        history = run_random_execution(config).history
+        discards = 0
+        for proc in range(config.n_nodes):
+            issued = _issued(config, proc)
+            discards += sum(1 for kind, _, _ in issued if kind == "d")
+            # A discard is not an operation of the history; the read
+            # that follows it is.
+            assert [op for op in issued if op[0] != "d"] == [
+                (op.kind, op.location, op.value if op.kind == "w" else None)
+                for op in history.processes[proc]
+            ]
+        assert (discards > 0) == (discard_fraction > 0)
+
+    def test_zipf_skews_locations_and_nothing_else(self):
+        config = WorkloadConfig(
+            n_nodes=2, n_locations=6, ops_per_proc=200, seed=3,
+            discard_fraction=0.0,
+        )
+        pool = {config.location(i) for i in range(config.n_locations)}
+        for proc in range(config.n_nodes):
+            uniform = _issued(config, proc)
+            skewed = _issued(config, proc, cdf=zipf_cdf(config.n_locations, 1.5))
+            # The Zipf draw consumes the RNG differently, so the two
+            # runs are not op-for-op comparable; the shape is the same.
+            for issued in (uniform, skewed):
+                assert len(issued) == config.ops_per_proc
+                assert {location for _, location, _ in issued} <= pool
+                writes = [value for kind, _, value in issued if kind == "w"]
+                assert writes == [
+                    f"n{proc}v{i}" for i in range(1, len(writes) + 1)
+                ]
+            hot = Counter(location for _, location, _ in skewed)
+            assert hot.most_common(1)[0][0] == config.location(0)
+            assert hot[config.location(0)] > 2 * Counter(
+                location for _, location, _ in uniform
+            )[config.location(0)]
