@@ -80,12 +80,12 @@ Schema history:
   sustained throughput, attached-overhead A/B, window/GC statistics),
   and histogram leaves gain ``p50``/``p95``/``p99`` quantiles.  v1–v3
   files load unchanged.
-* **5** — adds the optional ``substrate`` section; its ``vectorised``
-  subtree carries the writestamp-arena backend A/B per clock width
-  (``"n=64": {"sweep": {...}, "protocol": {...}}`` — batched-mask
-  rows/sec per backend with the numpy/python speedup and a
-  mask-equality canary, plus the end-to-end protocol ops/sec under
-  each ``arena_backend``).  v1–v4 files load unchanged.
+* **5** — added the optional ``substrate`` section; its ``vectorised``
+  subtree carried the numpy-vs-Python writestamp-arena A/B per clock
+  width (``"n=64": {"sweep": {...}, "protocol": {...}}``).  The arena
+  is gone (DESIGN.md §4.9) and nothing writes the section any more;
+  committed v5–v8 runs that have it still load, save and render.
+  v1–v4 files load unchanged.
 * **6** — adds the optional ``protocol.profile`` section (written by
   ``repro-bench --profile``): a cProfile top-N-by-cumulative-time table
   of the largest-n protocol workload, recorded as

@@ -47,8 +47,6 @@ class WorkloadConfig:
     no_cache: bool = False
     batching: bool = False
     delta_stamps: bool = False
-    #: Writestamp-arena backend (None = auto; "python" | "numpy").
-    arena_backend: Optional[str] = None
     #: Coalesce same-instant deliveries into one scheduler entry.
     batch_delivery: bool = False
     seed: int = 0
@@ -146,7 +144,6 @@ def run_random_execution(
         no_cache=config.no_cache,
         batching=config.batching,
         delta_stamps=config.delta_stamps,
-        arena_backend=config.arena_backend,
         batch_delivery=config.batch_delivery,
     )
 

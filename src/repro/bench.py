@@ -34,13 +34,6 @@ numbers to a persistent JSON trajectory (``BENCH_substrate.json``, see
   on an attached run, peak window size, GC retirements and live-set
   cache hit rate.  The monitored run's verdict (must be causal) rides
   along as a correctness canary;
-* **substrate.vectorised** — the writestamp-arena A/B (schema v5): the
-  numpy :class:`~repro.clocks.arena.ClockArena` against its pure-Python
-  twin at clock widths n ∈ {16, 64, 256} (``--substrate-nodes``), both
-  at the primitive level (batched strictly-older / dominance masks and
-  frontier merges over a 512-slot arena, with mask-equality asserted)
-  and end-to-end (the protocol workload under ``arena_backend=python``
-  vs ``numpy`` + batch delivery).
 
 ``--smoke`` shrinks the workloads so the whole run finishes in a few
 seconds — that mode is exercised by the tier-1 test suite, keeping the
@@ -78,15 +71,10 @@ __all__ = [
     "main",
     "DEFAULT_OUTPUT",
     "DEFAULT_NODE_COUNTS",
-    "DEFAULT_SUBSTRATE_NODES",
 ]
 
 DEFAULT_OUTPUT = "BENCH_substrate.json"
 DEFAULT_NODE_COUNTS = (4, 8, 16)
-#: Clock widths for the vectorised-substrate A/B (schema v5).  Wider
-#: than the protocol sweep: the arena's batched compares only pull away
-#: from the scalar loops once rows x components is large.
-DEFAULT_SUBSTRATE_NODES = (16, 64, 256)
 
 
 # ----------------------------------------------------------------------
@@ -452,138 +440,6 @@ def bench_monitor(
         "observe_p95_us": observe["p95"],
         "observe_p99_us": observe["p99"],
     }
-
-
-def bench_vectorised(
-    n_procs: int, ops_per_proc: int, repeats: int, rows: int = 512
-) -> Dict[str, Any]:
-    """A/B the writestamp-arena backends at clock width ``n_procs`` (v5).
-
-    Two levels, both timed in interleaved rounds so drift lands on all
-    variants equally:
-
-    * **sweep** — the arena primitives themselves: ``older_mask`` +
-      ``dominated_mask`` over a ``rows``-slot arena for a corpus of probe
-      stamps, plus one ``merge_rows`` frontier fold per probe.  Reported
-      as row-classifications/sec per backend and the numpy/python
-      speedup — this is the number the >=3x acceptance gate at n=64
-      reads.  Mask equality between backends is asserted as part of the
-      run (a wrong fast path is worse than a slow one).
-    * **protocol** — the end-to-end view: the ``bench_protocol`` mixed
-      workload on ``DSMCluster(arena_backend=...)``, scalar vs numpy,
-      with batch delivery on the numpy side.  Whole-run speedup is
-      diluted by simulator and scheduling cost that the arena never
-      touches, so expect it well below the sweep-level ratio.
-    """
-    import random as random_module
-
-    from repro.clocks.arena import ClockArena, HAVE_NUMPY, PyClockArena
-    from repro.protocols.base import DSMCluster
-
-    rng = random_module.Random(n_procs * 7919 + 13)
-    corpus = [
-        [rng.randrange(0, 64) for _ in range(n_procs)] for _ in range(rows)
-    ]
-    probes = [
-        [rng.randrange(0, 64) for _ in range(n_procs)] for _ in range(64)
-    ]
-
-    def build(arena_cls):
-        arena = arena_cls(n_procs, capacity=rows)
-        slots = [arena.alloc(components) for components in corpus]
-        return arena, slots
-
-    def sweep_side(arena_cls):
-        arena, slots = build(arena_cls)
-
-        def run() -> None:
-            for probe in probes:
-                arena.older_mask(slots, probe)
-                arena.dominated_mask(slots, probe)
-                arena.merge_rows(slots)
-
-        return run
-
-    py_arena, py_slots = build(PyClockArena)
-    sweep: Dict[str, Any] = {"rows": rows, "probes": len(probes)}
-    classifications = 2 * len(probes) * rows
-    if HAVE_NUMPY:
-        np_arena, np_slots = build(ClockArena)
-        masks_equal = all(
-            py_arena.older_mask(py_slots, probe)
-            == np_arena.older_mask(np_slots, probe)
-            and py_arena.dominated_mask(py_slots, probe)
-            == np_arena.dominated_mask(np_slots, probe)
-            for probe in probes
-        ) and py_arena.merge_rows(py_slots) == np_arena.merge_rows(np_slots)
-        py_s, np_s = _best_of_interleaved(
-            [sweep_side(PyClockArena), sweep_side(ClockArena)], repeats
-        )
-        sweep.update(
-            python_rows_per_sec=classifications / py_s,
-            numpy_rows_per_sec=classifications / np_s,
-            speedup=py_s / np_s if np_s else 0.0,
-            masks_equal=masks_equal,
-        )
-    else:  # pragma: no cover - image always ships numpy
-        py_s = _best_of(sweep_side(PyClockArena), repeats)
-        sweep.update(
-            python_rows_per_sec=classifications / py_s,
-            numpy_rows_per_sec=None,
-            speedup=None,
-            masks_equal=True,
-        )
-
-    n_locations = 2 * n_procs
-
-    def protocol_side(backend: str, batch_delivery: bool):
-        def run() -> None:
-            cluster = DSMCluster(
-                n_procs,
-                protocol="causal",
-                record_history=False,
-                arena_backend=backend,
-                batch_delivery=batch_delivery,
-            )
-
-            def process(api, me):
-                for i in range(ops_per_proc):
-                    location = f"loc{(me + i) % n_locations}"
-                    if i % 3 == 0:
-                        yield api.write(location, i)
-                    else:
-                        yield api.read(location)
-
-            for node in range(n_procs):
-                cluster.spawn(node, process, node)
-            cluster.run()
-
-        return run
-
-    total_ops = n_procs * ops_per_proc
-    protocol: Dict[str, Any] = {"ops": total_ops}
-    if HAVE_NUMPY:
-        scalar_s, vector_s = _best_of_interleaved(
-            [
-                protocol_side("python", batch_delivery=False),
-                protocol_side("numpy", batch_delivery=True),
-            ],
-            repeats,
-        )
-        protocol.update(
-            scalar_ops_per_sec=total_ops / scalar_s,
-            vector_ops_per_sec=total_ops / vector_s,
-            speedup=scalar_s / vector_s if vector_s else 0.0,
-        )
-    else:  # pragma: no cover - image always ships numpy
-        scalar_s = _best_of(protocol_side("python", False), repeats)
-        protocol.update(
-            scalar_ops_per_sec=total_ops / scalar_s,
-            vector_ops_per_sec=None,
-            speedup=None,
-        )
-
-    return {"sweep": sweep, "protocol": protocol}
 
 
 def profile_protocol(
@@ -999,7 +855,6 @@ def run_suite(
     node_counts: Sequence[int] = DEFAULT_NODE_COUNTS,
     smoke: bool = False,
     progress=None,
-    substrate_nodes: Sequence[int] = DEFAULT_SUBSTRATE_NODES,
     profile: bool = False,
 ) -> Dict[str, Any]:
     """Run every substrate benchmark; returns the metrics tree.
@@ -1051,14 +906,6 @@ def run_suite(
         f"{monitor_ops} ops/proc x{repeats}"
     )
     metrics["monitor"] = bench_monitor(monitor_nodes, monitor_ops, repeats)
-    substrate_rows = 128 if smoke else 512
-    substrate_ops = 30 if smoke else 120
-    metrics["substrate"] = {"vectorised": {}}
-    for n in substrate_nodes:
-        say(f"vectorised substrate A/B: n={n}, {substrate_rows} rows x{repeats}")
-        metrics["substrate"]["vectorised"][f"n={n}"] = bench_vectorised(
-            n, substrate_ops, repeats, rows=substrate_rows
-        )
     live_ops = 30 if smoke else 100
     live_nodes = min(3, max(node_counts))
     say(f"live runtime vs sim: n={live_nodes}, {live_ops} ops/proc (uds)")
@@ -1122,7 +969,7 @@ def _format_summary(metrics: Dict[str, Any]) -> List[str]:
             f"{fast['stamp_entries_per_op']:.1f} "
             f"(-{data['stamp_entries_per_op_reduction']:.0%}), "
             f"occupancy {fast.get('batch_occupancy', 0.0):.2f}, "
-            # The fast path trades CPU for bytes; say so (DESIGN §4.9).
+            # The fast path trades CPU for bytes; say so (DESIGN §4.5).
             f"cpu x{fast['ops_per_sec'] / base['ops_per_sec']:.2f}"
         )
     obs = metrics.get("obs")
@@ -1174,25 +1021,6 @@ def _format_summary(metrics: Dict[str, Any]) -> List[str]:
             f"{plane['events_lost']} lost, "
             f"sideband {plane['sideband_bytes']:,}B, {isolated})"
         )
-    for key, data in (
-        metrics.get("substrate", {}).get("vectorised", {}).items()
-    ):
-        sweep, proto = data["sweep"], data["protocol"]
-        if sweep.get("numpy_rows_per_sec") is None:
-            lines.append(
-                f"vectorised {key:<6} "
-                f"{sweep['python_rows_per_sec']:>12,.0f} rows/s "
-                f"(python only; numpy absent)"
-            )
-            continue
-        equal = "masks equal" if sweep["masks_equal"] else "MASK DRIFT"
-        lines.append(
-            f"vectorised {key:<6} sweep "
-            f"{sweep['python_rows_per_sec']:,.0f} -> "
-            f"{sweep['numpy_rows_per_sec']:,.0f} rows/s "
-            f"(x{sweep['speedup']:.1f}, {equal}); "
-            f"protocol x{proto['speedup']:.2f}"
-        )
     return lines
 
 
@@ -1240,17 +1068,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="processor counts to benchmark (default: 4 8 16)",
     )
     parser.add_argument(
-        "--substrate-nodes",
-        type=_positive_int,
-        nargs="+",
-        default=list(DEFAULT_SUBSTRATE_NODES),
-        metavar="N",
-        help=(
-            "clock widths for the vectorised-substrate A/B "
-            "(default: 16 64 256)"
-        ),
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
         help=(
@@ -1282,7 +1099,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         node_counts=tuple(args.nodes),
         smoke=args.smoke,
         progress=lambda message: print(f"... {message}", file=sys.stderr),
-        substrate_nodes=tuple(args.substrate_nodes),
         profile=args.profile,
     )
     record = BenchRecord(

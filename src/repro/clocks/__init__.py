@@ -12,20 +12,8 @@ time attached to a written value is called a *writestamp*.
 :mod:`repro.clocks.lamport`
     Scalar Lamport clocks, provided for comparison and for tests that show
     scalar clocks cannot detect concurrency (why the protocol needs vectors).
-:mod:`repro.clocks.arena`
-    Batched writestamp storage: one 2-D ``uint64`` array holding many
-    clocks, with vectorised merge/compare/dominance operations for whole
-    invalidation sweeps and delivery scans (numpy backend with a
-    pure-Python twin).
 """
 
-from repro.clocks.arena import (
-    HAVE_NUMPY,
-    ClockArena,
-    PyClockArena,
-    make_arena,
-    resolve_backend,
-)
 from repro.clocks.lamport import LamportClock
 from repro.clocks.vector_clock import (
     CONCURRENT,
@@ -42,9 +30,4 @@ __all__ = [
     "GREATER",
     "EQUAL",
     "CONCURRENT",
-    "ClockArena",
-    "PyClockArena",
-    "make_arena",
-    "resolve_backend",
-    "HAVE_NUMPY",
 ]

@@ -31,21 +31,18 @@ Performance notes (the invalidation sweep runs on every value install):
   serviced writes do not advance its clock.  Any install into the cache
   clears the guarantee, so the skip never changes observable contents
   (see ``tests/test_prop_local_store.py`` for the equivalence property).
-* Sweep candidates mirror their writestamps into a
-  :class:`~repro.clocks.arena.ClockArena` (DESIGN.md §4.9): the sweep's
-  per-line ``VectorClock.compare`` loop becomes **one** batched
-  strictly-older mask over the arena rows.  ``MemoryEntry`` keeps its
-  immutable ``VectorClock`` — the arena row is a write-through mirror,
-  synchronised on the single install/removal paths, and the
-  ``backend`` constructor argument (or ``REPRO_ARENA_BACKEND``) selects
-  the numpy or pure-Python implementation.
+* The sweep itself is the loop Figure 4 writes: one pass over the sweep
+  candidates (cached, not read-only), each line's own component tuple
+  tested against the incoming stamp.  On the ``perf`` shapes a sweep
+  scans two to six lines, so nothing is batched (DESIGN.md §4.9 records
+  the vectorised mirror this replaced and why it went).
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Set
 
-from repro.clocks import EQUAL, VectorClock, make_arena
+from repro.clocks import EQUAL, VectorClock
 from repro.errors import MemoryError_
 from repro.memory.namespace import Namespace
 
@@ -54,10 +51,6 @@ __all__ = ["MemoryEntry", "LocalStore", "INITIAL_WRITER"]
 #: Writer id used for the distinguished initial writes that, per the paper,
 #: "precede all operations in any process sequence".
 INITIAL_WRITER = -1
-
-#: Below this many sweep candidates the batched arena mask loses to the
-#: plain per-entry stamp compares (numpy call overhead dominates).
-_VEC_MIN = 8
 
 
 class MemoryEntry:
@@ -69,7 +62,7 @@ class MemoryEntry:
     semantics.  Fields are writable so the store can refresh a
     writestamp in place (:meth:`LocalStore.restamp`) when it already
     owns the entry — but all mutation must go through the store, which
-    keeps the arena mirror and sweep watermark coherent.
+    keeps the sweep watermark coherent.
     """
 
     __slots__ = ("value", "stamp", "writer")
@@ -116,10 +109,6 @@ class LocalStore:
     initial_value:
         The distinguished value all locations are initialised to; the
         paper's examples use 0.
-    backend:
-        Writestamp-arena backend for the vectorised sweep: ``"numpy"``,
-        ``"python"``, ``"auto"`` or None (None consults the
-        ``REPRO_ARENA_BACKEND`` environment variable, then autodetects).
     """
 
     def __init__(
@@ -128,7 +117,6 @@ class LocalStore:
         namespace: Namespace,
         n_nodes: int,
         initial_value: Any = 0,
-        backend: Optional[str] = None,
     ):
         self.node_id = node_id
         self.namespace = namespace
@@ -141,14 +129,9 @@ class LocalStore:
         self._cached: Dict[str, None] = {}
         # unit -> present locations of that unit (cached *and* owned).
         self._unit_index: Dict[str, Dict[str, None]] = {}
-        # Cached and not read-only: the only entries a sweep can touch.
-        # Maps location -> arena slot mirroring the entry's writestamp.
-        self._sweep_candidates: Dict[str, int] = {}
-        #: Candidates whose arena row is stale (see :meth:`_flush_arena`).
-        self._arena_dirty: Dict[str, None] = {}
-        #: Writestamp arena mirroring sweep candidates (DESIGN.md §4.9).
-        self._arena = make_arena(n_nodes, backend)
-        self.backend = self._arena.backend
+        # Cached and not read-only: the only entries a sweep can touch
+        # (ordered set, like ``_cached``).
+        self._sweep_candidates: Dict[str, None] = {}
         # Ownership / read-only verdicts are pure functions of the
         # location; memoise them per store.
         self._owns_memo: Dict[str, bool] = {}
@@ -237,14 +220,12 @@ class LocalStore:
         The write-behind paths repeatedly replace an entry with an
         identical value under a newer (certified or merged) stamp; this
         mutates the store-owned entry instead of allocating a
-        replacement.  The arena mirror is marked stale exactly as a
-        re-install would, and a cached entry clears the sweep-watermark
-        guarantee (its stamp changed, so the next sweep must look).
+        replacement.  A cached entry clears the sweep-watermark
+        guarantee exactly as a re-install would (its stamp changed, so
+        the next sweep must look).
         """
         entry = self._entries[location]
         entry.stamp = stamp
-        if location in self._sweep_candidates:
-            self._arena_dirty[location] = None
         if location in self._cached:
             self._watermark_clean = False
         if self.obs is not None and self.obs.wants("store", "apply"):
@@ -294,39 +275,23 @@ class LocalStore:
             # nothing can be older than this non-advancing stamp.
             self.sweeps_skipped += 1
             return []
-        self.sweeps_performed += 1
+        # The loop the paper wrote (``forall y in C_i : M_i[y].VT < VT'``)
+        # over the lines a sweep may touch.  Nothing is removed until the
+        # whole scan has passed, so a stamp or line of the wrong
+        # dimension (ClockError) leaves the store as it was.
         candidates = self._sweep_candidates
-        if not candidates:
-            # Nothing invalidatable at all; the store is trivially clean.
-            self._watermark = stamp
-            self._watermark_clean = True
-            return []
+        entries = self._entries
         keep_set = frozenset(keep) if keep else frozenset()
         doomed_units: Dict[str, None] = {}
         kept_old = False
         unit_of = self.namespace.unit
-        # One batched strictly-older mask over the arena rows replaces the
-        # per-line VectorClock.compare loop (DESIGN.md §4.9) — but below
-        # a handful of rows the numpy round trip (fromiter + fancy
-        # indexing) costs more than the tuple compares it saves, so tiny
-        # sweeps stay on the entries' own stamps.
-        if len(candidates) < _VEC_MIN:
-            entries = self._entries
-            mask = [
-                entries[location].stamp.strictly_less(stamp)
-                for location in candidates
-            ]
-        else:
-            self._flush_arena()
-            mask = self._arena.older_mask(
-                candidates.values(), stamp.components
-            )
-        for location, older in zip(candidates, mask):
-            if older:
+        for location in candidates:
+            if entries[location].stamp.strictly_less(stamp):
                 if location in keep_set:
                     kept_old = True  # survivor below the sweep stamp
                 else:
                     doomed_units[unit_of(location)] = None
+        self.sweeps_performed += 1
         invalidated: List[str] = []
         for unit in doomed_units:
             for location in list(self._unit_index[unit]):
@@ -369,23 +334,6 @@ class LocalStore:
     # ------------------------------------------------------------------
     # Internal bookkeeping (the single install/removal paths)
     # ------------------------------------------------------------------
-    def _flush_arena(self) -> None:
-        """Write deferred stamp updates into their arena rows.
-
-        Must run before any batched mask over the arena; the small-sweep
-        scalar path reads the entries directly and needs no flush.
-        """
-        if not self._arena_dirty:
-            return
-        entries = self._entries
-        candidates = self._sweep_candidates
-        write = self._arena.write
-        for location in self._arena_dirty:
-            slot = candidates.get(location)
-            if slot is not None:
-                write(slot, entries[location].stamp.components)
-        self._arena_dirty.clear()
-
     def _install(self, location: str, entry: MemoryEntry) -> None:
         if location not in self._entries:
             unit = self.namespace.unit(location)
@@ -397,15 +345,7 @@ class LocalStore:
             if not self.owns(location):
                 self._cached[location] = None
                 if not self._is_read_only(location):
-                    self._sweep_candidates[location] = self._arena.alloc(
-                        entry.stamp.components
-                    )
-        elif location in self._sweep_candidates:
-            # Re-install over a live candidate: mark its arena mirror
-            # stale rather than rewrite the row now.  Hot lines are
-            # re-installed far more often than a batched sweep reads
-            # them; the rows flush lazily just before the next mask.
-            self._arena_dirty[location] = None
+                    self._sweep_candidates[location] = None
         if location in self._cached:
             # A cache install may be older than the watermark; the next
             # sweep must look again.
@@ -415,9 +355,7 @@ class LocalStore:
     def _remove_cached(self, location: str, *, invalidation: bool) -> None:
         del self._entries[location]
         self._cached.pop(location, None)
-        slot = self._sweep_candidates.pop(location, None)
-        if slot is not None:
-            self._arena.free(slot)
+        self._sweep_candidates.pop(location, None)
         unit = self.namespace.unit(location)
         members = self._unit_index.get(unit)
         if members is not None:

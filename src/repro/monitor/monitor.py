@@ -73,16 +73,7 @@ from typing import (
 )
 
 from repro.checker.live_values import LiveSetCache
-from repro.clocks.arena import HAVE_NUMPY, resolve_backend
 from repro.errors import ReproError
-
-if HAVE_NUMPY:
-    import numpy as _np
-else:  # pragma: no cover - exercised via REPRO_ARENA_BACKEND=python
-    _np = None
-
-#: Below this many rows a numpy round trip costs more than the loop.
-_VEC_MIN = 8
 
 __all__ = [
     "MonitorOp",
@@ -379,14 +370,10 @@ class CausalStreamMonitor:
         live_cache: Optional[LiveSetCache] = None,
         cache_limit: int = 4096,
         on_verdict: Optional[Callable[[MonitorVerdict], None]] = None,
-        backend: Optional[str] = None,
     ):
         if n_procs <= 0:
             raise ReproError(f"need at least one process, got {n_procs}")
         self.n_procs = n_procs
-        #: "numpy" or "python" — picks the batched compare paths below.
-        self.backend = resolve_backend(backend)
-        self._vec = _np is not None and self.backend == "numpy"
         self.metrics = metrics
         self.gc_interval = gc_interval
         self.raise_on_violation = raise_on_violation
@@ -685,22 +672,9 @@ class CausalStreamMonitor:
             self.live_cache.hits += 1
             return positions
         self.live_cache.misses += 1
-        dominated = None
-        if self._vec and len(candidates) >= _VEC_MIN:
-            # Condition 1 in one batched compare: a candidate is live
-            # outright unless its timestamp is componentwise below the
-            # exclusion bound.  Only dominated rows go on to the notice
-            # query, so the scalar leq disappears from the common case.
-            matrix = _np.array(list(candidates.values()), dtype=_np.uint64)
-            bound = _np.array(vt_excl, dtype=_np.uint64)
-            dominated = (matrix <= bound).all(axis=1)
         live: List[int] = []
         for position, (write_id, write_vt) in enumerate(candidates.items()):
-            below = (
-                bool(dominated[position]) if dominated is not None
-                else _leq(write_vt, vt_excl)
-            )
-            if not below:
+            if not _leq(write_vt, vt_excl):
                 live.append(position)  # concurrent -> live (condition 1)
                 continue
             # Condition 2: any notice strictly between write and read
@@ -736,21 +710,7 @@ class CausalStreamMonitor:
     def _causal_past(self, vt: Tuple[int, ...]) -> Tuple[Tuple, ...]:
         """Window writes causally at-or-below ``vt`` (violation evidence)."""
         past = []
-        bound = (
-            _np.array(vt, dtype=_np.uint64) if self._vec else None
-        )
         for location, candidates in self._candidates.items():
-            if bound is not None and len(candidates) >= _VEC_MIN:
-                matrix = _np.array(
-                    list(candidates.values()), dtype=_np.uint64
-                )
-                mask = (matrix <= bound).all(axis=1)
-                for position, (write_id, write_vt) in enumerate(
-                    candidates.items()
-                ):
-                    if mask[position]:
-                        past.append((location, write_id, write_vt))
-                continue
             for write_id, write_vt in candidates.items():
                 if _leq(write_vt, vt):
                     past.append((location, write_id, write_vt))
@@ -792,18 +752,10 @@ class CausalStreamMonitor:
 
     def _collect(self) -> None:
         """Retire notices below the min-frontier and the writes they kill."""
-        if self._vec and self.n_procs >= _VEC_MIN:
-            min_frontier = tuple(
-                int(v)
-                for v in _np.asarray(
-                    self.frontier, dtype=_np.uint64
-                ).min(axis=0)
-            )
-        else:
-            min_frontier = tuple(
-                min(vt[c] for vt in self.frontier)
-                for c in range(self.n_procs)
-            )
+        min_frontier = tuple(
+            min(vt[c] for vt in self.frontier)
+            for c in range(self.n_procs)
+        )
         retired = 0
         for location, groups in self._notices.items():
             # Within each group the retirable notices (vt <= minf) are a
@@ -820,23 +772,11 @@ class CausalStreamMonitor:
             # dominated candidates need the exclusion query at all.
             candidates = self._candidates.get(location)
             if candidates:
-                if self._vec and len(candidates) >= _VEC_MIN:
-                    matrix = _np.array(
-                        list(candidates.values()), dtype=_np.uint64
-                    )
-                    bound = _np.array(min_frontier, dtype=_np.uint64)
-                    mask = (matrix <= bound).all(axis=1)
-                    dominated = [
-                        pair
-                        for position, pair in enumerate(candidates.items())
-                        if mask[position]
-                    ]
-                else:
-                    dominated = [
-                        (write_id, write_vt)
-                        for write_id, write_vt in candidates.items()
-                        if _leq(write_vt, min_frontier)
-                    ]
+                dominated = [
+                    (write_id, write_vt)
+                    for write_id, write_vt in candidates.items()
+                    if _leq(write_vt, min_frontier)
+                ]
                 for write_id, write_vt in dominated:
                     if any(
                         groups[proc].excludes(

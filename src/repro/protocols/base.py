@@ -85,7 +85,6 @@ class DSMNode:
         n_nodes: int,
         recorder: Optional[HistoryRecorder] = None,
         initial_value: Any = 0,
-        arena_backend: Optional[str] = None,
     ):
         self.runtime = runtime
         self.node_id = node_id
@@ -98,8 +97,7 @@ class DSMNode:
         self.n_nodes = n_nodes
         self.recorder = recorder
         self.store = LocalStore(
-            node_id, namespace, n_nodes, initial_value=initial_value,
-            backend=arena_backend,
+            node_id, namespace, n_nodes, initial_value=initial_value
         )
         self.stats = OpStats()
         self._request_ids = itertools.count(1)
@@ -264,11 +262,6 @@ class DSMCluster:
         network: every message crosses it as its encoded byte frame,
         vector-clock fields delta-encoded per channel (message contents
         round-trip exactly).
-    arena_backend:
-        Writestamp-arena backend for every node's store and the
-        vectorised delivery/sweep paths: ``"numpy"``, ``"python"``,
-        ``"auto"`` or None (consults ``REPRO_ARENA_BACKEND``, then
-        autodetects) — see DESIGN.md §4.9.
     batch_delivery:
         Schedule each broadcast fan-out's same-instant deliveries as one
         kernel heap entry (:meth:`~repro.sim.kernel.Simulator.schedule_batch_at`).
@@ -303,7 +296,6 @@ class DSMCluster:
         unsafe_write_behind: bool = False,
         batching: bool = False,
         delta_stamps: bool = False,
-        arena_backend: Optional[str] = None,
         batch_delivery: bool = False,
     ):
         self.sim = Simulator(seed=seed)
@@ -322,7 +314,7 @@ class DSMCluster:
         self._assemble(
             n_nodes, protocol, namespace, policy, initial_value,
             record_history, no_cache, unsafe_write_behind, batching,
-            delta_stamps, arena_backend,
+            delta_stamps,
         )
 
     def _assemble(
@@ -337,7 +329,6 @@ class DSMCluster:
         unsafe_write_behind: bool = False,
         batching: bool = False,
         delta_stamps: bool = False,
-        arena_backend: Optional[str] = None,
     ) -> None:
         """Build the cluster onto ``self.runtime`` — any driver's."""
         if n_nodes <= 0:
@@ -346,7 +337,6 @@ class DSMCluster:
         self.protocol = protocol
         self.batching = batching
         self.delta_stamps = delta_stamps
-        self.arena_backend = arena_backend
         self.namespace = namespace or Namespace.hashed(n_nodes)
         self.recorder = HistoryRecorder() if record_history else None
         #: The collector bound by attach_obs (None until attached).
@@ -380,7 +370,6 @@ class DSMCluster:
             n_nodes=self.n_nodes,
             recorder=self.recorder,
             initial_value=initial_value,
-            arena_backend=self.arena_backend,
         )
         if protocol == "causal":
             return [

@@ -41,17 +41,11 @@ from __future__ import annotations
 from typing import Any, Dict, List
 
 from repro.clocks import VectorClock
-from repro.clocks.arena import HAVE_NUMPY
 from repro.errors import ProtocolError
 from repro.memory.local_store import INITIAL_WRITER, MemoryEntry
 from repro.protocols.base import DSMNode, WriteOutcome
 from repro.protocols.messages import BroadcastBatch, BroadcastWrite
 from repro.sim import Future
-
-if HAVE_NUMPY:
-    import numpy as _np
-else:  # pragma: no cover - image always ships numpy
-    _np = None
 
 __all__ = ["CausalBroadcastNode"]
 
@@ -59,9 +53,6 @@ __all__ = ["CausalBroadcastNode"]
 _WB_MAX_DELAY_HOPS = 16
 #: Window-size bound: a window this large flushes regardless.
 _WB_MAX_WINDOW = 32
-#: Held-back sets at least this large use the vectorised delivery scan
-#: (smaller sets are cheaper through the scalar loop).
-_VEC_MIN_HELD = 8
 
 
 class CausalBroadcastNode(DSMNode):
@@ -84,12 +75,6 @@ class CausalBroadcastNode(DSMNode):
         self.wb_batches = 0
         self.wb_batched_writes = 0
         self.wb_coalesced = 0
-        #: Vectorised delivery scans performed (bench/diagnostic counter).
-        self.vec_delivery_scans = 0
-        # The store's arena backend decides the delivery-scan backend too,
-        # so one switch (constructor arg or REPRO_ARENA_BACKEND) selects
-        # the whole node's scalar-vs-vectorised behaviour.
-        self._vectorise = _np is not None and self.store.backend == "numpy"
 
     # ------------------------------------------------------------------
     # Application API — reads and writes are local and non-blocking
@@ -242,9 +227,6 @@ class CausalBroadcastNode(DSMNode):
         self._deliver_ready()
 
     def _deliver_ready(self) -> None:
-        if self._vectorise and len(self._held_back) >= _VEC_MIN_HELD:
-            self._deliver_ready_vec()
-            return
         progressed = True
         while progressed:
             progressed = False
@@ -253,64 +235,6 @@ class CausalBroadcastNode(DSMNode):
                     self._held_back.remove(held)
                     self._apply(held)
                     progressed = True
-
-    def _deliver_ready_vec(self) -> None:
-        """Vectorised twin of :meth:`_deliver_ready`.
-
-        One stamp matrix over the held-back set; each scan step computes
-        the CBCAST deliverability mask for *every* held message in one
-        ``np.all``-style pass instead of a Python compare loop per
-        message.  Delivery order is **identical** to the scalar scan: the
-        scalar pass examines positions left to right against the current
-        ``delivered`` clock, so taking the first ready index at or after
-        the scan pointer — recomputing the mask after each delivery, as
-        ``delivered`` only grows — reproduces its choices exactly (the
-        lockstep backend-equality property tests pin this down).
-        """
-        np = _np
-        msgs = self._held_back
-        count = len(msgs)
-        self.vec_delivery_scans += 1
-        stamps = np.array(
-            [m.stamp.components for m in msgs], dtype=np.uint64
-        )
-        senders = np.fromiter(
-            (m.sender for m in msgs), dtype=np.intp, count=count
-        )
-        rows = np.arange(count)
-        sender_comp = stamps[rows, senders]
-        n_others = self.n_nodes - 1
-        batching = self.batching
-        alive = np.ones(count, dtype=bool)
-        progressed = True
-        while progressed:
-            progressed = False
-            pos = 0
-            while True:
-                delivered = np.asarray(
-                    self.delivered.components, dtype=np.uint64
-                )
-                le = stamps <= delivered
-                others_ok = (le.sum(axis=1) - le[rows, senders]) == n_others
-                d_send = delivered[senders]
-                if batching:
-                    sender_ok = sender_comp > d_send
-                else:
-                    sender_ok = sender_comp == d_send + 1
-                ready = others_ok & sender_ok & alive
-                ready[:pos] = False
-                hits = np.nonzero(ready)[0]
-                if hits.size == 0:
-                    break
-                i = int(hits[0])
-                alive[i] = False
-                self._apply(msgs[i])
-                progressed = True
-                pos = i + 1
-        if not alive.all():
-            self._held_back = [
-                m for keep, m in zip(alive.tolist(), msgs) if keep
-            ]
 
     def _deliverable(self, msg: BroadcastWrite) -> bool:
         stamp = msg.stamp.components

@@ -450,15 +450,23 @@ class CausalOwnerNode(DSMNode):
         )
 
     def _complete_read(self, msg: ReadReply) -> None:
-        future, location, started = self._pending_reads.pop(msg.request_id)
+        pending = self._pending_reads.pop(msg.request_id, None)
+        if pending is None:
+            raise ProtocolError(
+                f"node {self.node_id} got stray R_REPLY {msg.request_id} "
+                f"for {msg.location!r}"
+            )
+        future, location, started = pending
         flight = self._read_flight.pop(msg.request_id)
         # VT_i := update(VT_i, VT')
         self.vt = self.vt.update(msg.stamp)
         self._note_stamp(msg.stamp)
         if flight:
             requested = next(
-                p for p in msg.entries if p.location == location
+                (p for p in msg.entries if p.location == location), None
             )
+            if requested is None:
+                raise self._reply_lacks_location(msg, location)
             if self._overtaken(requested.stamp, flight):
                 # The reply was overtaken: while it travelled, this node
                 # merged a stamp that strictly dominates the payload —
@@ -503,8 +511,10 @@ class CausalOwnerNode(DSMNode):
                 # (writer, own-component) pair names the write whose
                 # arrival forced stale cached values out.
                 requested = next(
-                    p for p in msg.entries if p.location == location
+                    (p for p in msg.entries if p.location == location), None
                 )
+                if requested is None:
+                    raise self._reply_lacks_location(msg, location)
                 self.obs.emit(
                     "proto", "inv.sweep", node=self.node_id, clock=self.vt,
                     invalidated=swept, cause="read_reply",
@@ -533,9 +543,7 @@ class CausalOwnerNode(DSMNode):
                 if payload.location == location:
                     requested_entry = entry
         if requested_entry is None:
-            raise ProtocolError(
-                f"R_REPLY for {location!r} did not contain the location"
-            )
+            raise self._reply_lacks_location(msg, location)
         self.stats.blocked_time += self.runtime.now - started
         if self.obs is not None:
             self.obs.metrics.histogram("read_miss.round_trip").observe(
@@ -543,6 +551,14 @@ class CausalOwnerNode(DSMNode):
             )
         self._record_read(location, requested_entry)
         future.resolve(requested_entry.value)
+
+    def _reply_lacks_location(
+        self, msg: ReadReply, location: str
+    ) -> ProtocolError:
+        return ProtocolError(
+            f"node {self.node_id}: R_REPLY {msg.request_id} did not contain "
+            f"the requested location {location!r}"
+        )
 
     # ------------------------------------------------------------------
     # [WRITE, x, v, VT] at the owner (Figure 4, fourth procedure)

@@ -160,7 +160,6 @@ def run_workload_live(
         no_cache=config.no_cache,
         batching=config.batching,
         delta_stamps=config.delta_stamps,
-        arena_backend=config.arena_backend,
         transport=transport,
         link_delay=link_delay,
         timeout=timeout,

@@ -1,5 +1,7 @@
 """Unit tests for the ISIS-style causal-broadcast memory (Figure 3)."""
 
+import hashlib
+
 import pytest
 
 from repro.checker import check_causal
@@ -131,6 +133,66 @@ class TestCausalDelivery:
         # y's broadcast reached node 2 but is buffered awaiting x.
         assert cluster.nodes[2].held_back_count == 1
         assert cluster.nodes[2].replica_value("y") == 0
+
+
+class TestHeldBackPile:
+    """A burst that holds back far more than eight broadcasts.
+
+    Node 0's broadcasts reach node 1 last (40x link delay) while the
+    other writers — having already delivered them — keep broadcasting
+    writes that causally depend on them; those pile up at node 1 and
+    drain in one scan when node 0's arrive.  Writes are paced with
+    sleeps: back-to-back broadcasts all launch at t=0, carry no
+    cross-node dependencies, and nothing would be held back.
+
+    The digests were taken at the commit that still had a vectorised
+    twin of the delivery scan (engaged from eight held messages up);
+    both agreed on them, so they pin the scan's order now that one scan
+    is left.  Node 1 finishes its own reads before the pile drains, so
+    the recorded history alone would not notice a reordered scan; the
+    order in which node 1 applies the broadcasts does.
+    """
+
+    HISTORY = "52fac9852984a71f"
+    APPLIED_AT_NODE_1 = "e8b1f533fa1ff35c"
+
+    @pytest.mark.parametrize("batching", [False, True])
+    def test_pile_drains_in_the_pinned_order(self, batching):
+        latency = PerLinkLatency(default=1.0, links={(0, 1): 40.0})
+        cluster = DSMCluster(
+            5, protocol="broadcast", seed=9, latency=latency,
+            batching=batching,
+        )
+        node1 = cluster.nodes[1]
+        applied = []
+        peak_held = 0
+        original_apply = node1._apply
+
+        def spying_apply(msg):
+            nonlocal peak_held
+            peak_held = max(peak_held, node1.held_back_count)
+            applied.append((msg.sender, msg.location, msg.value))
+            original_apply(msg)
+
+        node1._apply = spying_apply
+
+        def writer(api, me):
+            for i in range(16):
+                yield api.write(f"loc{i % 3}", (me, i))
+                yield api.read(f"loc{(i + me) % 3}")
+                yield sleep(cluster.sim, 2.0)
+
+        for node in range(5):
+            cluster.spawn(node, writer, node)
+        cluster.run()
+
+        def digest(text):
+            return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+        assert peak_held > 8
+        assert len(applied) == 4 * 16
+        assert digest(repr(applied)) == self.APPLIED_AT_NODE_1
+        assert digest(cluster.history().to_text()) == self.HISTORY
 
 
 class TestFigure3Anomaly:

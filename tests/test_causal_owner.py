@@ -408,6 +408,36 @@ class TestProtocolErrors:
         with pytest.raises(ProtocolError):
             cluster.nodes[0].handle_message(1, object())
 
+    def test_read_reply_nobody_asked_for_rejected(self):
+        from repro.protocols.messages import ReadReply
+
+        cluster = two_node_cluster()
+        stray = ReadReply(
+            request_id=99, location="x", entries=(),
+            stamp=VectorClock.zero(2),
+        )
+        with pytest.raises(ProtocolError, match=r"node 1 .*99.*'x'"):
+            cluster.nodes[1].handle_message(0, stray)
+
+    def test_read_reply_lacking_the_location_rejected(self):
+        """Also when a stamp was merged while the reply was in flight."""
+        from repro.protocols.messages import EntryPayload, ReadReply
+
+        cluster = two_node_cluster()
+        node1 = cluster.nodes[1]
+        node1.read("x")  # a miss: the request is now in flight
+        (request_id,) = node1._pending_reads
+        node1._note_stamp(VectorClock((3, 0)))  # non-empty flight log
+        stamp = VectorClock((1, 0))
+        reply = ReadReply(
+            request_id=request_id, location="x",
+            entries=(EntryPayload("z", 1, stamp, writer=0),), stamp=stamp,
+        )
+        with pytest.raises(
+            ProtocolError, match=rf"node 1.*{request_id}.*'x'"
+        ):
+            node1.handle_message(0, reply)
+
 
 class TestWatch:
     def test_watch_resolves_on_owner_write(self):

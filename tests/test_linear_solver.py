@@ -1,8 +1,14 @@
 """Unit/integration tests for the synchronous linear solver (Figure 6)."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.analysis.message_model import (
     atomic_messages_lower_bound,
     causal_messages_per_processor,
@@ -203,3 +209,25 @@ class TestValidation:
         system = LinearSystem.random(3, seed=1)
         result = SynchronousSolver(system, iterations=4, seed=1).run()
         assert "causal" in result.summary()
+
+
+def test_numpy_is_imported_by_the_solvers_only():
+    """The protocol stack, monitor, runtimes and checkers import without
+    numpy; the solver names re-exported by ``repro.apps`` resolve on
+    first use (and bring numpy with them)."""
+    code = (
+        "import sys\n"
+        "import repro, repro.apps.workload, repro.monitor, repro.runtime, "
+        "repro.checker\n"
+        "assert 'numpy' not in sys.modules, 'the core imported numpy'\n"
+        "from repro.apps import SynchronousSolver, LinearSystem\n"
+        "assert SynchronousSolver.__module__ == 'repro.apps.linear_solver'\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    completed = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert completed.returncode == 0, completed.stderr

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.clocks import VectorClock
-from repro.errors import MemoryError_
+from repro.errors import ClockError, MemoryError_
 from repro.memory.local_store import INITIAL_WRITER, LocalStore, MemoryEntry
 from repro.memory.namespace import Namespace
 
@@ -140,6 +140,40 @@ class TestInvalidationSweep:
         swept = store.invalidate_older_than(VectorClock((5, 5)))
         assert swept == ["x"]
         assert store.get("A[0]") is not None
+
+    @pytest.mark.parametrize("wrong", ["stamp", "line"])
+    def test_wrong_dimension_raises_and_changes_nothing(self, wrong):
+        """A stamp, or one cached line, of another dimension is refused
+        before anything is removed — with more lines cached than the
+        eight from which the sweep used to run as a batched mask."""
+        ns = Namespace.explicit(2, {f"loc{i}": 1 for i in range(10)})
+        store = LocalStore(0, ns, n_nodes=2)
+        for i in range(10):
+            store.put(f"loc{i}", entry(i, (0, i)))
+        assert store.invalidate_older_than(VectorClock((0, 3))) == [
+            "loc0", "loc1", "loc2",
+        ]
+        # A fresh install: the next sweep may not skip on the watermark.
+        store.put("loc0", entry(0, (0, 0)))
+        stamp = VectorClock((1, 9))  # strictly newer than every line
+        if wrong == "stamp":
+            stamp = VectorClock((1, 9, 9))
+        else:
+            store.put("loc1", entry(1, (0, 1, 0)))  # scanned last
+
+        def state():
+            return (
+                dict(store._entries), store.cached_locations(),
+                store._watermark, store._watermark_clean,
+                store.sweeps_performed, store.sweeps_skipped,
+                store.invalidation_count,
+            )
+
+        before = state()
+        with pytest.raises(ClockError):
+            store.invalidate_older_than(stamp)
+        assert state() == before
+        assert before[2:] == (VectorClock((0, 3)), False, 1, 0, 3)
 
 
 class TestPageGranularitySweep:

@@ -20,7 +20,6 @@ import pytest
 from repro.apps.workload import WorkloadConfig, run_random_execution
 from repro.checker import check_causal
 from repro.clocks import VectorClock
-from repro.clocks.arena import HAVE_NUMPY
 from repro.memory.local_store import LocalStore, MemoryEntry
 from repro.memory.namespace import Namespace
 
@@ -126,11 +125,11 @@ def random_stamp(rng):
     return VectorClock([rng.randrange(0, 5) for _ in range(N_NODES)])
 
 
-def drive(seed, namespace_factory, backend=None):
+def drive(seed, namespace_factory):
     """One random op sequence applied to both stores, compared stepwise."""
     namespace, locations = namespace_factory()
     rng = random.Random(seed)
-    fast = LocalStore(0, namespace, n_nodes=N_NODES, backend=backend)
+    fast = LocalStore(0, namespace, n_nodes=N_NODES)
     naive = NaiveStore(0, namespace, n_nodes=N_NODES)
     unowned = [loc for loc in locations if not naive.owns(loc)]
     for step in range(80):
@@ -174,19 +173,24 @@ def drive(seed, namespace_factory, backend=None):
         assert fast.discard_count == naive.discard_count, (seed, step)
 
 
-BACKENDS = ["python"] + (["numpy"] if HAVE_NUMPY else [])
+#: The second axis of the two lockstep properties used to pick the
+#: writestamp-arena backend.  The arena is gone (DESIGN.md §4.9); the
+#: labels stay only because the tier-1 floor pins these 100 ids, and
+#: each now offsets the seed, so a property's 50 runs are 50 different
+#: op sequences ("python" keeps the scripts both labels ran before).
+SCRIPT_OFFSETS = {"python": 0, "numpy": 1000}
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("script", list(SCRIPT_OFFSETS))
 @pytest.mark.parametrize("seed", range(25))
-def test_optimised_sweep_matches_naive_word_granularity(seed, backend):
-    drive(seed, word_namespace, backend=backend)
+def test_optimised_sweep_matches_naive_word_granularity(seed, script):
+    drive(seed + SCRIPT_OFFSETS[script], word_namespace)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("script", list(SCRIPT_OFFSETS))
 @pytest.mark.parametrize("seed", range(25))
-def test_optimised_sweep_matches_naive_page_granularity(seed, backend):
-    drive(seed, paged_namespace, backend=backend)
+def test_optimised_sweep_matches_naive_page_granularity(seed, script):
+    drive(seed + SCRIPT_OFFSETS[script], paged_namespace)
 
 
 def test_watermark_actually_skips_redundant_sweeps():

@@ -142,24 +142,21 @@ def test_workloads_are_deterministic_per_seed(shape):
           suppress_health_check=[HealthCheck.too_slow])
 @given(workload_shapes)
 def test_delivery_internals_are_execution_transparent(shape):
-    """Scheduling/substrate knobs never change the observable execution.
+    """The scheduling knob never changes the observable execution.
 
-    The arena backend (scalar vs numpy writestamp mirror) and batched
-    delivery (fan-out deliveries grouped into one kernel heap entry via
-    preallocated delivery records) are pure mechanics: all four
-    combinations must record byte-identical histories and identical
+    Batched delivery (fan-out deliveries grouped into one kernel heap
+    entry via preallocated delivery records) is pure mechanics: with and
+    without it a run must record byte-identical histories and identical
     message/rejection counts.
     """
     outcomes = [
         run_random_execution(
             WorkloadConfig(
                 protocol="causal",
-                arena_backend=backend,
                 batch_delivery=batch,
                 **shape,
             )
         )
-        for backend in ("python", "numpy")
         for batch in (False, True)
     ]
     reference = outcomes[0]

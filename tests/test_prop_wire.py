@@ -15,7 +15,7 @@ Four claims, each checked across hypothesis-chosen workloads and seeds:
    executions pass the causal checker.
 4. The byte ledger is the wire: every frame a simulated run carries is
    real bytes, exactly as long as the ledger charged plus the documented
-   tag bytes, on either arena backend and under message drops.  (The
+   tag bytes, with and without message drops.  (The
    same equality against the live runtime's sockets is asserted in
    ``test_runtime_live.py``.)
 """
@@ -102,7 +102,7 @@ def _store_snapshot(cluster):
 
 
 def _run_causal_under_drops(
-    n_nodes, ops, seed, *, delta_stamps, backend=None, codec=None
+    n_nodes, ops, seed, *, delta_stamps, codec=None
 ):
     """Batched causal run where drops can stall runs but never block.
 
@@ -121,7 +121,6 @@ def _run_causal_under_drops(
         namespace=namespace,
         batching=True,
         delta_stamps=delta_stamps,
-        arena_backend=backend,
         record_history=True,
     )
     if codec is not None:
@@ -270,7 +269,7 @@ def test_batched_run_converges_to_unbatched_state(n_nodes, ops, seed):
     assert plain_verdict.ok == batched_verdict.ok
     # Batching only removes messages, never adds them — net of stale-read
     # retries.  A retry (one extra READ/R_REPLY round trip) fires when a
-    # foreign stamp overtakes a read reply in flight (DESIGN.md §4.9's
+    # foreign stamp overtakes a read reply in flight (DESIGN.md §4.5's
     # write-behind fix (b)); batching shifts delivery timing, so either
     # side may see more overtaken replies than the other.
     def _non_retry(cluster):
@@ -298,7 +297,7 @@ def _assert_ledger_is_the_wire(cluster, codec):
     assert codec.entries_carried + codec.entries_saved == stats.stamp_entries_full
 
 
-def _run_delta_mixed(n_nodes, ops, seed, *, batching, backend, codec):
+def _run_delta_mixed(n_nodes, ops, seed, *, batching, codec):
     """Deterministic mixed workload under the delta codec."""
     cluster = DSMCluster(
         n_nodes,
@@ -306,7 +305,6 @@ def _run_delta_mixed(n_nodes, ops, seed, *, batching, backend, codec):
         seed=seed,
         batching=batching,
         delta_stamps=True,
-        arena_backend=backend,
         record_history=True,
     )
     cluster.network.codec = codec
@@ -332,14 +330,13 @@ def _run_delta_mixed(n_nodes, ops, seed, *, batching, backend, codec):
     st.integers(min_value=1, max_value=20),
     st.integers(min_value=0, max_value=10_000),
     st.booleans(),
-    st.sampled_from(["python", "numpy"]),
 )
 def test_sim_frames_weigh_what_the_ledger_charged(
-    n_nodes, ops, seed, batching, backend
+    n_nodes, ops, seed, batching
 ):
     codec = AuditedCodec()
     cluster = _run_delta_mixed(
-        n_nodes, ops, seed, batching=batching, backend=backend, codec=codec,
+        n_nodes, ops, seed, batching=batching, codec=codec,
     )
     _assert_ledger_is_the_wire(cluster, codec)
     assert check_causal(cluster.history()).ok
@@ -350,20 +347,17 @@ def test_sim_frames_weigh_what_the_ledger_charged(
     st.integers(min_value=2, max_value=4),
     st.integers(min_value=1, max_value=15),
     st.integers(min_value=0, max_value=10_000),
-    st.sampled_from(["python", "numpy"]),
 )
 def test_sim_frames_weigh_what_the_ledger_charged_under_drops(
-    n_nodes, ops, seed, backend
+    n_nodes, ops, seed
 ):
     """Same claim with message drops dirtying the delta chains."""
     codec = AuditedCodec()
     cluster = _run_causal_under_drops(
-        n_nodes, ops, seed, delta_stamps=True, backend=backend, codec=codec,
+        n_nodes, ops, seed, delta_stamps=True, codec=codec,
     )
     _assert_ledger_is_the_wire(cluster, codec)
-    plain = _run_causal_under_drops(
-        n_nodes, ops, seed, delta_stamps=True, backend=backend,
-    )
+    plain = _run_causal_under_drops(n_nodes, ops, seed, delta_stamps=True)
     assert plain.history().to_text() == cluster.history().to_text()
 
 
