@@ -5,11 +5,11 @@
     causal memory, at least ``3n + 5`` for atomic memory) and helpers
     comparing them against measured counts.
 :mod:`repro.analysis.tables`
-    Minimal ASCII/markdown table rendering used by the CLI, the
-    benchmarks, and EXPERIMENTS.md generation.
+    Minimal ASCII/markdown table rendering used by the CLI and
+    EXPERIMENTS.md generation.
 :mod:`repro.analysis.benchjson`
-    The persistent substrate-benchmark trajectory behind
-    ``python -m repro.bench`` (``BENCH_substrate.json``).
+    Reader of the frozen benchmark trajectory of PRs 1-15
+    (``BENCH_substrate.json``, rendered by ``repro report --bench``).
 """
 
 from repro.analysis.benchjson import BenchRecord, BenchTrajectory

@@ -1,12 +1,10 @@
-"""Persistent benchmark trajectory (``BENCH_substrate.json``).
+"""The frozen benchmark trajectory (``BENCH_substrate.json``) and its reader.
 
-The reproduction's instruments — kernel, protocol engines, checkers —
-are themselves performance-sensitive: a silent 10x regression in any of
-them guts the property-test coverage and caps the ``n`` the message-count
-experiments can reach.  ``python -m repro.bench`` measures them and
-*appends* to a JSON trajectory file, so every PR leaves a dated record
-and regressions are visible as a series, not a single overwritable
-number.
+The file is the dated record PRs 1-15 left of the reproduction's
+instruments (kernel, protocol engines, checkers), one appended run per
+PR.  Nothing in ``src/`` writes it any more: timing claims are made with
+``python -m perf``, whose runs live under ``perf/results/``, and this
+module is what ``python -m repro report --bench`` reads the record with.
 
 Schema (``schema`` is bumped on incompatible change; the reader accepts
 every version up to the current one)::
@@ -86,8 +84,8 @@ Schema history:
   is gone (DESIGN.md §4.9) and nothing writes the section any more;
   committed v5–v8 runs that have it still load, save and render.
   v1–v4 files load unchanged.
-* **6** — adds the optional ``protocol.profile`` section (written by
-  ``repro-bench --profile``): a cProfile top-N-by-cumulative-time table
+* **6** — adds the optional ``protocol.profile`` section: a cProfile
+  top-N-by-cumulative-time table
   of the largest-n protocol workload, recorded as
   ``{"workload": "n=16", "total_time": ..., "sort": "cumulative",
   "top": [{"function": ..., "file": ..., "line": ..., "ncalls": ...,

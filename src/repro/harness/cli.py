@@ -12,7 +12,6 @@ Examples
     repro solver-table
     repro all
     repro trace --scenario fig4 --format chrome -o fig4.trace.json
-    repro bench --profile --label pr8
     repro top --scenario workload --ops 100
     repro live --scenario fig3 --flight-recorder fig3.cex.json
     repro report --bench
@@ -45,12 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser(
         "explore",
         help="explore protocol schedule spaces (forwards to repro.mc)",
-        add_help=False,
-    )
-    sub.add_parser(
-        "bench",
-        help="benchmark the simulation substrate (forwards to repro.bench; "
-        "see repro bench --help, notably --profile and --smoke)",
         add_help=False,
     )
     all_parser = sub.add_parser("all", help="run every experiment")
@@ -557,11 +550,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.mc.__main__ import main as mc_main
 
         return mc_main(["explore", *argv[1:]])
-    if argv and argv[0] == "bench":
-        # Forwarded verbatim for the same reason as `explore`.
-        from repro.bench import main as bench_main
-
-        return bench_main(argv[1:])
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command in (None, "list"):

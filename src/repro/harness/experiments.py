@@ -4,8 +4,8 @@ Each function ``exp_*`` reproduces one figure/table/claim (E-numbers per
 DESIGN.md Section 5) and returns an :class:`ExperimentReport` holding a
 human-readable text block, a machine-checkable ``data`` dict, and a
 ``passed`` flag asserting the paper's claim held in this run.  The
-pytest benchmark suite, the CLI, and EXPERIMENTS.md generation all call
-these same functions.
+tier-1 tests, the CLI, and EXPERIMENTS.md generation all call these
+same functions.
 """
 
 from __future__ import annotations

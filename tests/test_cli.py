@@ -31,6 +31,13 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["no-such-experiment"])
 
+    def test_bench_is_not_a_subcommand(self, capsys):
+        """Timing is `python -m perf`'s; no forwarder to `repro.bench`."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
     def test_write_behind_experiment_runs(self, capsys):
         assert main(["write-behind"]) == 0
         assert "E13" in capsys.readouterr().out
