@@ -24,7 +24,7 @@ bytes per full stamp.  :func:`stamp_bytes_per_message` gives the full
 and delta costs, and :func:`delta_stamp_reduction` the closed-form
 fraction of stamp bytes the delta encoding removes when a channel's
 consecutive messages differ in ``k`` components — the analytic twin of
-the measured ``bandwidth`` section in ``BENCH_substrate.json``.
+``python -m perf``'s measured ``stamp_entries_per_op``.
 """
 
 from __future__ import annotations

@@ -151,9 +151,9 @@ class SynchronousSolver:
         literal discard-and-retry loop with ``poll_period``.
     read_only_inputs:
         The footnote-2 enhancement (see :func:`solver_namespace`).
-    batching / delta_stamps:
-        The wire-level fast path knobs, passed through to
-        :class:`~repro.protocols.base.DSMCluster` (causal protocol).
+    delta_stamps:
+        Delta-encode writestamps on the wire, passed through to
+        :class:`~repro.protocols.base.DSMCluster`.
     """
 
     def __init__(
@@ -167,7 +167,6 @@ class SynchronousSolver:
         read_only_inputs: bool = True,
         record_history: bool = False,
         latency: Optional[LatencyModel] = None,
-        batching: bool = False,
         delta_stamps: bool = False,
     ):
         if protocol not in ("causal", "atomic", "central"):
@@ -190,7 +189,6 @@ class SynchronousSolver:
             latency=latency,
             namespace=solver_namespace(self.n, read_only_inputs),
             record_history=record_history,
-            batching=batching,
             delta_stamps=delta_stamps,
         )
         self._phase_snapshots: List[CounterSnapshot] = []

@@ -45,6 +45,8 @@ class WorkloadConfig:
     think_time: float = 0.0
     protocol: str = "causal"
     no_cache: bool = False
+    # Accepted, never read: perf/workloads.py:275 passes it on every run
+    # (ROADMAP "Finish one instrument" step 1 removes it).
     batching: bool = False
     delta_stamps: bool = False
     #: Coalesce same-instant deliveries into one scheduler entry.
@@ -142,7 +144,6 @@ def run_random_execution(
         policy=policy,
         record_history=True,
         no_cache=config.no_cache,
-        batching=config.batching,
         delta_stamps=config.delta_stamps,
         batch_delivery=config.batch_delivery,
     )

@@ -1,8 +1,8 @@
-"""The three timing gates CI runs, and E18's A/B.
+"""The three timing gates CI runs.
 
 Timing claims are ``python -m perf``'s (``perf/README.md``,
 ``BENCHMARK.json``); this module is not a benchmark suite and writes no
-file.  It holds the four measurements something still asserts on:
+file.  It holds the three measurements something still asserts on:
 
 * :func:`bench_live_gate` — live ops/s over simulator ops/s and the
   send()-to-handler transit over a delayed link (CI ``live-smoke``;
@@ -11,10 +11,7 @@ file.  It holds the four measurements something still asserts on:
   ops/s on the history it verifies (CI ``check-gate``; recorded ratio
   :data:`CHECK_GATE_RATIO`);
 * :func:`bench_obs` — what an attached collector costs the kernel's
-  event loop (CI ``trace-smoke`` bounds ``guard_overhead`` at 10%);
-* :func:`bench_bandwidth` — the wire fast path against the baseline
-  protocol: bytes, stamp entries and messages per op, counts that
-  experiment E18 asserts in tier-1.
+  event loop (CI ``trace-smoke`` bounds ``guard_overhead`` at 10%).
 
 Each gate alternates its two sides in one process and reports a ratio
 of medians or a median of ratios, which, unlike raw ops/s, travels
@@ -32,7 +29,6 @@ from collections import defaultdict, deque
 from typing import Any, Dict, List
 
 __all__ = [
-    "bench_bandwidth",
     "bench_obs",
     "bench_live_gate",
     "bench_check_gate",
@@ -41,100 +37,6 @@ __all__ = [
     "LIVE_GATE_TRANSIT_SLACK",
     "CHECK_GATE_RATIO",
 ]
-
-
-def _best_of(func, repeats: int) -> float:
-    """Minimum wall-clock seconds of ``func`` over ``repeats`` runs."""
-    best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
-        func()
-        best = min(best, time.perf_counter() - started)
-    return best
-
-
-def bench_bandwidth(
-    n_nodes: int, ops_per_proc: int, repeats: int
-) -> Dict[str, Any]:
-    """A/B the wire-level fast path against the baseline causal protocol.
-
-    Both sides run the same mixed single-writer-per-location workload
-    (each processor writes only its own locations, reads everyone's), so
-    the final authoritative state is identical and the comparison
-    isolates wire cost: the baseline pays full stamps and one round trip
-    per remote write; the fast path delta-encodes stamps and batches
-    write certifications.
-    """
-    from repro.protocols.base import DSMCluster
-
-    def run_side(batching: bool, delta_stamps: bool) -> Dict[str, Any]:
-        side: Dict[str, Any] = {}
-
-        def run() -> None:
-            cluster = DSMCluster(
-                n_nodes,
-                protocol="causal",
-                seed=5,
-                record_history=False,
-                batching=batching,
-                delta_stamps=delta_stamps,
-            )
-
-            def process(api, me):
-                for i in range(ops_per_proc):
-                    step = i % 6
-                    if step < 2:
-                        # Back-to-back writes to the processor's hot
-                        # location (a solver updating its component);
-                        # the write-behind queue coalesces these.
-                        yield api.write(f"loc{me}", i)
-                    elif step == 2:
-                        yield api.write(f"loc{me}.{i % 4}", i)
-                    else:
-                        yield api.read(f"loc{(me + i) % n_nodes}")
-
-            for node in range(n_nodes):
-                cluster.spawn(node, process, node)
-            cluster.run()
-            stats = cluster.stats
-            ops = n_nodes * ops_per_proc
-            side["messages"] = stats.total
-            side["bytes"] = stats.bytes_total
-            side["bytes_per_op"] = stats.bytes_total / ops
-            side["stamp_entries"] = stats.stamp_entries
-            side["stamp_entries_per_op"] = stats.stamp_entries / ops
-            side["stamp_entries_saved"] = stats.stamp_entries_saved
-            if batching:
-                batches = sum(n.wb_batches for n in cluster.nodes)
-                batched = sum(n.wb_batched_writes for n in cluster.nodes)
-                side["batches"] = batches
-                side["batched_writes"] = batched
-                coalesced = sum(n.wb_coalesced for n in cluster.nodes)
-                side["coalesced"] = coalesced
-                # Writes absorbed per frame: survivors + coalesced-away.
-                side["batch_occupancy"] = (
-                    (batched + coalesced) / batches if batches else 0.0
-                )
-
-        elapsed = _best_of(run, repeats)
-        ops = n_nodes * ops_per_proc
-        side["ops_per_sec"] = ops / elapsed
-        return side
-
-    baseline = run_side(batching=False, delta_stamps=False)
-    fastpath = run_side(batching=True, delta_stamps=True)
-
-    def reduction(key: str) -> float:
-        return (
-            1.0 - fastpath[key] / baseline[key] if baseline[key] else 0.0
-        )
-
-    return {
-        "baseline": baseline,
-        "fastpath": fastpath,
-        "bytes_per_op_reduction": reduction("bytes_per_op"),
-        "stamp_entries_per_op_reduction": reduction("stamp_entries_per_op"),
-    }
 
 
 def bench_obs(rounds: int = 81, events: int = 8_000) -> Dict[str, Any]:

@@ -2,7 +2,7 @@
 
 One event is one observed action somewhere in the stack: a kernel
 scheduling decision, a message send/deliver/drop, a protocol-internal
-step (an invalidation sweep, a write-behind flush, an ownership grant),
+step (an invalidation sweep, a stale-read retry, an ownership grant),
 a store mutation, or a checker verdict.  Events that originate at a
 node carry that node's **vector clock at emission time**, so a trace is
 not merely a time-ordered log: the clocks carry the happens-before

@@ -254,9 +254,6 @@ class DSMCluster:
         correctness".
     record_history:
         Record every application-level operation for the checkers.
-    batching:
-        Wire-level fast path (causal and broadcast protocols): coalesce
-        writes into batch frames — see DESIGN.md Section 4.5.
     delta_stamps:
         Install a :class:`~repro.protocols.wire.WireCodec` on the
         network: every message crosses it as its encoded byte frame,
@@ -294,7 +291,6 @@ class DSMCluster:
         record_history: bool = True,
         no_cache: bool = False,
         unsafe_write_behind: bool = False,
-        batching: bool = False,
         delta_stamps: bool = False,
         batch_delivery: bool = False,
     ):
@@ -313,8 +309,7 @@ class DSMCluster:
         self.runtime = SimRuntime(self.sim, self.network, self.scheduler)
         self._assemble(
             n_nodes, protocol, namespace, policy, initial_value,
-            record_history, no_cache, unsafe_write_behind, batching,
-            delta_stamps,
+            record_history, no_cache, unsafe_write_behind, delta_stamps,
         )
 
     def _assemble(
@@ -327,7 +322,6 @@ class DSMCluster:
         record_history: bool = True,
         no_cache: bool = False,
         unsafe_write_behind: bool = False,
-        batching: bool = False,
         delta_stamps: bool = False,
     ) -> None:
         """Build the cluster onto ``self.runtime`` — any driver's."""
@@ -335,7 +329,6 @@ class DSMCluster:
             raise ProtocolError(f"need at least one node, got {n_nodes}")
         self.n_nodes = n_nodes
         self.protocol = protocol
-        self.batching = batching
         self.delta_stamps = delta_stamps
         self.namespace = namespace or Namespace.hashed(n_nodes)
         self.recorder = HistoryRecorder() if record_history else None
@@ -353,7 +346,7 @@ class DSMCluster:
         no_cache: bool,
         unsafe_write_behind: bool,
     ) -> List[DSMNode]:
-        protocol, batching = self.protocol, self.batching
+        protocol = self.protocol
         # Local imports: the concrete engines subclass DSMNode from this
         # module, so importing them at module load would be circular.
         from repro.protocols.atomic_owner import AtomicOwnerNode
@@ -378,7 +371,6 @@ class DSMCluster:
                     policy=policy,
                     no_cache=no_cache,
                     unsafe_write_behind=unsafe_write_behind,
-                    batching=batching,
                     **common,
                 )
                 for i in range(self.n_nodes)
@@ -386,10 +378,6 @@ class DSMCluster:
         if no_cache or unsafe_write_behind:
             raise ProtocolError(
                 "no_cache/unsafe_write_behind apply to the causal protocol only"
-            )
-        if batching and protocol != "broadcast":
-            raise ProtocolError(
-                "batching applies to the causal and broadcast protocols only"
             )
         if policy is not None:
             raise ProtocolError(
@@ -416,8 +404,7 @@ class DSMCluster:
             ]
         if protocol == "broadcast":
             return [
-                CausalBroadcastNode(i, batching=batching, **common)
-                for i in range(self.n_nodes)
+                CausalBroadcastNode(i, **common) for i in range(self.n_nodes)
             ]
         raise ProtocolError(f"unknown protocol {protocol!r}")
 

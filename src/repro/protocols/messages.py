@@ -25,10 +25,6 @@ __all__ = [
     "ReadReply",
     "WriteRequest",
     "WriteReply",
-    "WriteBatch",
-    "BatchedWriteReply",
-    "WriteBatchReply",
-    "BroadcastBatch",
     "AtomicReadRequest",
     "AtomicReadReply",
     "AtomicWriteRequest",
@@ -110,56 +106,6 @@ class WriteReply:
     stamp: VectorClock
     applied: bool = True
     current: Optional[EntryPayload] = None
-
-
-# ----------------------------------------------------------------------
-# Batched causal owner protocol (the wire-level fast path)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True, slots=True)
-class WriteBatch:
-    """A run of write-behind certifications for one owner, one frame.
-
-    ``writes`` are :class:`WriteRequest` sub-messages in program order
-    (their stamps' writer components are strictly increasing); the owner
-    applies them in order, exactly as if they had arrived individually
-    on the FIFO channel, and answers with one :class:`WriteBatchReply`.
-    """
-
-    kind: ClassVar[str] = "W_BATCH"
-    request_id: int
-    writes: Tuple[WriteRequest, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class BatchedWriteReply:
-    """One certification outcome inside a :class:`WriteBatchReply`.
-
-    ``stamp`` is the canonical (owner-merged) writestamp of the
-    certified write; ``current`` carries the surviving entry when the
-    owner's policy rejected the write, mirroring
-    :attr:`WriteReply.current`.
-    """
-
-    location: str
-    stamp: VectorClock
-    applied: bool = True
-    current: Optional[EntryPayload] = None
-
-
-@dataclass(frozen=True, slots=True)
-class WriteBatchReply:
-    """The owner's piggybacked reply to a :class:`WriteBatch`.
-
-    One frame acknowledges every write of the batch — the per-write
-    acknowledgements ride ("are piggybacked") on a single reply whose
-    ``stamp`` is the owner's externally visible vector time after the
-    whole batch applied.
-    """
-
-    kind: ClassVar[str] = "W_BATCH_REPLY"
-    request_id: int
-    replies: Tuple[BatchedWriteReply, ...]
-    stamp: VectorClock
 
 
 # ----------------------------------------------------------------------
@@ -286,19 +232,3 @@ class BroadcastWrite:
     location: str
     value: Any
     stamp: VectorClock
-
-
-@dataclass(frozen=True, slots=True)
-class BroadcastBatch:
-    """A flush of coalesced broadcast writes in one frame.
-
-    ``writes`` are the surviving (post-coalescing) broadcasts of one
-    flush window, ordered by the sender's own vector component.  A
-    receiver delivers each in order under the batched CBCAST rule: the
-    sender component may *jump* (coalesced-away broadcasts leave gaps),
-    but every other component must already be delivered.
-    """
-
-    kind: ClassVar[str] = "CB_BATCH"
-    sender: int
-    writes: Tuple[BroadcastWrite, ...]

@@ -38,22 +38,6 @@ class ConflictPolicy:
         """Return True to install the incoming write, False to reject it."""
         raise NotImplementedError
 
-    def coalescable(
-        self, location: str, queued_value: object, new_value: object
-    ) -> bool:
-        """May a queued write-behind write be replaced by a newer one?
-
-        Consulted by the batched causal protocol before coalescing two
-        same-location writes in one flush run.  Coalescing means the
-        owner never sees the superseded value; the default (True) is
-        correct for causal memory — the superseded write remains in the
-        writer's recorded history, and hiding it from everyone else is a
-        legal scheduling of concurrent observation.  A policy can return
-        False for values with side-channel meaning (e.g. a tombstone the
-        owner must observe).
-        """
-        return True
-
     def describe(self) -> str:
         """Name used in experiment reports."""
         return type(self).__name__

@@ -33,7 +33,6 @@ bytes a first-class measurement, and the measurement is the wire:
 Cost model (all sizes in bytes)::
 
     frame header        12   version, kind, endpoints, channel seq, length
-    batch sub-header     4   kind + length of one nested message
     request/seq ids      4
     writer/node ids      4
     location name        2 + len(name)
@@ -50,7 +49,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, fields as dataclass_fields
-from operator import attrgetter
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.clocks import VectorClock
@@ -71,7 +69,6 @@ __all__ = [
     "WIRE_VERSION",
     "MAX_FRAME",
     "HEADER_BYTES",
-    "SUBHEADER_BYTES",
     "ID_BYTES",
     "STAMP_COUNT_BYTES",
     "STAMP_FULL_ENTRY_BYTES",
@@ -97,7 +94,6 @@ class WireDesyncError(WireError):
 # Cost constants
 # ----------------------------------------------------------------------
 HEADER_BYTES = 12
-SUBHEADER_BYTES = 4
 ID_BYTES = 4
 STAMP_COUNT_BYTES = 2
 STAMP_FULL_ENTRY_BYTES = 4
@@ -158,7 +154,6 @@ class MessageCost:
 # Field encodings (big-endian throughout)
 # ----------------------------------------------------------------------
 _HEADER = struct.Struct(">BBHHIH")  # version kind src dst channel-seq length
-_SUB = struct.Struct(">HH")  # nested kind, nested length
 _U16 = struct.Struct(">H")
 _ID = struct.Struct(">I")  # request ids and write sequence numbers
 _NODE = struct.Struct(">i")  # node ids; a writer of -1 is "initial value"
@@ -180,11 +175,9 @@ _FULL_FLAG = 0x8000
 _EMPTY_DELTA = b"\x00\x00"
 _STAMP_STRUCTS: Dict[int, struct.Struct] = {}
 
-# W_REPLY / batched-reply flag bits, and the byte for each combination.
+# W_REPLY flag bits, and the byte for each combination.
 _APPLIED, _HAS_CURRENT = 1, 2
 _FLAGS = (b"\x00", b"\x01", b"\x02", b"\x03")
-#: Nested-only kind: a BatchedWriteReply never travels as its own frame.
-_K_OUTCOME = 0
 
 
 def _stamp_struct(word: int) -> struct.Struct:
@@ -259,8 +252,8 @@ class _SendState:
             self.basis = components
             if basis is not None and len(basis) == dimension:
                 if components == basis:
-                    # Unchanged stamp — half of all stamps in batched
-                    # runs (a reply echoing the request's merged clock).
+                    # Unchanged stamp (a reply echoing the request's
+                    # merged clock).
                     return _EMPTY_DELTA
                 changed: List[int] = []
                 for index, (new, old) in enumerate(zip(components, basis)):
@@ -357,45 +350,17 @@ class _RecvState:
         return clock, off
 
 
-def _put_nested(state, items, code: int, encode) -> bytes:
-    """count | count x (sub-header | nested message)."""
-    parts = [_U16.pack(len(items))]
-    for item in items:
-        body = encode(state, item)
-        parts.append(_SUB.pack(code, len(body)))
-        parts.append(body)
-    return b"".join(parts)
-
-
-def _get_nested(state, data: bytes, off: int, code: int, decode, *lead):
-    """Inverse of :func:`_put_nested`; ``lead`` are the fields every
-    nested message takes from its container."""
-    (count,) = _U16.unpack_from(data, off)
-    off += 2
-    items = []
-    for _ in range(count):
-        kind, length = _SUB.unpack_from(data, off)
-        if kind != code:
-            raise WireError(f"nested kind {kind} where {code} belongs")
-        end = off + SUBHEADER_BYTES + length
-        item, off = decode(state, data, off + SUBHEADER_BYTES, *lead)
-        if off != end:
-            raise WireError("nested message length disagrees with its content")
-        items.append(item)
-    return tuple(items), off
-
-
 #: How each message field travels, by field name: fields are written in
 #: dataclass order, which both sides walk identically — so a type's
 #: stamps keep one fixed order and the running per-channel basis stays
 #: in lockstep.  ``applied`` stands for the (applied, current) pair that
-#: ends a write reply; a batch's ``writes`` are handled by its layout.
+#: ends a write reply.
 _FIELD_KINDS = {
     "request_id": "uint", "seq": "uint",
     "location": "text", "unit": "text",
     "value": "value", "stamp": "stamp",
     "writer": "node", "sender": "node", "requester": "node", "owner": "node",
-    "copyset": "nodes", "entries": "entries", "replies": "replies",
+    "copyset": "nodes", "entries": "entries",
     "applied": "outcome", "current": None,
 }
 #: Per kind: the expression that encodes field ``{f}`` of message ``m`` on
@@ -407,20 +372,18 @@ _FIELD_CODE = {
     "uint": ("_ID.pack(m.{f})", "({f},) = _ID.unpack_from(data, off); off += 4"),
     "node": ("_NODE.pack(m.{f})", "({f},) = _NODE.unpack_from(data, off); off += 4"),
     "entries": ("put_entries(s, m.{f})", "{f}, off = get_entries(r, data, off)"),
-    "replies": ("put_replies(s, m.{f})", "{f}, off = get_replies(r, data, off)"),
     "outcome": ("put_outcome(s, m.applied, m.current)",
                 "applied, current, off = get_outcome(r, data, off)"),
 }
 
 
-def _compile(cls, helpers: Dict[str, Any], skip: int = 0):
-    """Straight-line ``encode(s, m) -> bytes`` and ``decode(r, data, off,
-    *lead) -> (cls(*lead, ...), off)`` for ``cls``'s fields past ``skip``
-    (those a container supplies), generated from the tables above;
-    ``helpers`` are the names the generated code may call."""
+def _compile(cls, helpers: Dict[str, Any]):
+    """Straight-line ``encode(s, m) -> bytes`` and ``decode(r, data, off)
+    -> (cls(...), off)`` for ``cls``'s fields, generated from the tables
+    above; ``helpers`` are the names the generated code may call."""
     names = [field.name for field in dataclass_fields(cls)]
     puts, gets = [], []
-    for name in names[skip:]:
+    for name in names:
         kind = _FIELD_KINDS[name]
         if kind is not None:
             put, get = _FIELD_CODE.get(kind) or (
@@ -429,7 +392,7 @@ def _compile(cls, helpers: Dict[str, Any], skip: int = 0):
             gets.append(get.format(f=name))
     source = (
         f"def encode(s, m):\n    return {' + '.join(puts)}\n"
-        f"def decode(r, data, off{''.join(', ' + n for n in names[:skip])}):\n    "
+        "def decode(r, data, off):\n    "
         + "\n    ".join(gets)
         + f"\n    return cls({', '.join(names)}), off\n"
     )
@@ -470,19 +433,17 @@ def _build_layouts() -> None:
 
     # Constants folded into closure locals: the cost functions run on
     # every Network.send, so global lookups are trimmed to bind-time.
-    H, SUB, ID = HEADER_BYTES, SUBHEADER_BYTES, ID_BYTES
+    H, ID = HEADER_BYTES, ID_BYTES
     SC, SF = STAMP_COUNT_BYTES, STAMP_FULL_ENTRY_BYTES
     vb = value_bytes
     # One full stamp of dimension d costs SC + SF*d; an entry payload
     # (location + value + writer id) costs (2 + len(loc)) + vb + ID.
 
-    def register(code, cls, cost, encode=None, decode=None) -> None:
-        """Add ``cls``; a type whose fields all have a kind compiles itself."""
+    def register(code, cls, cost) -> None:
+        """Add ``cls``; its codec is compiled from its fields' kinds."""
         assert code not in _BY_CODE, code
-        if encode is None:
-            encode, decode = _compile(cls, helpers)
         _LAYOUTS[cls] = _BY_CODE[code] = _Layout(
-            code, cls.kind, cost, encode, decode)
+            code, cls.kind, cost, *_compile(cls, helpers))
 
     # -- composite field kinds -------------------------------------------
     helpers: Dict[str, Any] = {}
@@ -501,7 +462,7 @@ def _build_layouts() -> None:
             entries.append(entry)
         return tuple(entries), off
 
-    # A (batched) write reply ends in its outcome: one flags byte for
+    # A write reply ends in its outcome: one flags byte for
     # ``applied`` and the presence of ``current``, then that entry.
     def put_outcome(state, applied, current) -> bytes:
         if current is None:
@@ -520,41 +481,6 @@ def _build_layouts() -> None:
 
     helpers.update(put_entries=put_entries, get_entries=get_entries,
                    put_outcome=put_outcome, get_outcome=get_outcome)
-    sub_encode, sub_decode = _compile(m.BatchedWriteReply, helpers)
-
-    helpers.update(
-        put_replies=lambda state, replies: _put_nested(
-            state, replies, _K_OUTCOME, sub_encode),
-        get_replies=lambda state, data, off: _get_nested(
-            state, data, off, _K_OUTCOME, sub_decode),
-    )
-
-    def batch(code, cls, cost, item_cls, item_code) -> None:
-        """lead field | count | count x (sub-header | item without its lead).
-
-        A nested write or broadcast shares the batch's request id /
-        sender (the engines build them so); anything else has no encoding.
-        """
-        lead = dataclass_fields(cls)[0].name
-        packer = {"uint": _ID, "node": _NODE}[_FIELD_KINDS[lead]]
-        pick = attrgetter(lead)
-        item_encode, item_decode = _compile(item_cls, helpers, skip=1)
-
-        def encode(state, msg):
-            shared = pick(msg)
-            if any(pick(item) != shared for item in msg.writes):
-                raise WireError(f"nested message with a {lead} of its own")
-            return packer.pack(shared) + _put_nested(
-                state, msg.writes, item_code, item_encode)
-
-        def decode(state, data, off):
-            (shared,) = packer.unpack_from(data, off)
-            items, off = _get_nested(
-                state, data, off + 4, item_code, item_decode, shared)
-            return cls(shared, items), off
-
-        register(code, cls, cost, encode, decode)
-
     # -- cost functions (full stamps), hand-fused -------------------------
     # ``fixed`` is everything of constant width after the header.
     def plain(fixed):  # ... | location
@@ -568,19 +494,6 @@ def _build_layouts() -> None:
         def cost(msg, _f=H + fixed + 2 + SC):
             dim = msg.stamp.dimension
             return _f + len(msg.location) + vb(msg.value) + SF * dim, dim
-
-        return cost
-
-    def batched(per_item):  # lead | count | items of location, value, stamp
-        def cost(msg, _f=H + ID + 2, _ps=SUB + per_item + 2 + SC):
-            writes = msg.writes
-            if not writes:
-                return _f, 0
-            dim = writes[0].stamp.dimension
-            n = _f + len(writes) * (_ps + SF * dim)
-            for w in writes:
-                n += len(w.location) + vb(w.value)
-            return n, len(writes) * dim
 
         return cost
 
@@ -604,34 +517,18 @@ def _build_layouts() -> None:
             count = 2
         return n, count * dim
 
-    def wbr_cost(msg, _f=H + ID + 2 + SC, _ps=SUB + 3 + SC, _pe=2 + ID):
-        dim = msg.stamp.dimension
-        stamp = SF * dim
-        n = _f + stamp
-        count = 1
-        for sub in msg.replies:
-            n += _ps + len(sub.location) + stamp
-            count += 1
-            current = sub.current
-            if current is not None:
-                n += _pe + len(current.location) + vb(current.value) + SC + stamp
-                count += 1
-        return n, count * dim
-
     def grant_cost(msg, _f=H + ID + 2 + ID + 2 + SC):
         dim = msg.stamp.dimension
         return (_f + len(msg.location) + vb(msg.value)
                 + ID * len(msg.copyset) + SF * dim), dim
 
     # -- the table: code, type, cost -------------------------------------
-    # causal owner (Figure 4) and its batched form
+    # causal owner (Figure 4); codes 5 and 6 are retired, never reused
     register(1, m.ReadRequest, lambda msg, _f=H + ID + 4: (
         _f + len(msg.location) + len(msg.unit), 0))
     register(2, m.ReadReply, read_reply_cost)
     register(3, m.WriteRequest, stamped(ID))
     register(4, m.WriteReply, write_reply_cost)
-    batch(5, m.WriteBatch, batched(0), m.WriteRequest, 3)
-    register(6, m.WriteBatchReply, wbr_cost)
     # atomic owner baseline, central server
     register(7, m.AtomicReadRequest, plain(ID))
     register(8, m.AtomicReadReply, stamped(ID + ID))
@@ -642,9 +539,8 @@ def _build_layouts() -> None:
     register(13, m.CentralRead, plain(ID))
     register(14, m.CentralWrite, valued(ID + ID))
     register(15, m.CentralReply, stamped(ID + ID))
-    # causal broadcast
+    # causal broadcast; code 17 is retired, never reused
     register(16, m.BroadcastWrite, stamped(ID + ID))
-    batch(17, m.BroadcastBatch, batched(ID), m.BroadcastWrite, 16)
     # Li–Hudak migrating ownership
     register(18, lh.MigRead, plain(ID + ID))
     register(19, lh.MigReadReply, stamped(ID + ID + ID))

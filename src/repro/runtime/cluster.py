@@ -31,7 +31,7 @@ class LiveCluster(DSMCluster):
     (wall-clock deadline for :meth:`run` — the live analogue of deadlock
     detection) — and passes every other keyword (``protocol``,
     ``namespace``, ``policy``, ``initial_value``, ``record_history``,
-    ``no_cache``, ``unsafe_write_behind``, ``batching``) to the assembly
+    ``no_cache``, ``unsafe_write_behind``) to the assembly
     :class:`DSMCluster` shares.
 
     ``seed`` feeds :meth:`~repro.runtime.base.Runtime.derived_rng`

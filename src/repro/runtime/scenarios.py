@@ -158,7 +158,6 @@ def run_workload_live(
         protocol=config.protocol,
         seed=config.seed,
         no_cache=config.no_cache,
-        batching=config.batching,
         delta_stamps=config.delta_stamps,
         transport=transport,
         link_delay=link_delay,

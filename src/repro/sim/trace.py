@@ -11,8 +11,8 @@ messages to intervals (e.g. per solver iteration).
 Beyond counts, the stats track *bytes* and *writestamp entries* per kind
 and per directed edge, using the deterministic cost model of
 :mod:`repro.protocols.wire` — size, not count, is the real metadata cost
-axis for causal DSM, and the delta-stamp / batching fast path is judged
-on these byte counters.
+axis for causal DSM, and the delta-stamp fast path is judged on these
+byte counters.
 """
 
 from __future__ import annotations

@@ -135,6 +135,28 @@ class TestCausalDelivery:
         assert cluster.nodes[2].replica_value("y") == 0
 
 
+    def test_a_skipped_sender_sequence_number_is_held_until_the_gap_fills(self):
+        """The strict CBCAST rule: ``stamp[sender] == delivered[sender] + 1``.
+
+        Node 0's second broadcast reaches node 1 before its first.  Its
+        other components are all delivered, so a rule that only asked
+        for ``stamp[sender] > delivered[sender]`` would apply it.
+        """
+        from repro.clocks import VectorClock
+        from repro.protocols.messages import BroadcastWrite
+
+        node = make_cluster(2).nodes[1]
+        first = BroadcastWrite(0, 1, "x", "old", VectorClock((1, 0)))
+        second = BroadcastWrite(0, 2, "x", "new", VectorClock((2, 0)))
+        node.handle_message(0, second)
+        assert node.held_back_count == 1
+        assert node.replica_value("x") == 0
+        node.handle_message(0, first)
+        assert node.held_back_count == 0
+        assert node.replica_value("x") == "new"  # applied in sender order
+        assert node.delivered == VectorClock((2, 0))
+
+
 class TestHeldBackPile:
     """A burst that holds back far more than eight broadcasts.
 
@@ -156,13 +178,12 @@ class TestHeldBackPile:
     HISTORY = "52fac9852984a71f"
     APPLIED_AT_NODE_1 = "e8b1f533fa1ff35c"
 
-    @pytest.mark.parametrize("batching", [False, True])
+    # One value, unused: it keeps this test's id (``[False]``) now that
+    # the flush-window arm is gone; dropping it is a rename for a later PR.
+    @pytest.mark.parametrize("batching", [False])
     def test_pile_drains_in_the_pinned_order(self, batching):
         latency = PerLinkLatency(default=1.0, links={(0, 1): 40.0})
-        cluster = DSMCluster(
-            5, protocol="broadcast", seed=9, latency=latency,
-            batching=batching,
-        )
+        cluster = DSMCluster(5, protocol="broadcast", seed=9, latency=latency)
         node1 = cluster.nodes[1]
         applied = []
         peak_held = 0

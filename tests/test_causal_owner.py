@@ -1,5 +1,7 @@
 """Unit tests for the causal owner protocol (Figure 4) — faithfulness."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.checker import check_causal
@@ -418,6 +420,57 @@ class TestProtocolErrors:
         )
         with pytest.raises(ProtocolError, match=r"node 1 .*99.*'x'"):
             cluster.nodes[1].handle_message(0, stray)
+
+    def test_write_reply_nobody_asked_for_rejected(self):
+        from repro.protocols.messages import WriteReply
+
+        cluster = two_node_cluster()
+        node1 = cluster.nodes[1]
+        before = node1.vt
+        stray = WriteReply(
+            request_id=7, location="x", value=1, stamp=VectorClock((5, 0)),
+        )
+        with pytest.raises(ProtocolError, match=r"node 1 .*7.*'x'"):
+            node1.handle_message(0, stray)
+        assert node1.vt == before  # nothing merged before the check
+
+    def test_write_reply_answered_twice_rejected(self):
+        from repro.protocols.messages import WriteReply
+
+        cluster = two_node_cluster()
+        node1 = cluster.nodes[1]
+        done = node1.write("x", 4)
+        (request_id,) = node1._pending_writes
+        cluster.run()
+        assert done.result().applied and not node1._pending_writes
+        again = WriteReply(
+            request_id=request_id, location="x", value=4, stamp=node1.vt,
+        )
+        with pytest.raises(
+            ProtocolError, match=rf"node 1 .*{request_id}.*'x'"
+        ):
+            node1.handle_message(0, again)
+
+    def test_only_figure_4s_four_kinds_are_handled(self):
+        """Every other registered wire type is refused, none ignored."""
+        from repro.protocols.messages import (
+            ReadReply, ReadRequest, WriteReply, WriteRequest,
+        )
+        from repro.protocols.wire import cost_table
+
+        node = two_node_cluster().nodes[0]
+        foreign = set(cost_table()) - {
+            ReadRequest, ReadReply, WriteRequest, WriteReply,
+        }
+        assert len(foreign) == 16
+        filler = dict(
+            request_id=1, seq=1, location="x", value=1, writer=0, sender=0,
+            requester=0, owner=0, copyset=(), stamp=VectorClock.zero(2),
+        )
+        for cls in foreign:
+            message = cls(**{f.name: filler[f.name] for f in fields(cls)})
+            with pytest.raises(ProtocolError, match="unexpected"):
+                node.handle_message(1, message)
 
     def test_read_reply_lacking_the_location_rejected(self):
         """Also when a stamp was merged while the reply was in flight."""

@@ -110,6 +110,16 @@ class TestMessageCounting:
             causal_messages_per_processor(n)
         )
 
+    def test_delta_stamps_change_neither_the_count_nor_the_answer(self):
+        """E18's solver half: the wire fast path is invisible to Figure 6."""
+        n = 4
+        system = LinearSystem.random(n, seed=7)
+        plain = SynchronousSolver(system, iterations=6).run()
+        fast = SynchronousSolver(system, iterations=6, delta_stamps=True).run()
+        assert fast.steady_messages_per_processor == pytest.approx(2 * n + 6)
+        assert fast.total_messages == plain.total_messages
+        assert fast.max_error == plain.max_error
+
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_atomic_at_least_paper_bound(self, n):
         system = LinearSystem.random(n, seed=7)

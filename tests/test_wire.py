@@ -12,7 +12,6 @@ from repro.protocols.messages import (
     EntryPayload,
     ReadReply,
     ReadRequest,
-    WriteBatch,
     WriteReply,
     WriteRequest,
 )
@@ -124,12 +123,6 @@ class TestCostModel:
         from repro.protocols.wire import fast_cost
 
         entry = EntryPayload(location="ent", value="sv", stamp=vc(1, 2), writer=1)
-        sub_reply = m.BatchedWriteReply(
-            location="bat", stamp=vc(3, 1), applied=True, current=None
-        )
-        sub_rejected = m.BatchedWriteReply(
-            location="rej", stamp=vc(3, 2), applied=False, current=entry
-        )
 
         class Strange:
             kind = "STRANGE"
@@ -153,14 +146,6 @@ class TestCostModel:
                 request_id=4, location="loc", value="s", stamp=vc(1, 1),
                 applied=False, current=entry,
             ),
-            m.WriteBatch(request_id=5, writes=(
-                m.WriteRequest(request_id=5, location="a", value=1, stamp=vc(0, 1)),
-                m.WriteRequest(request_id=5, location="bb", value="x", stamp=vc(0, 2)),
-            )),
-            m.WriteBatch(request_id=5, writes=()),
-            m.WriteBatchReply(
-                request_id=6, replies=(sub_reply, sub_rejected), stamp=vc(4, 2),
-            ),
             m.AtomicReadRequest(request_id=7, location="loc"),
             m.AtomicReadReply(
                 request_id=8, location="loc", value=9, stamp=vc(1, 0), writer=0,
@@ -175,11 +160,6 @@ class TestCostModel:
                 request_id=15, location="loc", value=9, stamp=vc(0, 3), writer=1,
             ),
             BroadcastWrite(sender=0, seq=1, location="loc", value=9, stamp=vc(1, 0)),
-            m.BroadcastBatch(sender=0, writes=(
-                BroadcastWrite(sender=0, seq=1, location="a", value=1, stamp=vc(1, 0)),
-                BroadcastWrite(sender=0, seq=3, location="bb", value="y", stamp=vc(3, 0)),
-            )),
-            m.BroadcastBatch(sender=0, writes=()),
             lh.MigRead(request_id=16, location="loc", requester=2),
             lh.MigReadReply(
                 request_id=17, location="loc", value="v", stamp=vc(0, 4),
@@ -348,19 +328,6 @@ class TestCodecRoundTrip:
             assert frame.stamp_entries == frame.stamp_entries_full == 4
             assert frame.byte_size == measure_message(msg).byte_size
         assert codec.entries_saved == 0 and codec.stamps_full == 3
-
-    def test_batch_and_reply_round_trip(self):
-        codec = WireCodec()
-        writes = tuple(
-            WriteRequest(request_id=9, location=f"l{i}", value=i,
-                         stamp=vc(i + 1, 0, 0, 0))
-            for i in range(3)
-        )
-        batch = WriteBatch(request_id=9, writes=writes)
-        frame, decoded = self.roundtrip(codec, 0, 1, batch)
-        assert decoded == batch
-        # First stamp full, then one changed component per sub-write.
-        assert frame.stamp_entries == 4 + 2
 
     def test_write_reply_with_current_round_trips(self):
         codec = WireCodec()

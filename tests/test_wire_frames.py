@@ -77,24 +77,6 @@ def message_strategies(dimension):
     entry = st.builds(m.EntryPayload, names, values, stamp, nodes)
     current = st.one_of(st.none(), entry)
 
-    def write_batches(request_id):
-        writes = st.lists(
-            st.builds(m.WriteRequest, st.just(request_id), names, values, stamp),
-            max_size=4,
-        )
-        return st.builds(m.WriteBatch, st.just(request_id), writes.map(tuple))
-
-    def broadcast_batches(sender):
-        writes = st.lists(
-            st.builds(m.BroadcastWrite, st.just(sender), ids, names, values, stamp),
-            max_size=4,
-        )
-        return st.builds(m.BroadcastBatch, st.just(sender), writes.map(tuple))
-
-    outcomes = st.lists(
-        st.builds(m.BatchedWriteReply, names, stamp, st.booleans(), current),
-        max_size=4,
-    ).map(tuple)
     # Page-mode read replies carry several entries, word mode one.
     entries = st.lists(entry, max_size=4).map(tuple)
     copysets = st.lists(nodes, max_size=5).map(tuple)
@@ -103,7 +85,6 @@ def message_strategies(dimension):
         m.ReadReply: (ids, names, entries, stamp),
         m.WriteRequest: (ids, names, values, stamp),
         m.WriteReply: (ids, names, values, stamp, st.booleans(), current),
-        m.WriteBatchReply: (ids, outcomes, stamp),
         m.AtomicReadRequest: (ids, names),
         m.AtomicReadReply: (ids, names, values, stamp, nodes),
         m.AtomicWriteRequest: (ids, names, values, ids),
@@ -121,10 +102,7 @@ def message_strategies(dimension):
         lh.MigInvalidate: (ids, names),
         lh.MigInvalidateAck: (ids, names),
     }
-    strategies = {cls: st.builds(cls, *args) for cls, args in built.items()}
-    strategies[m.WriteBatch] = ids.flatmap(write_batches)
-    strategies[m.BroadcastBatch] = nodes.flatmap(broadcast_batches)
-    return strategies
+    return {cls: st.builds(cls, *args) for cls, args in built.items()}
 
 
 def messages(dimension):
@@ -143,11 +121,11 @@ traffic = st.lists(
 
 
 def test_every_registered_type_is_generated():
-    """The strategies above and the codec's table list the same 23 types."""
+    """The strategies above and the codec's table list the same 20 types."""
     from repro.protocols.wire import cost_table
 
     assert set(message_strategies(2)) == set(cost_table())
-    assert len(cost_table()) == 17 + 6
+    assert len(cost_table()) == 14 + 6
 
 
 # ----------------------------------------------------------------------
@@ -222,14 +200,9 @@ def test_fields_outside_their_width_are_refused():
     with pytest.raises(WireError, match="cannot encode WRITE"):
         codec.encode(0, 1, m.WriteRequest(1, "x" * 70_000, 1, clock))
     with pytest.raises(WireError, match="MAX_FRAME"):
-        codec.encode(0, 1, m.WriteBatch(1, tuple(
-            m.WriteRequest(1, "x" * 1000, "v" * 1000, clock) for _ in range(40)
-        )))
-    with pytest.raises(WireError, match="request_id of its own"):
-        codec.encode(0, 1, m.WriteBatch(1, (m.WriteRequest(2, "x", 1, clock),)))
-    with pytest.raises(WireError, match="sender of its own"):
-        codec.encode(0, 1, m.BroadcastBatch(
-            0, (m.BroadcastWrite(1, 1, "x", 1, clock),)))
+        codec.encode(0, 1, m.ReadReply(1, "x", tuple(
+            m.EntryPayload("x" * 1000, "v" * 1000, clock, 0) for _ in range(40)
+        ), clock))
 
 
 # ----------------------------------------------------------------------
@@ -244,14 +217,9 @@ def _corpus():
         m.ReadReply(2, "x", (entry, entry), clock),
         m.WriteRequest(3, "x", 7, clock),
         m.WriteReply(4, "x", 2.5, clock, False, entry),
-        m.WriteBatch(5, (m.WriteRequest(5, "x", "a", clock),
-                         m.WriteRequest(5, "yy", None, clock))),
-        m.WriteBatchReply(6, (m.BatchedWriteReply("x", clock),
-                              m.BatchedWriteReply("y", clock, False, entry)),
-                          clock),
         m.AtomicWriteRequest(7, "x", True, 9),
         m.CentralReply(8, "x", "v", clock, -1),
-        m.BroadcastBatch(0, (m.BroadcastWrite(0, 1, "x", 1, clock),)),
+        m.BroadcastWrite(0, 1, "x", 1, clock),
         lh.MigGrant(9, "x", 1, clock, 1, (0, 2)),
         lh.MigInvalidate(10, "x"),
     ]
@@ -406,6 +374,40 @@ def test_reader_delivers_good_frames_and_stops_at_the_first_bad_one():
     assert "unknown frame kind" in runtime.last_rejection
     # Closed, and both directions will restart from full stamps.
     assert closed_at is not None and runtime.resyncs == 1
+
+
+#: Frames of the three retired kinds (write-behind batching: codes 5, 6
+#: and 17), as the last commit that had them encoded them on channel
+#: 0->1 right after one good frame — what an old peer would still send.
+_RETIRED = {
+    5: "01050000000100000002002c00000005000100030016000178030000000000"
+       "00000780020000000300000000",
+    6: "0106000000010000000200260000000500010000000e000178800200000003"
+       "00000000010000",
+    17: "0111000000010000000200300000000000010010001a00000001000178030"
+        "00000000000000780020000000300000000",
+}
+
+
+@pytest.mark.parametrize("code", sorted(_RETIRED))
+def test_a_retired_kind_is_an_unknown_kind(code):
+    """Refused, counted, and fatal to its own connection only."""
+    retired = bytes.fromhex(_RETIRED[code])
+    sender = WireCodec()
+    first = sender.encode(0, 1, m.Invalidate(1, "x")).data
+    receiver = WireCodec()
+    receiver.decode(0, 1, first)
+    with pytest.raises(WireError, match=f"unknown frame kind {code}"):
+        receiver.decode(0, 1, retired)
+
+    after = _good_frames(1)[0].data
+    runtime, received, closed_at = _read(
+        _framed(first) + _framed(retired) + _framed(after)
+    )
+    assert [type(msg) for _, msg in received] == [m.Invalidate]
+    assert runtime.frames_rejected == 1 and runtime.frames_delivered == 1
+    assert f"unknown frame kind {code}" in runtime.last_rejection
+    assert closed_at is not None and runtime._error is None
 
 
 @pytest.mark.parametrize("length", [0, HEADER_BYTES - 1, MAX_FRAME + 1, 2 ** 32 - 1])

@@ -1,10 +1,12 @@
 """Unit tests for the random workload generator."""
 
+import hashlib
 from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 
+import repro.apps.workload as workload_module
 from repro.apps.workload import (
     WorkloadConfig,
     run_random_execution,
@@ -90,6 +92,81 @@ class TestExecution:
         )
         assert not outcome.history.reads()
         assert check_causal(outcome.history).ok
+
+
+def _ledger(config, monkeypatch):
+    """``(history digest, msgs, model bytes, stamp entries)`` of one run."""
+    built = []
+
+    class Captured(workload_module.DSMCluster):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(workload_module, "DSMCluster", Captured)
+    outcome = run_random_execution(config)
+    (cluster,) = built
+    stats = cluster.stats
+    digest = hashlib.sha256(outcome.history.to_text().encode()).hexdigest()[:16]
+    return (digest, stats.total, stats.bytes_total, stats.stamp_entries)
+
+
+#: Ledgers of ``WorkloadConfig(protocol, n_nodes, delta_stamps, seed)``
+#: recorded at the last commit that had write-behind batching, with it
+#: off: deleting it must change no byte of any run that never used it.
+LEDGERS = {
+    ("causal", 4, False, 1991): ("3bb6aa1972dc7ba4", 94, 4675, 376),
+    ("causal", 4, False, 2024): ("778d0aabc51a32df", 86, 4275, 344),
+    ("causal", 4, True, 1991): ("3bb6aa1972dc7ba4", 94, 3975, 174),
+    ("causal", 4, True, 2024): ("778d0aabc51a32df", 86, 3617, 161),
+    ("causal", 8, False, 1991): ("cd280f2411d8c025", 202, 13284, 1616),
+    ("causal", 8, False, 2024): ("e4aff5c4865b3996", 202, 13277, 1616),
+    ("causal", 8, True, 1991): ("cd280f2411d8c025", 202, 10462, 831),
+    ("causal", 8, True, 2024): ("e4aff5c4865b3996", 202, 10501, 828),
+    ("broadcast", 4, False, 1991): ("777069513ff59dc2", 81, 4050, 324),
+    ("broadcast", 4, False, 2024): ("513a1636f063f2db", 81, 4050, 324),
+    ("broadcast", 4, True, 1991): ("777069513ff59dc2", 81, 3360, 117),
+    ("broadcast", 4, True, 2024): ("513a1636f063f2db", 81, 3360, 117),
+    ("broadcast", 8, False, 1991): ("20180bdaede17a29", 350, 23100, 2800),
+    ("broadcast", 8, False, 2024): ("34523ac4a224dc65", 350, 23100, 2800),
+    ("broadcast", 8, True, 1991): ("20180bdaede17a29", 350, 15456, 742),
+    ("broadcast", 8, True, 2024): ("34523ac4a224dc65", 350, 15456, 742),
+}
+
+
+class TestLedgerPinned:
+    @pytest.mark.parametrize("protocol, n_nodes, delta_stamps, seed", LEDGERS)
+    def test_random_workload_ledger_is_the_recorded_one(
+        self, protocol, n_nodes, delta_stamps, seed, monkeypatch
+    ):
+        config = WorkloadConfig(
+            protocol=protocol, n_nodes=n_nodes, delta_stamps=delta_stamps,
+            seed=seed,
+        )
+        assert _ledger(config, monkeypatch) == LEDGERS[
+            protocol, n_nodes, delta_stamps, seed
+        ]
+
+    def test_the_batching_field_is_inert(self, monkeypatch):
+        """``perf/workloads.py`` still passes it; it must select nothing."""
+        config = WorkloadConfig(
+            protocol="causal", n_nodes=8, delta_stamps=True, seed=1991,
+            batching=True,
+        )
+        assert _ledger(config, monkeypatch) == LEDGERS["causal", 8, True, 1991]
+
+    def test_no_constructor_takes_batching(self):
+        from repro.protocols.base import DSMCluster
+        from repro.protocols.causal_owner import CausalOwnerNode
+
+        with pytest.raises(TypeError, match="batching"):
+            DSMCluster(3, batching=True)
+        node = DSMCluster(2).nodes[0]
+        with pytest.raises(TypeError, match="batching"):
+            CausalOwnerNode(
+                0, runtime=node.runtime, namespace=node.namespace, n_nodes=2,
+                batching=True,
+            )
 
 
 class _RecordingApi:
