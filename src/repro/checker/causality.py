@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.checker.history import History, INIT_PROC, Operation
 from repro.errors import CheckError
@@ -109,6 +109,14 @@ class CausalOrder:
         self._pred_non_rf_mask: List[int] = [
             _mask_of(preds) for preds in self._pred_non_rf
         ]
+        # Per op, the bitset of everything below its program-order chain:
+        # ``ops`` lists the initial writes (a chain each), then each
+        # process's operations as one contiguous run.
+        self._below: List[int] = [
+            (1 << i) - 1 for i in range(len(history.init_writes))
+        ]
+        for ops in history.processes:
+            self._below += [(1 << len(self._below)) - 1] * len(ops)
         self._loc_ops: Optional[Dict[str, LocationOps]] = None
         self._reads_mask = 0
 
@@ -237,6 +245,46 @@ class CausalOrder:
             bits |= anc[p]
         return bits
 
+    def frontier_writes(self, past: int, loc: LocationOps) -> Set[int]:
+        """The only writes of ``loc`` in ``past`` that can pass condition 2.
+
+        A past write survives only if every same-location past op after
+        it carries its value; the ``*->``-maximal such op is the last
+        past op of its program-order chain, so the survivors are among
+        the sources of those chain tips — at most one per process plus
+        the initial write, however long the history.  Tips are peeled
+        from the top: the highest remaining bit, then everything below
+        its chain.
+        """
+        rf_pred, position, below = self._rf_pred, loc.write_position, self._below
+        found: Set[int] = set()
+        rest = past & loc.mask
+        while rest:
+            tip = rest.bit_length() - 1
+            rest &= below[tip]  # drop the rest of the tip's chain
+            source = rf_pred[tip]
+            if source is None:
+                found.add(tip)
+            elif source in position:  # a write of this location only
+                found.add(source)
+        return found
+
+    def live_mask(self, index: int, loc: LocationOps) -> int:
+        """Definition 1 for the read at ``index``: ``loc``'s live writes."""
+        past, desc = self.past_mask(index), self._desc
+        # Same-location ops that reach the read with its rf edge excluded
+        # (candidates for condition 2's intervening operation o'').
+        reaching = past & loc.mask
+        # Condition 1: neither following the read nor in its past.
+        live = loc.writes_mask & ~past & ~desc[index]
+        # Condition 2: an intervening same-location op between a past write
+        # and the read serves notice unless it carries that write's value.
+        ops, source_masks = self.ops, loc.source_masks
+        for i in self.frontier_writes(past, loc):
+            if not desc[i] & reaching & ~source_masks[ops[i].write_id]:
+                live |= 1 << i
+        return live
+
     def reads_mask(self) -> int:
         """Bitset of all read operations."""
         if self._loc_ops is None:
@@ -291,10 +339,6 @@ class CausalOrder:
         i = self.index_of(op)
         bits = self._desc[i]
         return [self.ops[j] for j in bit_indices(bits)]
-
-    def sort_key(self) -> Dict[OpId, int]:
-        """A topological position per op (for deterministic reports)."""
-        return dict(self._pos)
 
 
 _NO_OPS = LocationOps()

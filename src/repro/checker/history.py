@@ -257,9 +257,16 @@ class History:
                     read_from=source,
                 )
         for op in self._app_operations():
-            if op.is_read and op.read_from not in self._writes_by_id:
+            if not op.is_read:
+                continue
+            source = self._writes_by_id.get(op.read_from)
+            if source is None:
                 raise HistoryError(
                     f"{op} reads from unknown write {op.read_from!r}"
+                )
+            if source.location != op.location:
+                raise HistoryError(
+                    f"{op} reads from {source}, a write to another location"
                 )
 
     # ------------------------------------------------------------------

@@ -27,11 +27,14 @@ with three ANDs:
   ``desc(w) & reaching & ~same_source(w)`` is non-empty, i.e. unless an
   intervening operation carrying another write's value serves notice.
 
-Only the third group costs one big-int test per write, so a check is one
-such test per (read, causally preceding same-location write) pair; with
-masks as wide as the history that is what keeps the checker super-linear
-in history length.  ``tests/test_checker_index.py`` pins this against a
-literal per-pair reading of the definition.
+Only the third group costs a big-int test per write, and only the read's
+*causal frontier* is put to it: a surviving ``w`` is the source of the
+last ``reaching`` op of some program-order chain
+(:meth:`CausalOrder.frontier_writes`), so a read makes at most
+``n_procs + 1`` such tests however many overwritten writes lie in its
+past.  What still grows with the history is the width of each mask.
+``tests/test_checker_index.py`` pins all of this against a literal
+per-pair reading of the definition.
 
 Memoisation (the ROADMAP "checker search pruning" item): the live set of
 a read is fully determined by its *causal-past fingerprint* — the read's
@@ -170,24 +173,8 @@ def live_set(
             cache.hits += 1
             return [loc.writes[p] for p in positions]
         cache.misses += 1
-    j = order.index_of(read)
     ops = order.ops
-    past = order.past_mask(j)
-    # Same-location ops that reach `read` with its rf edge excluded
-    # (candidates for condition 2's intervening operation o'').
-    reaching = past & loc.mask
-    # Condition 1: neither following the read nor in its past.
-    live_mask = loc.writes_mask & ~past & ~order.descendant_mask(j)
-    # Condition 2: an intervening same-location op between a past write
-    # and `read` serves notice unless it carries that write's own value.
-    source_masks = loc.source_masks
-    for i in bit_indices(loc.writes_mask & past):
-        if not (
-            order.descendant_mask(i) & reaching
-            & ~source_masks[ops[i].write_id]
-        ):
-            live_mask |= 1 << i
-    live_indices = list(bit_indices(live_mask))
+    live_indices = list(bit_indices(order.live_mask(order.index_of(read), loc)))
     if key is not None:
         position = loc.write_position
         cache._table[key] = tuple(position[i] for i in live_indices)

@@ -302,3 +302,14 @@ def test_the_ci_check_gate_runs_at_toy_size():
         gate["check_ops_per_sec"] / gate["sim_ops_per_sec"]
     )
     assert CHECK_GATE_RATIO > 1  # verifying a run is cheaper than producing it
+
+
+def test_the_ci_long_history_gate_runs_at_toy_size():
+    """The `check-gate` job's second call (`rounds=3, ops_per_proc=1000`:
+    verifying an 8 000-op run stays cheaper than producing it), smaller;
+    the ratio itself is CI's to assert, tier-1 reads no clock."""
+    from repro.bench import bench_check_gate
+
+    gate = bench_check_gate(rounds=3, ops_per_proc=40)
+    assert gate["causal"] and gate["ops"] == 320 and gate["rounds"] == 3
+    assert gate["check_over_sim"] > 0

@@ -138,8 +138,3 @@ class TestUtilities:
         order = CausalOrder(figure1)
         with pytest.raises(CheckError):
             order.precedes(figure2.op(2, 1), figure1.op(0, 0))
-
-    def test_sort_key_covers_all_ops(self, figure1):
-        order = CausalOrder(figure1)
-        key = order.sort_key()
-        assert len(key) == len(figure1.operations(include_init=True))

@@ -23,7 +23,7 @@ from repro.checker import (
     random_history,
 )
 from repro.checker.causality import bit_indices
-from repro.checker.history import Operation
+from repro.checker.history import Operation, initial_write_id
 from repro.harness.scenarios import run_figure3_on_broadcast
 
 SHAPES = [
@@ -32,6 +32,44 @@ SHAPES = [
     dict(n_procs=3, n_locations=3, ops_per_proc=6, read_fraction=0.7),
     dict(n_procs=4, n_locations=2, ops_per_proc=5, read_fraction=0.3),
 ]
+
+# Contended shapes: many processes on one or two locations, so a late
+# read follows dozens of writes to its location.  ``random_history`` is
+# cyclic in every draw at these sizes; ``interleaved_history`` is not.
+CONTENDED = [
+    dict(n_procs=6, n_locations=1, ops_per_proc=25, read_fraction=0.3),
+    dict(n_procs=6, n_locations=1, ops_per_proc=25, read_fraction=0.7),
+    dict(n_procs=8, n_locations=2, ops_per_proc=20, read_fraction=0.3),
+    dict(n_procs=8, n_locations=2, ops_per_proc=20, read_fraction=0.7),
+]
+
+
+def interleaved_history(
+    seed, n_procs, n_locations, ops_per_proc, read_fraction, stale=0.5
+) -> History:
+    """Acyclic by construction, causal or not: the operations are laid
+    along one random interleaving and a read returns the latest earlier
+    write to its location or, with probability ``stale``, any earlier
+    one (``stale=0`` is a sequentially consistent run)."""
+    rng = random.Random(seed)
+    locations = [f"l{i}" for i in range(n_locations)]
+    schedule = [p for p in range(n_procs) for _ in range(ops_per_proc)]
+    rng.shuffle(schedule)
+    processes = [[] for _ in range(n_procs)]
+    written = {loc: [(initial_write_id(loc), 0)] for loc in locations}
+    for step, proc in enumerate(schedule, start=1):
+        location, index = rng.choice(locations), len(processes[proc])
+        earlier = written[location]
+        if rng.random() < read_fraction:
+            source, value = (
+                rng.choice(earlier) if rng.random() < stale else earlier[-1]
+            )
+            op = Operation(proc, index, "r", location, value, read_from=source)
+        else:
+            op = Operation(proc, index, "w", location, step, write_id=(proc, index))
+            earlier.append((op.write_id, step))
+        processes[proc].append(op)
+    return History(processes, locations=locations)
 
 
 def _source(op: Operation):
@@ -122,6 +160,80 @@ def test_live_sets_equal_definition_on_generated_and_mutated_histories():
     assert checked >= 2000
     # Every class is genuinely exercised, not a handful of lucky seeds.
     assert min(causal, violating, cyclic) > 100, (causal, violating, cyclic)
+
+
+def _condition2_load(history: History):
+    """Per read: how many writes ``live_set`` puts to condition 2's test,
+    and how many writes to the read's location lie in its past."""
+    order = CausalOrder(history)
+    load = []
+    for read in history.reads():
+        loc = order.location_ops(read.location)
+        past = order.past_mask(order.index_of(read))
+        candidates = order.frontier_writes(past, loc)
+        assert candidates <= set(bit_indices(loc.writes_mask & past))
+        load.append((len(candidates), (loc.writes_mask & past).bit_count()))
+    return load
+
+
+def test_live_sets_equal_definition_on_contended_histories():
+    rng = random.Random(22)
+    causal = violating = deepest = 0
+    for seed in range(48):
+        shape = CONTENDED[seed % len(CONTENDED)]
+        stale = (0.0, 0.1, 0.5)[seed // len(CONTENDED) % 3]
+        generated = interleaved_history(seed, stale=stale, **shape)
+        for history in (generated, rewire_one_read(generated, rng)):
+            result = assert_matches_definition(history)
+            if result.cycle is not None:
+                continue  # only a rewired read can close a cycle
+            causal += result.ok
+            violating += not result.ok
+            load = _condition2_load(history)
+            assert max(c for c, _ in load) <= shape["n_procs"] + 1
+            deepest = max(deepest, max(w for _, w in load))
+    assert min(causal, violating) >= 10, (causal, violating)
+    # The regime SHAPES never reach: far more past writes than chains.
+    assert deepest > 40, deepest
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_live_sets_equal_definition_on_contended_owner_runs(seed):
+    recorded = run_random_execution(WorkloadConfig(
+        n_nodes=8, n_locations=2, ops_per_proc=60, seed=seed,
+    )).history
+    assert assert_matches_definition(recorded).ok
+    assert_matches_definition(rewire_one_read(recorded, random.Random(seed)))
+    assert max(w for _, w in _condition2_load(recorded)) > 8 + 1
+
+
+# The corners the frontier argument leans on; ``alpha`` is asked of the
+# last read of the last process.
+FRONTIER_CORNERS = {
+    "a process's first operation: its past is the initial writes":
+        ("P1: w(x)1 w(x)2\nP2: r(x)0", {0, 1, 2}),
+    "a location whose only write is the initial one":
+        ("P1: r(x)0 w(y)1\nP2: r(y)1 r(x)0\nP3: r(x)0 r(y)1 r(x)0", {0}),
+    "every chain tip is a read of the same write":
+        ("P1: w(x)1 w(a)1\nP2: r(x)1 w(b)1\nP3: r(x)1 w(c)1\n"
+         "P4: r(a)1 r(b)1 r(c)1 r(x)1", {1}),
+    "a chain tip that is itself the candidate write":
+        ("P1: w(x)1 w(x)2 w(a)1\nP2: w(x)3\nP3: r(a)1 r(x)2", {2, 3}),
+    "two tips with two sources, both live":
+        ("P1: w(x)1 w(a)1\nP2: w(x)2 w(b)1\nP3: r(a)1 r(b)1 r(x)2", {1, 2}),
+    "a tip's source overwritten on another chain":
+        ("P1: w(x)1 w(a)1\nP2: r(a)1 w(x)2 w(b)1\nP3: r(x)1 w(c)1\n"
+         "P4: r(b)1 r(c)1 r(x)2", {2}),
+}
+
+
+@pytest.mark.parametrize("corner", FRONTIER_CORNERS)
+def test_live_sets_equal_definition_at_the_frontier_corners(corner):
+    text, alpha = FRONTIER_CORNERS[corner]
+    history = History.parse(text)
+    result = assert_matches_definition(history)
+    assert result.cycle is None
+    assert {w.value for w in result.verdicts[-1].live_writes} == alpha
 
 
 def test_causal_histories_mutated_into_violations():
@@ -215,6 +327,19 @@ def test_one_check_walks_the_history_a_constant_number_of_times(
     small, large = scans
     assert small == large
     assert all(count <= 2 for count in small.values()), small
+
+
+def test_a_read_tests_condition_two_on_at_most_one_write_per_chain():
+    """However long the history, a read puts at most ``n_procs + 1``
+    writes to condition 2's test, where its past holds many more."""
+    for ops_per_proc in (75, 300):  # 300 and 1 200 operations
+        history = run_random_execution(WorkloadConfig(
+            n_nodes=4, n_locations=8, ops_per_proc=ops_per_proc, seed=3,
+        )).history
+        load = _condition2_load(history)
+        assert len(load) > 100
+        assert max(c for c, _ in load) <= history.n_procs + 1
+    assert max(w for _, w in load) > 2 * (history.n_procs + 1)
 
 
 # ----------------------------------------------------------------------

@@ -148,6 +148,14 @@ class TestRecorder:
         with pytest.raises(HistoryError):
             recorder.build(n_procs=1)
 
+    def test_read_from_a_write_to_another_location_rejected(self):
+        # A known identity is not enough: alpha(r(x)) is made of writes
+        # to x, and a chain tip's source is looked up among them.
+        w_y = Operation(0, 0, "w", "y", 1, write_id=(0, 1))
+        r_x = Operation(1, 0, "r", "x", 1, read_from=(0, 1))
+        with pytest.raises(HistoryError, match=r"P2\.r\(x\)1.*P1\.w\(y\)1"):
+            History([[w_y], [r_x]])
+
     def test_build_infers_proc_count(self):
         recorder = HistoryRecorder()
         recorder.record_write(2, "x", 1, write_id=("w",))

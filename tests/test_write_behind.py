@@ -101,12 +101,21 @@ class TestMechanics:
 
     def test_fuzzing_finds_violations_somewhere(self):
         """Write-behind is not *always* wrong — but across seeds and a
-        write-heavy workload, violations must show up."""
+        write-heavy workload, violations must show up.
+
+        A run whose history is refused proves nothing either way and is
+        skipped: once an owner has merged a later component of the
+        writer, ``(writer, VT[writer])`` names another of its writes,
+        and ``History`` rejects a read credited to a write to another
+        location (seeds 9 and 24 — until ISSUE 22 the only two
+        "violations" the first 25 seeds found; ROADMAP has the item).
+        """
         from repro.apps.workload import WorkloadConfig, run_random_execution
+        from repro.errors import HistoryError
         from repro.sim.latency import UniformLatency
 
         violations = 0
-        for seed in range(25):
+        for seed in range(60):
             cluster_config = WorkloadConfig(
                 n_nodes=4, n_locations=4, ops_per_proc=20,
                 read_fraction=0.5, discard_fraction=0.2, seed=seed,
@@ -136,6 +145,10 @@ class TestMechanics:
             for proc in range(4):
                 cluster.spawn(proc, process, proc)
             cluster.run()
-            if not check_causal(cluster.history()).ok:
+            try:
+                history = cluster.history()
+            except HistoryError:
+                continue
+            if not check_causal(history).ok:
                 violations += 1
         assert violations > 0
