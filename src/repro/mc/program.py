@@ -18,7 +18,7 @@ embed the exact program it falsifies (see :mod:`repro.mc.counterexample`).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -49,19 +49,25 @@ class ProgramSpec:
 
     ``owners`` optionally pins location ownership (as a sorted tuple of
     ``(location, node)`` pairs, keeping the spec hashable); unlisted
-    locations fall back to the default hashed namespace.
+    locations fall back to the default hashed namespace.  ``nodes``
+    optionally places process ``k`` on node ``nodes[k]`` (default: its
+    own index); two processes on one node are two tasks sharing that
+    node's program order.
     """
 
     processes: Tuple[Tuple[Op, ...], ...]
     protocol: str = "causal"
     owners: Optional[Tuple[Tuple[str, int], ...]] = None
     initial_value: Any = 0
+    nodes: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
         if self.protocol not in _PROTOCOLS:
             raise McError(f"unknown protocol {self.protocol!r}")
         if not self.processes:
             raise McError("a program needs at least one process")
+        if self.nodes and len(self.nodes) != len(self.processes):
+            raise McError("nodes must place every process")
         for ops in self.processes:
             for op in ops:
                 if op[0] == "w" and len(op) == 3:
@@ -73,6 +79,15 @@ class ProgramSpec:
     @property
     def n_procs(self) -> int:
         return len(self.processes)
+
+    @property
+    def placement(self) -> Sequence[int]:
+        """The node of each process."""
+        return self.nodes or range(self.n_procs)
+
+    @property
+    def n_nodes(self) -> int:
+        return max(self.placement) + 1
 
     @property
     def n_ops(self) -> int:
@@ -100,7 +115,7 @@ class ProgramSpec:
                     tokens.append(f"r({op[1]})")
                 else:
                     tokens.append(f"d({op[1]})")
-            lines.append(f"P{proc}: " + " ".join(tokens))
+            lines.append(f"P{self.placement[proc]}: " + " ".join(tokens))
         return "\n".join(lines)
 
     def without_op(self, proc: int, index: int) -> "ProgramSpec":
@@ -109,12 +124,7 @@ class ProgramSpec:
         ops = list(processes[proc])
         del ops[index]
         processes[proc] = tuple(ops)
-        return ProgramSpec(
-            processes=tuple(processes),
-            protocol=self.protocol,
-            owners=self.owners,
-            initial_value=self.initial_value,
-        )
+        return replace(self, processes=tuple(processes))
 
     def op_positions(self) -> List[Tuple[int, int]]:
         """All ``(proc, index)`` positions, in deterministic order."""
@@ -128,12 +138,15 @@ class ProgramSpec:
     # Serialisation (counterexample files)
     # ------------------------------------------------------------------
     def to_jsonable(self) -> Dict[str, Any]:
-        return {
+        data = {
             "protocol": self.protocol,
             "processes": [[list(op) for op in ops] for ops in self.processes],
             "owners": [list(pair) for pair in self.owners] if self.owners else None,
             "initial_value": self.initial_value,
         }
+        if self.nodes:  # absent by default: older files stay as written
+            data["nodes"] = list(self.nodes)
+        return data
 
     @classmethod
     def from_jsonable(cls, data: Dict[str, Any]) -> "ProgramSpec":
@@ -145,6 +158,7 @@ class ProgramSpec:
             protocol=data["protocol"],
             owners=tuple((loc, node) for loc, node in owners) if owners else None,
             initial_value=data.get("initial_value", 0),
+            nodes=tuple(data["nodes"]) if data.get("nodes") else None,
         )
 
 
@@ -153,6 +167,7 @@ def make_spec(
     protocol: str = "causal",
     owners: Optional[Dict[str, int]] = None,
     initial_value: Any = 0,
+    nodes: Optional[Sequence[int]] = None,
 ) -> ProgramSpec:
     """Build a :class:`ProgramSpec` from plain lists/dicts."""
     return ProgramSpec(
@@ -160,6 +175,7 @@ def make_spec(
         protocol=protocol,
         owners=tuple(sorted(owners.items())) if owners else None,
         initial_value=initial_value,
+        nodes=tuple(nodes) if nodes else None,
     )
 
 
@@ -221,15 +237,31 @@ def _exhaustive_spec() -> ProgramSpec:
     )
 
 
+def _inflight_spec(second_task: bool = False) -> ProgramSpec:
+    """The in-flight window (DESIGN.md §4.2): ``P1``'s ``r(x)`` reply
+    travels while ``P1`` serves ``w(y)3``, which follows ``w(x)2``.  Pure
+    Figure 4 caches the overtaken ``x = 0`` and re-reads it after
+    ``r(y)3``; with ``second_task`` the ``r(y)`` is a second task on
+    ``P1``, completing while the reply is still out."""
+    reader = (("r", "x"), ("r", "y"), ("r", "x"))
+    writer = (("w", "x", 2), ("w", "y", 3))
+    processes, nodes = [(), reader, writer], None
+    if second_task:
+        processes, nodes = [reader[:1], writer, reader[1:2]], (1, 2, 1)
+    return make_spec(processes, owners={"x": 0, "y": 1}, nodes=nodes)
+
+
 PRESETS: Dict[str, Any] = {
     "fig3": partial(_figure_spec, "fig3"),
     "fig5": partial(_figure_spec, "fig5"),
     "exhaustive": _exhaustive_spec,
+    "inflight": _inflight_spec,
+    "inflight-tasks": partial(_inflight_spec, second_task=True),
 }
 
 
 def preset(name: str) -> ProgramSpec:
-    """A named example program (``fig3``, ``fig5``, ``exhaustive``)."""
+    """A named example program (see :data:`PRESETS`)."""
     try:
         factory = PRESETS[name]
     except KeyError:

@@ -83,9 +83,9 @@ class ControlledRun:
         self.max_drops = max_drops
         namespace = None
         if spec.owners is not None:
-            namespace = Namespace.explicit(spec.n_procs, dict(spec.owners))
+            namespace = Namespace.explicit(spec.n_nodes, dict(spec.owners))
         self.cluster = DSMCluster(
-            spec.n_procs,
+            spec.n_nodes,
             protocol=spec.protocol,
             seed=0,
             latency=ConstantLatency(1.0),
@@ -98,10 +98,11 @@ class ControlledRun:
         self._proc_of_task: Dict[str, int] = {}
         self.tasks = []
         for proc, ops in enumerate(spec.processes):
+            node = spec.placement[proc]
             task = self.cluster.spawn(
-                proc, program_process, ops, name=f"P{proc}"
+                node, program_process, ops, name=f"P{proc}"
             )
-            self._proc_of_task[f"P{proc}"] = proc
+            self._proc_of_task[f"P{proc}"] = node
             self.tasks.append(task)
         # Logical position counters: how many messages each channel has
         # consumed (delivered or dropped), how many times each task has

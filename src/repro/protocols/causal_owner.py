@@ -85,12 +85,19 @@ class CausalOwnerNode(DSMNode):
         # writes block.
         self.unsafe_write_behind = unsafe_write_behind
         self._pending_reads: Dict[int, Tuple[Future, str, float]] = {}
-        #: Per pending read: foreign stamps merged while its reply is in
-        #: flight.  _complete_read replays the sweeps those stamps ran
-        #: against payloads that were not yet cached (see _note_stamp).
-        self._read_flight: Dict[int, List[VectorClock]] = {}
-        #: Read replies rejected as overtaken and re-requested.
+        #: Per pending request: foreign stamps merged while its reply is
+        #: in flight, as (served, own) — own once an operation of this
+        #: node completed after the merge.  Completion replays the sweeps
+        #: they ran against lines not yet cached (see _note_stamp).
+        self._flight: Dict[
+            int, Tuple[List[VectorClock], List[VectorClock]]
+        ] = {}
+        #: Read replies overtaken by an own operation and re-requested.
         self.stale_read_retries = 0
+        #: Read replies overtaken by a served write: returned, not cached.
+        self.overtaken_reads = 0
+        #: Write acks overtaken in flight: completed, not cached.
+        self.overtaken_writes = 0
         self._pending_writes: Dict[
             int, Tuple[Optional[Future], str, Any, float]
         ] = {}
@@ -107,6 +114,8 @@ class CausalOwnerNode(DSMNode):
         entry = self.store.get(location)
         if entry is not None:
             self.stats.local_read_hits += 1
+            if self._flight:
+                self._note_stamp(own=True)  # another task's miss is out
             self._record_read(location, entry)
             if self.obs is not None and self.obs.wants("proto", "op.read"):
                 self.obs.emit(
@@ -131,7 +140,7 @@ class CausalOwnerNode(DSMNode):
         """Dispatch (or re-dispatch) one read miss to the owner."""
         request_id = self.next_request_id()
         self._pending_reads[request_id] = (future, location, started)
-        self._read_flight[request_id] = []
+        self._flight[request_id] = ([], [])
         self.runtime.send(
             self.node_id,
             self.namespace.owner(location),
@@ -142,29 +151,39 @@ class CausalOwnerNode(DSMNode):
             ),
         )
 
-    def _note_stamp(self, stamp: VectorClock) -> None:
-        """Log a just-merged foreign stamp for reads whose reply is in flight.
+    def _note_stamp(
+        self, stamp: Optional[VectorClock] = None, own: bool = False
+    ) -> None:
+        """Log a just-merged foreign stamp for requests whose reply is in flight.
 
-        The protocol's cache invariant — no cached entry is strictly
-        older than a stamp this node has merged — is maintained by the
-        invalidation sweep, which only sees entries *present* when the
-        stamp arrives.  A read reply in flight at that moment missed the
-        sweep: its payloads may be strictly older than knowledge this
-        node has since gained (serving a peer's WRITE, another reply, a
-        write ack).  _complete_read replays the missed sweeps against
-        each payload before trusting it.
+        The cache invariant — no cached entry is strictly older than a
+        stamp this node has merged — is kept by the invalidation sweep,
+        which only sees entries *present* when the stamp arrives.  A reply
+        in flight at that moment missed the sweep; completion replays it:
+        a line it would have killed is not cached.
+
+        ``own`` marks an operation of this node completing (a reply, an
+        ack, another task's hit): what was merged so far is now behind
+        the program order a waiting read will be recorded after, so a
+        payload it dominates is not even returned.  Serving a peer's
+        WRITE adds no operation here and stays served.
         """
-        if self._read_flight:
-            for log in self._read_flight.values():
-                log.append(stamp)
+        for served, owned in self._flight.values():
+            if stamp is not None:
+                served.append(stamp)
+            if own:
+                owned += served
+                served.clear()
 
     @staticmethod
-    def _overtaken(stamp: VectorClock, flight: List[VectorClock]) -> bool:
-        """Would any sweep missed while in flight have killed this stamp?"""
+    def _overtaken(
+        stamp: VectorClock, flight: List[VectorClock]
+    ) -> Optional[VectorClock]:
+        """The merged stamp whose missed sweep would have killed ``stamp``."""
         for merged in flight:
             if stamp.strictly_less(merged):
-                return True
-        return False
+                return merged
+        return None
 
     # ------------------------------------------------------------------
     # w_i(x)v  (Figure 4, second procedure)
@@ -216,6 +235,7 @@ class CausalOwnerNode(DSMNode):
             future.resolve(WriteOutcome(location=location, value=value))
             return future
         self._pending_writes[request_id] = (future, location, value, self.runtime.now)
+        self._flight[request_id] = ([], [])
         return future
 
     def discard(self, location: str) -> bool:
@@ -255,10 +275,8 @@ class CausalOwnerNode(DSMNode):
         assert requested is not None
         entries = [
             EntryPayload(
-                location=msg.location,
-                value=requested.value,
-                stamp=requested.stamp,
-                writer=requested.writer,
+                msg.location, requested.value, requested.stamp,
+                requested.writer,
             )
         ]
         reply_stamp = requested.stamp
@@ -269,12 +287,7 @@ class CausalOwnerNode(DSMNode):
             entry = self.store.get(other)
             assert entry is not None
             entries.append(
-                EntryPayload(
-                    location=other,
-                    value=entry.value,
-                    stamp=entry.stamp,
-                    writer=entry.writer,
-                )
+                EntryPayload(other, entry.value, entry.stamp, entry.writer)
             )
             reply_stamp = reply_stamp.update(entry.stamp)
         self.runtime.send(
@@ -296,96 +309,98 @@ class CausalOwnerNode(DSMNode):
                 f"for {msg.location!r}"
             )
         future, location, started = pending
-        flight = self._read_flight.pop(msg.request_id)
+        served, owned = self._flight.pop(msg.request_id)
+        requested = next(
+            (p for p in msg.entries if p.location == location), None
+        )
+        if requested is None:
+            raise ProtocolError(
+                f"node {self.node_id}: R_REPLY {msg.request_id} did not "
+                f"contain the requested location {location!r}"
+            )
         # VT_i := update(VT_i, VT')
         self.vt = self.vt.update(msg.stamp)
-        self._note_stamp(msg.stamp)
-        if flight:
-            requested = next(
-                (p for p in msg.entries if p.location == location), None
-            )
-            if requested is None:
-                raise self._reply_lacks_location(msg, location)
-            if self._overtaken(requested.stamp, flight):
-                # The reply was overtaken: while it travelled, this node
-                # merged a stamp that strictly dominates the payload —
-                # had the value been cached it would have been swept, so
-                # returning (or caching) it now could serve a value a
-                # newer same-location write in our causal past already
-                # overwrote.  Ask the owner again; by now it has applied
-                # the write the dominating stamp carries word of.
+        self._note_stamp(msg.stamp, own=True)
+        fresh = () if self.no_cache else msg.entries
+        if served or owned:
+            by = self._overtaken(requested.stamp, owned)
+            if by is not None:
+                # Overtaken, and an own operation completed since: the
+                # read is recorded after it, and a newer write to x may
+                # now be in its causal past.  Ask the owner again; it has
+                # applied the write the dominating stamp carries word of.
                 self.stale_read_retries += 1
-                if self.obs is not None and self.obs.wants("proto", "read.stale_retry"):
-                    self.obs.emit(
-                        "proto", "read.stale_retry", node=self.node_id,
-                        clock=self.vt, location=location,
-                        requested_stamp=requested.stamp,
-                    )
+                self._emit_overtaken(
+                    "read.stale_retry", location, requested.stamp, by
+                )
                 self._send_read_request(future, location, started)
                 return
-        requested_entry: Optional[MemoryEntry] = None
-        if self.no_cache:
-            for payload in msg.entries:
-                if payload.location == location:
-                    requested_entry = MemoryEntry(
-                        value=payload.value,
-                        stamp=payload.stamp,
-                        writer=payload.writer,
-                    )
-        else:
-            # forall y in C_i : M_i[y].VT < VT'  =>  M_i[y] := bottom
-            # Page-mates overtaken in flight (see _note_stamp) are
-            # treated as not shipped: not installed, not kept.
+            by = self._overtaken(requested.stamp, served)
+            if by is not None:
+                # Only served WRITEs intervened: this node's history is
+                # what it was when the request left, so the owner's value
+                # is live for the read.  The missed sweep costs the line,
+                # not the read: return it uncached, as no-cache mode does.
+                self.overtaken_reads += 1
+                self._emit_overtaken(
+                    "read.overtaken", location, requested.stamp, by
+                )
+            flight = served + owned
             fresh = [
-                payload for payload in msg.entries
-                if not flight or payload.location == location
-                or not self._overtaken(payload.stamp, flight)
+                payload for payload in fresh
+                if self._overtaken(payload.stamp, flight) is None
             ]
-            installed = [payload.location for payload in fresh]
-            swept = self.store.invalidate_older_than(msg.stamp, keep=installed)
-            if self.obs is not None and swept and self.obs.wants("proto", "inv.sweep"):
-                # The triggering write is the requested payload's: its
-                # (writer, own-component) pair names the write whose
-                # arrival forced stale cached values out.
-                requested = next(
-                    (p for p in msg.entries if p.location == location), None
-                )
-                if requested is None:
-                    raise self._reply_lacks_location(msg, location)
-                self.obs.emit(
-                    "proto", "inv.sweep", node=self.node_id, clock=self.vt,
-                    invalidated=swept, cause="read_reply",
-                    trigger=[requested.writer,
-                             requested.stamp[requested.writer]]
-                    if requested.writer >= 0 else None,
-                )
-            for payload in fresh:
-                entry = MemoryEntry(
-                    value=payload.value,
-                    stamp=payload.stamp,
-                    writer=payload.writer,
-                )
-                self.store.put(payload.location, entry)
-                self._notify_watchers(payload.location, payload.value)
-                if payload.location == location:
-                    requested_entry = entry
-        if requested_entry is None:
-            raise self._reply_lacks_location(msg, location)
+        # forall y in C_i : M_i[y].VT < VT'  =>  M_i[y] := bottom
+        swept = self.store.invalidate_older_than(
+            msg.stamp, keep=[payload.location for payload in fresh]
+        )
+        if swept:
+            self._emit_sweep(swept, "read_reply", requested)
+        for payload in fresh:
+            self.store.put(
+                payload.location,
+                MemoryEntry(payload.value, payload.stamp, payload.writer),
+            )
+            self._notify_watchers(payload.location, payload.value)
         self.stats.blocked_time += self.runtime.now - started
         if self.obs is not None:
             self.obs.metrics.histogram("read_miss.round_trip").observe(
                 self.runtime.now - started
             )
-        self._record_read(location, requested_entry)
-        future.resolve(requested_entry.value)
+        # A payload is an entry on the wire: value, stamp, writer.
+        self._record_read(location, requested)
+        future.resolve(requested.value)
 
-    def _reply_lacks_location(
-        self, msg: ReadReply, location: str
-    ) -> ProtocolError:
-        return ProtocolError(
-            f"node {self.node_id}: R_REPLY {msg.request_id} did not contain "
-            f"the requested location {location!r}"
-        )
+    def _ack_cacheable(
+        self, location: str, entry: MemoryEntry, flight: List[VectorClock]
+    ) -> bool:
+        """May what a W_REPLY brought be cached?  Not when a sweep the ack
+        missed in flight would have killed it: the write completes, the
+        line is dropped."""
+        by = self._overtaken(entry.stamp, flight)
+        if by is not None:
+            self.overtaken_writes += 1
+            self._emit_overtaken("write.overtaken", location, entry.stamp, by)
+        return by is None
+
+    def _emit_overtaken(
+        self, name: str, location: str, stamp: VectorClock, by: VectorClock
+    ) -> None:
+        if self.obs is not None and self.obs.wants("proto", name):
+            self.obs.emit(
+                "proto", name, node=self.node_id, clock=self.vt,
+                location=location, requested_stamp=stamp, dominating=by,
+            )
+
+    def _emit_sweep(self, swept: List[str], cause: str, entry) -> None:
+        """``inv.sweep``, naming the write whose arrival forced lines out."""
+        if self.obs is not None and self.obs.wants("proto", "inv.sweep"):
+            self.obs.emit(
+                "proto", "inv.sweep", node=self.node_id, clock=self.vt,
+                invalidated=swept, cause=cause,
+                trigger=[entry.writer, entry.stamp[entry.writer]]
+                if entry.writer >= 0 else None,
+            )
 
     # ------------------------------------------------------------------
     # [WRITE, x, v, VT] at the owner (Figure 4, fourth procedure)
@@ -412,48 +427,33 @@ class CausalOwnerNode(DSMNode):
             )
         else:
             apply = True  # the incoming stamp dominates the stored one
+        survivor = None
         if apply:
             entry = MemoryEntry(value=msg.value, stamp=self.vt, writer=src)
             self.store.put(msg.location, entry)
             self._notify_watchers(msg.location, msg.value)
             # forall y in C_i : M_i[y].VT < VT_i  =>  M_i[y] := bottom
             swept = self.store.invalidate_older_than(self.vt)
-            if self.obs is not None and swept and self.obs.wants("proto", "inv.sweep"):
-                self.obs.emit(
-                    "proto", "inv.sweep", node=self.node_id, clock=self.vt,
-                    invalidated=swept, cause="serve_write",
-                    trigger=[src, msg.stamp[src]],
-                )
-            self.runtime.send(
-                self.node_id,
-                src,
-                WriteReply(
-                    request_id=msg.request_id,
-                    location=msg.location,
-                    value=msg.value,
-                    stamp=self.vt,
-                ),
-            )
+            if swept:
+                self._emit_sweep(swept, "serve_write", entry)
         else:
             # Policy rejected the concurrent write: no new value enters
             # this memory, so no sweep; report the surviving entry.
-            self.runtime.send(
-                self.node_id,
-                src,
-                WriteReply(
-                    request_id=msg.request_id,
-                    location=msg.location,
-                    value=msg.value,
-                    stamp=self.vt,
-                    applied=False,
-                    current=EntryPayload(
-                        location=msg.location,
-                        value=current.value,
-                        stamp=current.stamp,
-                        writer=current.writer,
-                    ),
-                ),
+            survivor = EntryPayload(
+                msg.location, current.value, current.stamp, current.writer
             )
+        self.runtime.send(
+            self.node_id,
+            src,
+            WriteReply(
+                request_id=msg.request_id,
+                location=msg.location,
+                value=msg.value,
+                stamp=self.vt,
+                applied=apply,
+                current=survivor,
+            ),
+        )
 
     def _complete_write(self, msg: WriteReply) -> None:
         pending = self._pending_writes.pop(msg.request_id, None)
@@ -463,9 +463,10 @@ class CausalOwnerNode(DSMNode):
                 f"for {msg.location!r}"
             )
         future, location, value, started = pending
+        served, owned = self._flight.pop(msg.request_id, ([], []))
         # VT_i := update(VT_i, VT')
         self.vt = self.vt.update(msg.stamp)
-        self._note_stamp(msg.stamp)
+        self._note_stamp(msg.stamp, own=True)
         if future is None:
             # E13's unsafe branch: the operation already completed; refresh
             # the tentative cached entry to the canonical stamp.
@@ -488,7 +489,9 @@ class CausalOwnerNode(DSMNode):
             # Figure 4's single-threaded setting VT_i equals VT' here).
             # No invalidation sweep, faithful to Figure 4.
             entry = MemoryEntry(value=value, stamp=msg.stamp, writer=self.node_id)
-            if not self.no_cache:
+            if not self.no_cache and self._ack_cacheable(
+                location, entry, served + owned
+            ):
                 self.store.put(location, entry)
             self._record_write(location, value, entry)
             future.resolve(WriteOutcome(location=location, value=value))
@@ -501,25 +504,19 @@ class CausalOwnerNode(DSMNode):
         self._record_write(location, value, ghost)
         assert msg.current is not None
         survivor = MemoryEntry(
-            value=msg.current.value,
-            stamp=msg.current.stamp,
-            writer=msg.current.writer,
+            msg.current.value, msg.current.stamp, msg.current.writer
         )
         if not self.no_cache:
-            self._note_stamp(survivor.stamp)
+            fresh = self._ack_cacheable(location, survivor, served + owned)
+            self._note_stamp(survivor.stamp, own=True)
             swept = self.store.invalidate_older_than(
-                survivor.stamp, keep=[location]
+                survivor.stamp, keep=[location] if fresh else ()
             )
-            if self.obs is not None and swept and self.obs.wants("proto", "inv.sweep"):
-                self.obs.emit(
-                    "proto", "inv.sweep", node=self.node_id, clock=self.vt,
-                    invalidated=swept, cause="write_rejected",
-                    trigger=[survivor.writer,
-                             survivor.stamp[survivor.writer]]
-                    if survivor.writer >= 0 else None,
-                )
-            self.store.put(location, survivor)
-            self._notify_watchers(location, survivor.value)
+            if swept:
+                self._emit_sweep(swept, "write_rejected", survivor)
+            if fresh:
+                self.store.put(location, survivor)
+                self._notify_watchers(location, survivor.value)
         future.resolve(
             WriteOutcome(location=location, value=survivor.value, applied=False)
         )

@@ -10,6 +10,7 @@ from repro.errors import ProtocolError
 from repro.memory import Namespace
 from repro.protocols.base import DSMCluster
 from repro.protocols.policies import LastWriterWins, OwnerFavoured
+from repro.sim.latency import PerLinkLatency
 from repro.sim.tasks import sleep
 
 
@@ -473,23 +474,208 @@ class TestProtocolErrors:
                 node.handle_message(1, message)
 
     def test_read_reply_lacking_the_location_rejected(self):
-        """Also when a stamp was merged while the reply was in flight."""
+        """Whatever was merged while the reply was in flight: nothing, a
+        served write's stamp, an own operation's."""
         from repro.protocols.messages import EntryPayload, ReadReply
 
-        cluster = two_node_cluster()
-        node1 = cluster.nodes[1]
-        node1.read("x")  # a miss: the request is now in flight
-        (request_id,) = node1._pending_reads
-        node1._note_stamp(VectorClock((3, 0)))  # non-empty flight log
-        stamp = VectorClock((1, 0))
-        reply = ReadReply(
-            request_id=request_id, location="x",
-            entries=(EntryPayload("z", 1, stamp, writer=0),), stamp=stamp,
+        for merged in ((), (False,), (True,)):
+            cluster = two_node_cluster()
+            node1 = cluster.nodes[1]
+            node1.read("x")  # a miss: the request is now in flight
+            (request_id,) = node1._pending_reads
+            for own in merged:
+                node1._note_stamp(VectorClock((3, 0)), own=own)
+            stamp = VectorClock((1, 0))
+            reply = ReadReply(
+                request_id=request_id, location="x",
+                entries=(EntryPayload("z", 1, stamp, writer=0),), stamp=stamp,
+            )
+            with pytest.raises(
+                ProtocolError, match=rf"node 1.*{request_id}.*'x'"
+            ):
+                node1.handle_message(0, reply)
+
+
+class TestInFlightReplay:
+    """What happens to an R_REPLY that missed a sweep while it travelled
+    (DESIGN.md §4.2): x owned by node 0, y by node 1, z by node 2, and
+    the link node 0 -> node 1 is slow, so node 1's reply for x is still
+    out when the stamp that overtakes it arrives."""
+
+    @staticmethod
+    def cluster(**kwargs):
+        namespace = Namespace.explicit(3, {"x": 0, "y": 1, "z": 2})
+        latency = PerLinkLatency(default=1.0, links={(0, 1): 10.0})
+        return DSMCluster(
+            3, protocol="causal", namespace=namespace, latency=latency,
+            **kwargs,
         )
-        with pytest.raises(
-            ProtocolError, match=rf"node 1.*{request_id}.*'x'"
-        ):
-            node1.handle_message(0, reply)
+
+    @staticmethod
+    def reader(results):
+        """r(x); node 1's copy of x and the READs sent so far; r(x)."""
+        def process(api):
+            results.append((yield api.read("x")))
+            results.append(api.store.get("x"))
+            results.append(api.network.stats.by_kind["READ"])
+            results.append((yield api.read("x")))
+        return process
+
+    def test_overtaken_by_a_served_write_is_returned_uncached(self):
+        cluster = self.cluster()
+        node1 = cluster.nodes[1]
+        results = []
+
+        def writer(api):
+            yield sleep(cluster.sim, 2.0)  # node 0 has replied x = 0
+            yield api.write("x", 2)
+            yield api.write("y", 3)  # served by node 1 at t = 5
+
+        cluster.spawn(1, self.reader(results))
+        cluster.spawn(2, writer)
+        cluster.run()
+        # One round trip; the line is dropped, not the read; the next
+        # read misses and fetches what overtook it.
+        assert results == [0, None, 1, 2]
+        assert cluster.stats.by_kind["R_REPLY"] == 2
+        assert (node1.overtaken_reads, node1.stale_read_retries) == (1, 0)
+        assert node1.stats.remote_reads == 2
+        assert check_causal(cluster.history()).ok
+
+    def test_overtaken_by_an_own_write_ack_is_re_requested(self):
+        """E13's branch: the W_REPLY of a write-behind write lands while
+        the read is out; its stamp dominates the initial x."""
+        cluster = self.cluster(unsafe_write_behind=True)
+        node1 = cluster.nodes[1]
+        results = []
+
+        def process(api):
+            yield api.write("z", 9)  # completes at once; W_REPLY at t = 2
+            yield from self.reader(results)(api)
+
+        cluster.spawn(1, process)
+        cluster.run()
+        value, cached, reads, again = results
+        assert (value, cached.value, reads, again) == (0, 0, 2, 0)
+        assert (node1.overtaken_reads, node1.stale_read_retries) == (0, 1)
+
+    def test_overtaken_by_a_second_tasks_reply_is_re_requested(self):
+        cluster = self.cluster()
+        node1 = cluster.nodes[1]
+        results = []
+        run_ops(cluster, 2, [("w", "z", 5)])
+
+        def second_task(api):
+            yield api.read("z")  # R_REPLY at t = 2, stamp (0, 0, 1)
+
+        cluster.spawn(1, self.reader(results))
+        cluster.spawn(1, second_task)
+        cluster.run()
+        value, cached, reads, again = results
+        assert (value, cached.value, reads, again) == (0, 0, 3, 0)
+        assert (node1.overtaken_reads, node1.stale_read_retries) == (0, 1)
+
+    def test_a_second_tasks_hit_turns_served_stamps_into_own(self):
+        """Serving w(y)3 alone would return x = 0 uncached; a second task
+        then *reading* y puts w(x)2 in the causal past of the waiting
+        read, which must not return 0 after it."""
+        cluster = self.cluster()
+        node1 = cluster.nodes[1]
+        results = []
+
+        def writer(api):
+            yield sleep(cluster.sim, 2.0)
+            yield api.write("x", 2)
+            yield api.write("y", 3)
+
+        def second_task(api):
+            yield sleep(cluster.sim, 6.0)
+            results.append((yield api.read("y")))
+
+        cluster.spawn(1, self.reader(results))
+        cluster.spawn(2, writer)
+        cluster.spawn(1, second_task)
+        cluster.run()
+        assert results[:2] == [3, 2]  # r(y)3, then r(x)2 on the second ask
+        assert results[3] == 2  # two READs for the one r(x)
+        assert (node1.overtaken_reads, node1.stale_read_retries) == (0, 1)
+        assert check_causal(cluster.history()).ok
+
+    def test_not_overtaken_is_installed(self):
+        """A concurrent stamp merged in flight kills nothing."""
+        cluster = self.cluster()
+        node1 = cluster.nodes[1]
+        results = []
+        run_ops(cluster, 0, [("w", "x", 1)])  # x carries stamp (1, 0, 0)
+
+        def writer(api):
+            yield sleep(cluster.sim, 2.0)
+            yield api.write("y", 3)  # stamp (0, 0, 1): concurrent with x's
+
+        cluster.spawn(1, self.reader(results))
+        cluster.spawn(2, writer)
+        cluster.run()
+        value, cached, reads, again = results
+        assert (value, cached.value, reads, again) == (1, 1, 1, 1)
+        assert cluster.stats.by_kind["READ"] == 1  # the re-read hit
+        assert (node1.overtaken_reads, node1.stale_read_retries) == (0, 0)
+
+    def test_overtaken_write_ack_completes_the_write_uncached(self):
+        """The same window on the write side: node 1's W_REPLY for x is
+        out when it serves w(y)3, which follows the w(x)2 the owner
+        applied over it.  Cached, x = 1 would be re-read after r(y)3."""
+        from repro.obs.collector import TraceCollector
+
+        cluster = self.cluster()
+        collector = TraceCollector()
+        cluster.attach_obs(collector)
+        node1 = cluster.nodes[1]
+        results = []
+
+        def writer(api):
+            yield sleep(cluster.sim, 2.0)  # node 0 has certified x = 1
+            yield api.write("x", 2)
+            yield api.write("y", 3)  # served by node 1 at t = 5
+
+        def process(api):
+            results.append((yield api.write("x", 1)).applied)
+            results.append(api.store.get("x"))
+            results.append((yield api.read("y")))
+            results.append((yield api.read("x")))
+
+        cluster.spawn(1, process)
+        cluster.spawn(2, writer)
+        cluster.run()
+        assert results == [True, None, 3, 2]
+        assert (node1.overtaken_writes, node1.overtaken_reads) == (1, 0)
+        (event,) = [e for e in collector.events if e.name == "write.overtaken"]
+        assert (event.node, event.args["location"]) == (1, "x")
+        assert check_causal(cluster.history()).ok
+
+    @pytest.mark.parametrize("own", [False, True])
+    def test_events_say_why_the_line_was_not_cached(self, own):
+        from repro.obs.collector import TraceCollector
+        from repro.protocols.messages import EntryPayload, ReadReply
+
+        cluster = self.cluster()
+        collector = TraceCollector()
+        cluster.attach_obs(collector)
+        node1 = cluster.nodes[1]
+        node1.read("x")
+        (request_id,) = node1._pending_reads
+        dominating, zero = VectorClock((0, 0, 4)), VectorClock.zero(3)
+        node1._note_stamp(dominating, own=own)
+        node1.handle_message(0, ReadReply(
+            request_id=request_id, location="x",
+            entries=(EntryPayload("x", 0, zero, writer=-1),), stamp=zero,
+        ))
+        (event,) = [
+            e for e in collector.events if e.name.startswith("read.")
+        ]
+        assert event.name == ("read.stale_retry" if own else "read.overtaken")
+        assert event.args["location"] == "x"
+        assert tuple(event.args["requested_stamp"]) == tuple(zero)
+        assert tuple(event.args["dominating"]) == tuple(dominating)
 
 
 class TestWatch:

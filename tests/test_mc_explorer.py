@@ -220,10 +220,21 @@ class TestProgramSpec:
         assert smaller.processes[1][0] == ("r", "y")
 
     def test_spec_round_trip(self):
-        spec = preset("fig3")
-        assert spec.from_jsonable(
-            json.loads(json.dumps(spec.to_jsonable()))
-        ) == spec
+        for name in ("fig3", "inflight-tasks"):
+            spec = preset(name)
+            assert spec.from_jsonable(
+                json.loads(json.dumps(spec.to_jsonable()))
+            ) == spec
+
+    def test_two_processes_on_one_node_are_two_tasks(self):
+        spec = preset("inflight-tasks")
+        assert (spec.n_procs, spec.n_nodes, spec.nodes) == (3, 3, (1, 2, 1))
+        assert spec.without_op(1, 0).nodes == spec.nodes
+        assert spec.describe().splitlines()[2] == "P1: r(y)"
+        run = ControlledRun(spec)
+        assert run.units_of(("x", ("t", "P2", 0))) == (("n", 1),)
+        with pytest.raises(McError, match="place every process"):
+            make_spec([[("r", "x")], [("r", "x")]], nodes=(0,))
 
 
 #: ``preset(...).to_jsonable()`` as the hand-written ``_fig3_spec`` /

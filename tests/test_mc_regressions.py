@@ -7,17 +7,24 @@ protocol — and then shrink them, asserting the search needs no more
 operations than the hand-written scenarios use.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.checker import check_causal, check_sequential, check_slow
 from repro.mc import (
+    ControlledRun,
+    Counterexample,
     ExploreConfig,
+    McError,
     explore,
+    make_spec,
     preset,
     replay,
     replay_trace,
     shrink,
 )
+from repro.protocols.causal_owner import CausalOwnerNode
 
 
 class TestFigure3:
@@ -108,3 +115,139 @@ class TestFigure5:
         )
         assert result.exhausted
         assert result.ok
+
+
+#: The schedule bounded DFS finds, and cannot shrink, on the ``inflight``
+#: preset when every R_REPLY payload is installed (pure Figure 4): init,
+#: w(x)2, w(y)3 served by P1 while its r(x) reply is out, r(y)3, r(x)0.
+INFLIGHT_CEX = Path(__file__).parent / "data" / "inflight-cex.json"
+
+DFS = ExploreConfig(strategy="dfs", max_schedules=5000)
+
+
+@pytest.fixture
+def pure_figure4(monkeypatch):
+    """No in-flight replay: nothing is ever overtaken."""
+    monkeypatch.setattr(
+        CausalOwnerNode, "_overtaken",
+        staticmethod(lambda stamp, flight: None),
+    )
+
+
+def drive(run, keys):
+    for key in keys:
+        run.apply(("x", key))
+
+
+def finish(run):
+    while not run.done:
+        run.apply(run.actions()[0])
+    return run.outcome()
+
+
+class TestInFlightWindow:
+    """The one place the engine departs from Figure 4 (DESIGN.md §4.2)."""
+
+    def test_pure_figure4_caches_an_overtaken_reply(self, pure_figure4):
+        spec = preset("inflight")
+        result = explore(
+            spec, ExploreConfig(strategy="dfs", stop_on_violation=True)
+        )
+        assert result.violations, "bounded DFS missed the in-flight window"
+        small = shrink(
+            result.violations[0],
+            ExploreConfig(strategy="dfs", stop_on_violation=True),
+        )
+        assert small.spec == spec  # all five operations are needed
+        recorded = Counterexample.load(INFLIGHT_CEX)
+        assert (recorded.spec, recorded.trace) == (small.spec, small.trace)
+        outcome = replay(recorded)
+        assert "r(x)0 r(y)3 r(x)0" in outcome.history.to_text()
+        assert not check_causal(outcome.history).ok
+
+    def test_the_tree_is_clean_on_every_schedule(self):
+        for name in ("inflight", "inflight-tasks"):
+            result = explore(preset(name), DFS)
+            assert result.exhausted and result.ok, name
+        with pytest.raises(McError, match="not selectable"):
+            replay(Counterexample.load(INFLIGHT_CEX))  # r(x) misses now
+
+    def test_overtaken_reply_costs_the_line_not_the_read(self):
+        recorded = Counterexample.load(INFLIGHT_CEX)
+        run = ControlledRun(recorded.spec)
+        node1 = run.cluster.nodes[1]
+        for action in recorded.trace:
+            run.apply(action)
+            if node1.stats.reads == 2:  # r(x) returned, r(y) issued
+                break
+        by_kind = run.cluster.stats.by_kind
+        assert (by_kind["READ"], by_kind["R_REPLY"]) == (1, 1)
+        assert (node1.overtaken_reads, node1.stale_read_retries) == (1, 0)
+        assert node1.store.get("x") is None
+        outcome = finish(run)
+        assert "r(x)0 r(y)3 r(x)2" in outcome.history.to_text()
+        assert run.cluster.stats.by_kind["READ"] == 2
+
+    #: P1's r(x) reply is out; P1 serves w(y)3 (after w(x)2); P1's second
+    #: task reads y; only then does the reply arrive.  Tasks are named by
+    #: process index: "P0" is r(x) and "P2" is r(y), both on node 1.
+    SECOND_TASK_READS_Y = (
+        ("t", "P0", 0), ("m", 1, 0, 0),
+        ("t", "P1", 0), ("m", 2, 0, 0), ("m", 0, 2, 0), ("t", "P1", 1),
+        ("m", 2, 1, 0), ("t", "P2", 0), ("m", 0, 1, 0),
+    )
+
+    def test_an_own_operation_in_the_window_still_re_requests(self):
+        run = ControlledRun(preset("inflight-tasks"))
+        node1 = run.cluster.nodes[1]
+        drive(run, self.SECOND_TASK_READS_Y)
+        assert (node1.overtaken_reads, node1.stale_read_retries) == (0, 1)
+        outcome = finish(run)
+        assert "r(y)3 r(x)2" in outcome.history.to_text()
+        assert run.cluster.stats.by_kind["READ"] == 2
+
+    def test_a_hit_that_did_not_count_as_own_would_be_a_violation(
+        self, monkeypatch
+    ):
+        """The issue's own tagging (served write vs. own *reply*) misses
+        this: the second task's r(y) is a local hit on the served write."""
+        note = CausalOwnerNode._note_stamp
+        monkeypatch.setattr(
+            CausalOwnerNode, "_note_stamp",
+            lambda self, stamp=None, own=False:
+                None if stamp is None else note(self, stamp, own),
+        )
+        result = explore(preset("inflight-tasks"), DFS)
+        assert "r(y)3 r(x)0" in result.violations[0].history_text
+
+
+class TestInFlightAck:
+    """The write side of the window, which the parent of PR 23 left open:
+    P1's W_REPLY for w(x)1 is out while P1 serves w(z)3, which follows
+    the w(x)2 the owner applied over it.  Cached on arrival, x = 1 is
+    re-read after r(z)3; P2, told of that read through q, then gets the
+    owner's x = 2 — dead, by Definition 1, once r(x)1 stands between."""
+
+    SPEC = make_spec(
+        [
+            (),
+            (("w", "x", 1), ("r", "z"), ("r", "x"), ("w", "q", 4)),
+            (("w", "x", 2), ("w", "z", 3), ("r", "q"), ("r", "x")),
+        ],
+        owners={"x": 0, "z": 1, "q": 1},
+    )
+
+    def test_the_tree_is_clean_on_every_schedule(self):
+        result = explore(self.SPEC, DFS)
+        assert result.exhausted and result.ok
+
+    def test_caching_an_overtaken_ack_is_a_violation(self, monkeypatch):
+        monkeypatch.setattr(
+            CausalOwnerNode, "_ack_cacheable",
+            lambda self, location, entry, flight: True,
+        )
+        result = explore(
+            self.SPEC, ExploreConfig(strategy="dfs", stop_on_violation=True)
+        )
+        history = result.violations[0].history_text
+        assert "r(z)3 r(x)1 w(q)4" in history and "r(q)4 r(x)2" in history
