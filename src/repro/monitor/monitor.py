@@ -15,9 +15,11 @@ union reads-from, transitively closed.  Protocol clocks are useless
 here — they order operations by *message* paths the memory abstraction
 does not expose, so two application-level concurrent writes can look
 ordered.  Each op bumps its issuing process's component; a read then
-joins its source's timestamp.  Over an acyclic causality relation these
-timestamps characterise it exactly: ``o *-> o'`` iff ``vt(o) <=
-vt(o')`` componentwise.
+joins its source's timestamp.  So ``vt(o)[p(o)]`` is ``o``'s position in
+its process's processed sequence and every ``vt(o)`` is a downward-
+closed cut, which gives the own-component test (Fidge/Mattern):
+``a *-> b`` iff ``vt(b)[p(a)] >= vt(a)[p(a)]`` — one int compare, no
+vector compare.
 
 **Parking.**  Events arrive in *commit* order, which interleaves
 processes arbitrarily and can even deliver a write's commit after a
@@ -34,12 +36,12 @@ checker's cycle verdict.
 **Verdict.**  For read ``r`` by process ``p`` from write ``w``:
 ``vt_excl = bump(frontier[p], p)`` is ``r``'s timestamp with its own
 reads-from edge excluded (Definition 1 demands the exclusion).  ``w``
-is live iff it is concurrent with ``r`` (``vt(w) !<= vt_excl``) or no
-*notice* — a processed same-location operation carrying a different
-write's value — sits causally between them.  The windowed live-set
-computation is memoised in a :class:`~repro.checker.live_values.LiveSetCache`
-keyed on the window fingerprint, so repeated windows (the schedule
-explorer's dominated interleavings) are classified in O(1).
+is live iff it is concurrent with ``r`` (``vt_excl[p(w)] < vt(w)[p(w)]``)
+or no *notice* — a processed same-location operation carrying a
+different write's value — sits causally between them.  Notices are
+grouped per issuing process; per group that question is one bisect and
+one int compare (:func:`_excluded`), and the same test serves the read
+path, :meth:`CausalStreamMonitor.windowed_live_set` and GC.
 
 **Garbage collection.**  Every ``gc_interval`` processed operations the
 monitor computes the *minimum frontier* (componentwise min over all
@@ -56,9 +58,9 @@ exclusions keep holding after the evidence is gone.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, field
-from operator import le
+from dataclasses import dataclass
 from time import perf_counter
 from typing import (
     Any,
@@ -72,7 +74,6 @@ from typing import (
     Tuple,
 )
 
-from repro.checker.live_values import LiveSetCache
 from repro.errors import ReproError
 
 __all__ = [
@@ -82,18 +83,6 @@ __all__ = [
     "MonitorViolationError",
     "CausalStreamMonitor",
 ]
-
-
-def _bump(vt: Tuple[int, ...], proc: int) -> Tuple[int, ...]:
-    return vt[:proc] + (vt[proc] + 1,) + vt[proc + 1:]
-
-
-def _merge(a: Tuple[int, ...], b: Tuple[int, ...]) -> Tuple[int, ...]:
-    return tuple(x if x >= y else y for x, y in zip(a, b))
-
-
-def _leq(a: Tuple[int, ...], b: Tuple[int, ...]) -> bool:
-    return all(map(le, a, b))
 
 
 def _tuple_id(source: Any) -> Tuple:
@@ -125,10 +114,9 @@ class MonitorOp(NamedTuple):
     events arrive in per-process program order (operations block), so it
     coincides with the offline :class:`~repro.checker.history.Operation`
     index.  ``source`` is the write identity: the op's own for a write,
-    the reads-from assignment for a read.  A NamedTuple, not a frozen
-    dataclass: one is built per streamed op and frozen-dataclass
-    ``__init__`` (one ``object.__setattr__`` per field) is measurably
-    slower.
+    the reads-from assignment for a read.  Built only when an op parks
+    or a verdict is handed out; the field order is the processing
+    code's positional signature.
     """
 
     proc: int
@@ -145,114 +133,76 @@ class MonitorOp(NamedTuple):
 class _NoticeGroup:
     """One process's same-location notices, in processing order.
 
-    Along one process's program order, monitor timestamps are
-    componentwise nondecreasing (each op's vt dominates its
-    predecessor's), so within a group both "vt <= bound" and
-    "bound <= vt" are prefix/suffix properties and binary-searchable.
-    That turns the per-read "is any notice causally between my source
-    and me?" question from a linear scan over the window into
-    O(log |group|) — the difference that keeps the monitor at line rate
-    when low-communication phases legitimately grow the window
-    (DESIGN.md §4.8: an idle process pins the min-frontier).
-
-    ``last_other[k]`` is the largest index ``j <= k`` whose source
-    differs from ``srcs[k]`` (-1 if none): after locating the in-range
-    suffix, "does the range hold a notice with a *different* source?"
-    is O(1) even when a process read the same write a thousand times.
+    ``seqs[k]`` is notice ``k``'s own component — strictly increasing,
+    so "notice in a cut" is a prefix found by one ``bisect_right``.
+    Along one process the other components are nondecreasing too, so
+    "source in the notice's past" is a suffix.  ``last_other[k]`` is the
+    largest index ``j <= k`` whose source differs from ``srcs[k]`` (-1 if
+    none): the one notice of the prefix that can witness an exclusion
+    even when a process read the same write a thousand times.
     """
 
-    __slots__ = ("vts", "srcs", "last_other")
+    __slots__ = ("seqs", "vts", "srcs", "last_other")
 
     def __init__(self):
+        self.seqs: List[int] = []
         self.vts: List[Tuple[int, ...]] = []
         self.srcs: List[Tuple] = []
         self.last_other: List[int] = []
 
     def __len__(self) -> int:
-        return len(self.vts)
+        return len(self.seqs)
 
-    def append(self, vt: Tuple[int, ...], src: Tuple) -> None:
-        index = len(self.srcs)
-        if index == 0:
+    def append(self, seq: int, vt: Tuple[int, ...], src: Tuple) -> None:
+        srcs = self.srcs
+        if not srcs:
             self.last_other.append(-1)
-        elif self.srcs[index - 1] != src:
-            self.last_other.append(index - 1)
+        elif srcs[-1] != src:
+            self.last_other.append(len(srcs) - 1)
         else:
-            self.last_other.append(self.last_other[index - 1])
+            self.last_other.append(self.last_other[-1])
+        self.seqs.append(seq)
         self.vts.append(vt)
-        self.srcs.append(src)
-
-    def count_leq(self, bound: Tuple[int, ...]) -> int:
-        """How many leading notices have vt <= bound (prefix property)."""
-        vts = self.vts
-        lo, hi = 0, len(vts)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if _leq(vts[mid], bound):
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
-    def first_geq(self, bound: Tuple[int, ...]) -> int:
-        """First index whose vt >= bound (suffix property)."""
-        vts = self.vts
-        lo, hi = 0, len(vts)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if _leq(bound, vts[mid]):
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-
-    def excludes(
-        self,
-        source: Tuple,
-        source_vt: Tuple[int, ...],
-        vt_excl: Tuple[int, ...],
-        hi: Optional[int] = None,
-    ) -> bool:
-        """Any notice with source_vt <= vt <= vt_excl and src != source?
-
-        ``hi`` caps the searched prefix (the GC passes its retirement
-        boundary); by default the in-range prefix is located first.
-        """
-        if hi is None:
-            hi = self.count_leq(vt_excl)
-        if hi == 0:
-            return False
-        lo = self.first_geq(source_vt)
-        if lo >= hi:
-            return False
-        # The range [lo, hi) is non-empty; all its vts are causally
-        # between source and reader.  Its last entry either has another
-        # source, or last_other jumps to the nearest one that does.
-        j = hi - 1
-        if self.srcs[j] != source:
-            return True
-        return self.last_other[j] >= lo
+        srcs.append(src)
 
     def drop_prefix(self, count: int) -> None:
         """Retire the first ``count`` notices (GC)."""
+        self.seqs = self.seqs[count:]
         self.vts = self.vts[count:]
-        srcs = self.srcs = self.srcs[count:]
-        last_other = self.last_other = []
-        for index, src in enumerate(srcs):
-            if index == 0:
-                last_other.append(-1)
-            elif srcs[index - 1] != src:
-                last_other.append(index - 1)
-            else:
-                last_other.append(last_other[index - 1])
+        self.srcs = self.srcs[count:]
+        self.last_other = [
+            j - count if j >= count else -1 for j in self.last_other[count:]
+        ]
 
-    def items(self):
-        """(vt, src) pairs in processing order (cold paths only)."""
-        return zip(self.vts, self.srcs)
 
-    def fingerprint(self) -> Tuple:
-        """Content key for the live-set memo table."""
-        return (tuple(self.vts), tuple(self.srcs))
+def _excluded(
+    groups: Dict[int, _NoticeGroup],
+    source: Tuple,
+    writer: int,
+    own: int,
+    cut: Tuple[int, ...],
+) -> bool:
+    """Does a notice of another write sit between ``source`` and ``cut``?
+
+    The between-ness test of reads, live sets and GC alike.  ``source``
+    was written by ``writer`` with own component ``own``; ``cut`` is a
+    downward-closed timestamp (a read's ``vt_excl`` or the min-frontier).
+    A notice of process ``q`` lies in the cut iff its own component is
+    at most ``cut[q]``; the group's witness is its in-cut tip, or
+    ``last_other[tip]`` when the tip carries ``source`` itself, and it
+    lies after ``source`` iff its ``writer`` component reaches ``own``.
+    """
+    for q, group in groups.items():
+        k = bisect_right(group.seqs, cut[q]) - 1
+        if k < 0:
+            continue
+        if group.srcs[k] == source:
+            k = group.last_other[k]
+            if k < 0:
+                continue
+        if group.vts[k][writer] >= own:
+            return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -305,8 +255,10 @@ class MonitorResult:
     max_window: int
     gc_retired: int
     frontier: Tuple[Tuple[int, ...], ...]
-    cache_hits: int
-    cache_misses: int
+    #: Always 0: the monitor keeps no live-set memo.  Kept because the
+    #: benchmark's ``monitor.cache_hit_ratio`` reads both fields.
+    cache_hits: int = 0
+    cache_misses: int = 0
 
     @property
     def first_violation(self) -> Optional[MonitorVerdict]:
@@ -349,9 +301,6 @@ class CausalStreamMonitor:
     window_ops:
         Per-process length of the replay window handed to the shrinker
         (:func:`repro.monitor.report.violation_counterexample`).
-    live_cache:
-        Share a :class:`LiveSetCache` across monitors (the differential
-        harness does); one is created when omitted.
     on_verdict:
         Optional callback receiving every read's :class:`MonitorVerdict`
         — the monitor itself only retains violations (bounded memory).
@@ -367,8 +316,6 @@ class CausalStreamMonitor:
         gc_interval: int = 64,
         raise_on_violation: bool = False,
         window_ops: int = 64,
-        live_cache: Optional[LiveSetCache] = None,
-        cache_limit: int = 4096,
         on_verdict: Optional[Callable[[MonitorVerdict], None]] = None,
     ):
         if n_procs <= 0:
@@ -378,13 +325,11 @@ class CausalStreamMonitor:
         self.gc_interval = gc_interval
         self.raise_on_violation = raise_on_violation
         self.window_ops = window_ops
-        self.live_cache = live_cache if live_cache is not None else LiveSetCache()
-        self.cache_limit = cache_limit
         self.on_verdict = on_verdict
 
-        zero = (0,) * n_procs
+        self._zero = (0,) * n_procs
         #: Last processed op's timestamp per process (the causal frontier).
-        self.frontier: List[Tuple[int, ...]] = [zero] * n_procs
+        self.frontier: List[Tuple[int, ...]] = [self._zero] * n_procs
         # Metric objects resolved once: the per-op path must not pay a
         # string-keyed registry lookup per update.
         if metrics is not None:
@@ -396,12 +341,12 @@ class CausalStreamMonitor:
             self._c_violations = metrics.counter("monitor.violations")
             self._h_observe = metrics.histogram("monitor.observe_us")
         self._pending: List[Deque[MonitorOp]] = [deque() for _ in range(n_procs)]
-        #: location -> {write_id: vt}, insertion-ordered (the candidates).
-        self._candidates: Dict[str, Dict[Tuple, Tuple[int, ...]]] = {}
+        #: location -> {write_id: (vt, writer)}, insertion-ordered (the
+        #: candidates); the initial write is ``(zero, 0)``, which both
+        #: own-component tests pass trivially.
+        self._candidates: Dict[str, Dict[Tuple, Tuple[Tuple[int, ...], int]]] = {}
         #: location -> {proc: _NoticeGroup} — processed ops serving
-        #: notice, grouped by issuing process so the between-ness test
-        #: binary-searches each totally-ordered group instead of
-        #: scanning the whole window.
+        #: notice, grouped by issuing process.
         self._notices: Dict[str, Dict[int, _NoticeGroup]] = {}
         #: Highest protocol stamp processed per writer (dead-source test).
         self._max_stamp: Dict[int, int] = {}
@@ -445,11 +390,8 @@ class CausalStreamMonitor:
             return
         args = event.args
         self.feed_op(
-            proc=event.node,
-            kind=args["kind"],
-            location=args["location"],
-            value=args["value"],
-            source=_tuple_id(args["source"]),
+            event.node, args["kind"], args["location"], args["value"],
+            _tuple_id(args["source"]),
         )
 
     #: One in this many feeds is wall-clock timed when metrics are on.
@@ -482,25 +424,18 @@ class CausalStreamMonitor:
     ) -> None:
         index = self._arrivals[proc]
         self._arrivals[proc] = index + 1
-        op = MonitorOp(
-            proc=proc, index=index, kind=kind,
-            location=location, value=value, source=source,
+        self._program_window[proc].append(
+            ("w", location, value) if kind == "w" else ("r", location)
         )
-        if kind == "w":
-            self._program_window[proc].append(("w", location, value))
-            # Fast path: nothing parked anywhere, so processing this op
-            # cannot unblock anything — skip the queue round trip.
-            if self._n_pending == 0:
-                self._process_write(op)
-                return
-        else:
-            self._program_window[proc].append(("r", location))
-            if self._n_pending == 0:
-                status = self._source_status(op)
-                if status != "wait":
-                    self._process_read(op, dead=status == "dead")
-                    return
-        self._pending[proc].append(op)
+        # Nothing parked anywhere: processing this op cannot unblock
+        # anything, so it skips the queue round trip.
+        if self._n_pending == 0 and self._process(
+            proc, index, kind, location, value, source
+        ):
+            return
+        self._pending[proc].append(
+            MonitorOp(proc, index, kind, location, value, source)
+        )
         self._n_pending += 1
         self._drain()
 
@@ -513,85 +448,93 @@ class CausalStreamMonitor:
             progress = False
             for queue in self._pending:
                 while queue:
-                    op = queue[0]
-                    if op.kind == "w":
-                        queue.popleft()
-                        self._n_pending -= 1
-                        self._process_write(op)
-                        progress = True
-                        continue
-                    status = self._source_status(op)
-                    if status == "wait":
-                        break  # parks the whole process (program order)
-                    queue.popleft()
+                    op = queue.popleft()
                     self._n_pending -= 1
-                    self._process_read(op, dead=status == "dead")
+                    if not self._process(*op):
+                        queue.appendleft(op)
+                        self._n_pending += 1
+                        break  # parks the whole process (program order)
                     progress = True
 
-    def _source_status(self, op: MonitorOp) -> str:
-        source = op.source
+    def _dead(self, location: str, source: Tuple) -> bool:
+        """Was this unseen source processed and then retired by GC?"""
         if source[0] == "init":
-            return "dead" if op.location in self._init_killed else "ready"
-        candidates = self._candidates.get(op.location)
-        if candidates is not None and source in candidates:
-            return "ready"
+            return location in self._init_killed
         if _is_stamped(source):
-            writer, stamp = source
-            if stamp <= self._max_stamp.get(writer, -1):
-                # The writer has committed past this stamp, so the write
-                # was processed and GC retired it: provably dead (§4.8).
-                return "dead"
-        elif source in self._killed_odd:
-            return "dead"
-        return "wait"
+            # The writer has committed past this stamp, so the write was
+            # processed and GC retired it: provably dead (§4.8).
+            return source[1] <= self._max_stamp.get(source[0], -1)
+        return source in self._killed_odd
 
-    def _process_write(self, op: MonitorOp) -> None:
-        vt = _bump(self.frontier[op.proc], op.proc)
-        self.frontier[op.proc] = vt
-        self._touch_location(op.location)
-        self._candidates[op.location][op.source] = vt
-        self._notice_group(op.location, op.proc).append(vt, op.source)
-        self._window += 2  # +candidate +notice
-        if _is_stamped(op.source):
-            writer, stamp = op.source
-            if stamp > self._max_stamp.get(writer, -1):
-                self._max_stamp[writer] = stamp
-        self._after_process()
-
-    def _process_read(self, op: MonitorOp, dead: bool) -> None:
-        vt_excl = _bump(self.frontier[op.proc], op.proc)
-        self._touch_location(op.location)
-        if dead:
-            # The source's timestamp is below every process's frontier
-            # (that is why it was retired), so merging it in is a no-op:
-            # vt_excl IS the read's exact timestamp.
-            ok, vt = False, vt_excl
-            reason = "dead-source"
-        else:
-            source_vt = self._candidates[op.location][op.source]
-            ok = self._source_live(op.location, op.source, source_vt, vt_excl)
-            vt = _merge(vt_excl, source_vt)
-            reason = "" if ok else "stale-source"
-        # Verdict objects are built only when someone will see them —
-        # the per-read hot path stays allocation-light.  Evidence is
-        # snapshotted before the read's own notice lands (the notice
-        # would retire other candidates from the reported live set).
+    def _process(
+        self,
+        proc: int,
+        index: int,
+        kind: str,
+        location: str,
+        value: Any,
+        source: Tuple,
+    ) -> bool:
+        """Process one op; False (nothing changed) when a read must park."""
+        candidates = self._candidates.get(location)
+        if kind == "r":
+            if candidates is None and source[0] == "init":
+                candidates = self._touch_location(location)
+            entry = None if candidates is None else candidates.get(source)
+            if entry is None and not self._dead(location, source):
+                return False
+        if candidates is None:
+            candidates = self._touch_location(location)
+        last = self.frontier[proc]
+        vt = last[:proc] + (last[proc] + 1,) + last[proc + 1:]
+        groups = self._notices[location]
         verdict = None
-        if not ok or self.on_verdict is not None:
-            verdict = MonitorVerdict(
-                op=op, ok=ok, vt=vt,
-                live=self.windowed_live_set(op.location, vt_excl),
-                reason=reason,
-                causal_past=() if ok else self._causal_past(vt),
-            )
-        self.frontier[op.proc] = vt
-        self._notice_group(op.location, op.proc).append(vt, op.source)
-        self._window += 1  # +notice
-        self.reads_checked += 1
+        if kind == "w":
+            candidates[source] = (vt, proc)
+            self._window += 2  # +candidate +notice
+            if _is_stamped(source):
+                writer, stamp = source
+                if stamp > self._max_stamp.get(writer, -1):
+                    self._max_stamp[writer] = stamp
+        else:
+            vt_excl = vt
+            if entry is None:
+                # The source's timestamp is below every process's
+                # frontier (that is why it was retired), so vt_excl IS
+                # the read's exact timestamp.
+                ok, reason = False, "dead-source"
+            else:
+                source_vt, writer = entry
+                own = source_vt[writer]
+                if vt_excl[writer] < own:
+                    ok = True  # concurrent -> live (condition 1)
+                    vt = tuple(map(max, vt_excl, source_vt))
+                else:
+                    ok = not _excluded(groups, source, writer, own, vt_excl)
+                reason = "" if ok else "stale-source"
+            # Verdict objects are built only when someone will see them.
+            # Evidence is snapshotted before the read's own notice lands
+            # (the notice would retire other candidates from the
+            # reported live set).
+            if not ok or self.on_verdict is not None:
+                verdict = MonitorVerdict(
+                    op=MonitorOp(proc, index, kind, location, value, source),
+                    ok=ok, vt=vt,
+                    live=self.windowed_live_set(location, vt_excl),
+                    reason=reason,
+                    causal_past=() if ok else self._causal_past(vt),
+                )
+            self._window += 1  # +notice
+            self.reads_checked += 1
+        self.frontier[proc] = vt
+        group = groups.get(proc)
+        if group is None:
+            group = groups[proc] = _NoticeGroup()
+        group.append(vt[proc], vt, source)
         if verdict is not None:
             if self.on_verdict is not None:
                 self.on_verdict(verdict)
-            if not ok:
+            if not verdict.ok:
                 self.n_violations += 1
                 if len(self.violations) < self.VIOLATION_LIMIT:
                     self.violations.append(verdict)
@@ -601,100 +544,20 @@ class CausalStreamMonitor:
                     self._after_process()
                     raise MonitorViolationError(verdict)
         self._after_process()
-
-    def _source_live(
-        self,
-        location: str,
-        source: Tuple,
-        source_vt: Tuple[int, ...],
-        vt_excl: Tuple[int, ...],
-    ) -> bool:
-        """Is the read's own source live?  The O(notices) fast path.
-
-        Exactly :meth:`windowed_live_set` restricted to one candidate
-        (the only one the Definition-2 verdict needs); the full set is
-        materialised lazily for verdicts and evidence.  Per notice group
-        this is two binary searches and an O(1) source check — the
-        monitor's hottest code, deliberately sublinear in the window.
-        """
-        for own, excl in zip(source_vt, vt_excl):
-            if own > excl:
-                return True  # concurrent -> live (condition 1)
-        groups = self._notices[location]
-        for group in groups.values():
-            if group.excludes(source, source_vt, vt_excl):
-                return False
         return True
 
-    def _touch_location(self, location: str) -> None:
-        """Materialise the location: init candidate plus its notice list.
-
-        The notice list persists (possibly empty) once created so the
-        processing paths can index it directly instead of paying a
-        ``setdefault`` with a fresh-list allocation per op.
-        """
-        if location not in self._candidates:
-            self._candidates[location] = {}
-            self._notices[location] = {}
-            if location not in self._init_killed:
-                self._candidates[location][("init", location)] = (
-                    (0,) * self.n_procs
-                )
-                self._window += 1
-
-    def _notice_group(self, location: str, proc: int) -> _NoticeGroup:
-        groups = self._notices[location]
-        group = groups.get(proc)
-        if group is None:
-            group = groups[proc] = _NoticeGroup()
-        return group
+    def _touch_location(self, location: str) -> Dict:
+        """Materialise the location: init candidate plus its notice groups."""
+        candidates = self._candidates[location] = {
+            ("init", location): (self._zero, 0)
+        }
+        self._notices[location] = {}
+        self._window += 1
+        return candidates
 
     # ------------------------------------------------------------------
-    # Windowed live sets (Definition 1 over the window, memoised)
+    # Windowed live sets (Definition 1 over the window)
     # ------------------------------------------------------------------
-    def _live_positions(
-        self, location: str, vt_excl: Tuple[int, ...]
-    ) -> Tuple[int, ...]:
-        candidates = self._candidates.get(location) or {}
-        groups = self._notices.get(location) or {}
-        key = (
-            location,
-            vt_excl,
-            tuple(candidates.items()),
-            tuple(
-                (proc, group.fingerprint())
-                for proc, group in sorted(groups.items())
-            ),
-        )
-        table = self.live_cache._table
-        positions = table.get(key)
-        if positions is not None:
-            self.live_cache.hits += 1
-            return positions
-        self.live_cache.misses += 1
-        live: List[int] = []
-        for position, (write_id, write_vt) in enumerate(candidates.items()):
-            if not _leq(write_vt, vt_excl):
-                live.append(position)  # concurrent -> live (condition 1)
-                continue
-            # Condition 2: any notice strictly between write and read
-            # carrying a different write's value kills liveness.  The
-            # leq tests are effectively strict: timestamps are unique,
-            # the write's own notice is excluded by the source check,
-            # and no processed op's timestamp can equal vt_excl (it
-            # bumps a component no processed op has reached).
-            excluded = any(
-                group.excludes(write_id, write_vt, vt_excl)
-                for group in groups.values()
-            )
-            if not excluded:
-                live.append(position)
-        positions = tuple(live)
-        if len(table) >= self.cache_limit:
-            self.live_cache.clear()
-        table[key] = positions
-        return positions
-
     def windowed_live_set(
         self, location: str, vt_excl: Tuple[int, ...]
     ) -> Tuple[Tuple, ...]:
@@ -702,19 +565,24 @@ class CausalStreamMonitor:
         candidates = self._candidates.get(location)
         if not candidates:
             return ()
-        ids = list(candidates.keys())
+        groups = self._notices[location]
         return tuple(
-            ids[p] for p in self._live_positions(location, vt_excl)
+            write_id
+            for write_id, (write_vt, writer) in candidates.items()
+            if vt_excl[writer] < write_vt[writer]  # concurrent (condition 1)
+            or not _excluded(
+                groups, write_id, writer, write_vt[writer], vt_excl
+            )
         )
 
     def _causal_past(self, vt: Tuple[int, ...]) -> Tuple[Tuple, ...]:
         """Window writes causally at-or-below ``vt`` (violation evidence)."""
-        past = []
-        for location, candidates in self._candidates.items():
-            for write_id, write_vt in candidates.items():
-                if _leq(write_vt, vt):
-                    past.append((location, write_id, write_vt))
-        return tuple(past)
+        return tuple(
+            (location, write_id, write_vt)
+            for location, candidates in self._candidates.items()
+            for write_id, (write_vt, writer) in candidates.items()
+            if write_vt[writer] <= vt[writer]
+        )
 
     # ------------------------------------------------------------------
     # GC of causally-dominated prefixes
@@ -752,48 +620,40 @@ class CausalStreamMonitor:
 
     def _collect(self) -> None:
         """Retire notices below the min-frontier and the writes they kill."""
-        min_frontier = tuple(
-            min(vt[c] for vt in self.frontier)
-            for c in range(self.n_procs)
-        )
+        # An intersection of downward-closed cuts is one, so the
+        # own-component tests hold against it too.
+        minf = tuple(map(min, zip(*self.frontier)))
         retired = 0
         for location, groups in self._notices.items():
-            # Within each group the retirable notices (vt <= minf) are a
-            # prefix; its length is one binary search.
+            # Within each group the retirable notices are a prefix.
             boundaries = {
                 proc: boundary
                 for proc, group in groups.items()
-                if (boundary := group.count_leq(min_frontier))
+                if (boundary := bisect_right(group.seqs, minf[proc]))
             }
             if not boundaries:
                 continue
             # A candidate killed by a retirable notice is itself below
             # the min-frontier (w <= n <= minf), so only frontier-
-            # dominated candidates need the exclusion query at all.
-            candidates = self._candidates.get(location)
-            if candidates:
-                dominated = [
-                    (write_id, write_vt)
-                    for write_id, write_vt in candidates.items()
-                    if _leq(write_vt, min_frontier)
-                ]
-                for write_id, write_vt in dominated:
-                    if any(
-                        groups[proc].excludes(
-                            write_id, write_vt, min_frontier, hi=boundary
-                        )
-                        for proc, boundary in boundaries.items()
-                    ):
-                        del candidates[write_id]
-                        if write_id[0] == "init":
-                            self._init_killed.add(location)
-                        elif not _is_stamped(write_id):
-                            self._killed_odd.add(write_id)
-                        retired += 1
+            # dominated candidates need the exclusion test at all.
+            candidates = self._candidates[location]
+            dead = [
+                write_id
+                for write_id, (write_vt, writer) in candidates.items()
+                if write_vt[writer] <= minf[writer]
+                and _excluded(groups, write_id, writer, write_vt[writer], minf)
+            ]
+            for write_id in dead:
+                del candidates[write_id]
+                if write_id[0] == "init":
+                    self._init_killed.add(location)
+                elif not _is_stamped(write_id):
+                    self._killed_odd.add(write_id)
+            retired += len(dead)
             for proc, boundary in boundaries.items():
                 groups[proc].drop_prefix(boundary)
                 retired += boundary
-            for proc in [p for p, g in groups.items() if not g.vts]:
+            for proc in [p for p, g in groups.items() if not g.seqs]:
                 del groups[proc]
         if retired:
             self.gc_retired += retired
@@ -835,6 +695,4 @@ class CausalStreamMonitor:
             max_window=self.max_window,
             gc_retired=self.gc_retired,
             frontier=tuple(self.frontier),
-            cache_hits=self.live_cache.hits,
-            cache_misses=self.live_cache.misses,
         )

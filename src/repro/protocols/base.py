@@ -170,12 +170,13 @@ class DSMNode:
     # History recording (feeds the consistency checkers)
     # ------------------------------------------------------------------
     def _record_read(self, location: str, entry: MemoryEntry) -> None:
+        source = _write_identity(location, entry)
         if self.recorder is not None:
             self.recorder.record_read(
                 proc=self.node_id,
                 location=location,
                 value=entry.value,
-                read_from=_write_identity(location, entry),
+                read_from=source,
             )
         if self.obs is not None and self.obs.wants("proto", "op.commit"):
             self.obs.emit(
@@ -185,16 +186,17 @@ class DSMNode:
                 kind="r",
                 location=location,
                 value=entry.value,
-                source=_write_identity(location, entry),
+                source=source,
             )
 
     def _record_write(self, location: str, value: Any, entry: MemoryEntry) -> None:
+        source = _write_identity(location, entry)
         if self.recorder is not None:
             self.recorder.record_write(
                 proc=self.node_id,
                 location=location,
                 value=value,
-                write_id=_write_identity(location, entry),
+                write_id=source,
             )
         if self.obs is not None and self.obs.wants("proto", "op.commit"):
             self.obs.emit(
@@ -204,7 +206,7 @@ class DSMNode:
                 kind="w",
                 location=location,
                 value=value,
-                source=_write_identity(location, entry),
+                source=source,
             )
 
     # ------------------------------------------------------------------

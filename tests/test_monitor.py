@@ -14,7 +14,6 @@ import pytest
 
 from repro.checker import check_causal
 from repro.checker.history import History
-from repro.checker.live_values import LiveSetCache
 from repro.errors import ReproError
 from repro.mc.counterexample import Counterexample, replay
 from repro.monitor import (
@@ -315,16 +314,6 @@ class TestWindowAndGC:
         assert not result.ok
         assert len(result.unresolved) == 1
         assert "unresolved" in result.explain()
-
-    def test_shared_live_cache_hits_across_monitors(self):
-        cache = LiveSetCache()
-        history = History.parse(FIG3_TEXT)
-        _verdict_map(history, live_cache=cache)
-        first_misses = cache.misses
-        assert first_misses > 0
-        _verdict_map(history, live_cache=cache)
-        assert cache.hits > 0
-        assert cache.misses == first_misses  # second pass fully cached
 
 
 class TestCounterexampleHandoff:

@@ -13,11 +13,17 @@ there the monitor must agree on the overall verdict via its unresolved
 import random
 
 from repro.checker import check_causal
+from repro.checker.causality import CausalityCycleError, CausalOrder
+from repro.checker.generator import random_history
 from repro.errors import HistoryError
-from repro.checker.live_values import LiveSetCache
 from repro.mc.program import random_program
 from repro.mc.scheduler import ControlledRun
-from repro.monitor import CausalStreamMonitor, feed_history, feed_trace
+from repro.monitor import (
+    CausalStreamMonitor,
+    attach_monitor,
+    feed_history,
+    feed_trace,
+)
 from repro.obs.collector import TraceCollector
 from repro.protocols.base import DSMCluster
 from repro.sim.faults import FaultSchedule
@@ -29,14 +35,13 @@ SCHEDULES_PER_SPEC = 10
 N_FAULT_RUNS = 32
 
 
-def _compare_one(history, n_procs, cache):
+def _compare_one(history, n_procs):
     """Assert online == offline on one history; returns 1 (counted)."""
     offline = check_causal(history)
     online = {}
     monitor = CausalStreamMonitor(
         n_procs,
         gc_interval=8,
-        live_cache=cache,
         on_verdict=lambda v: online.__setitem__((v.op.proc, v.op.index), v.ok),
     )
     result = feed_history(monitor, history)
@@ -83,7 +88,6 @@ def _random_run(spec, seed, max_drops):
 
 
 def test_monitor_matches_offline_checker_on_explorer_corpus():
-    cache = LiveSetCache()
     checked = 0
     crashed = 0
     truncated = 0
@@ -117,17 +121,13 @@ def test_monitor_matches_offline_checker_on_explorer_corpus():
             if outcome.crashed is not None:
                 crashed += 1
                 continue
-            checked += _compare_one(outcome.history, spec.n_procs, cache)
+            checked += _compare_one(outcome.history, spec.n_procs)
     assert checked >= 1000, f"corpus too small: {checked} ({crashed} crashed)"
-    # The shared live-set cache earned its keep across the corpus
-    # (repeated windows from dominated interleavings).
-    assert cache.hits > 0
 
 
 def test_monitor_matches_offline_checker_under_partition_faults():
     """Broadcast clusters with timed partitions: drops lose updates, the
     histories get stranger, and the verdicts must still coincide."""
-    cache = LiveSetCache()
     for seed in range(N_FAULT_RUNS):
         spec = random_program(
             seed + 7000,
@@ -155,4 +155,111 @@ def test_monitor_matches_offline_checker_under_partition_faults():
                         yield api.read(op[1])
             cluster.spawn(proc, program)
         cluster.run()
-        _compare_one(cluster.history(), 3, cache)
+        _compare_one(cluster.history(), 3)
+
+
+def _unread_monitor(n_procs, gc_interval):
+    """A monitor as ``perf`` and ``attach_monitor`` build it: no reader,
+    so verdict objects exist only for flagged reads."""
+    monitor = CausalStreamMonitor(n_procs, gc_interval=gc_interval)
+    monitor.VIOLATION_LIMIT = 10**6
+    return monitor
+
+
+def _assert_flags_match(result, history):
+    offline = check_causal(history)
+    if offline.cycle is not None:
+        assert not result.ok and result.unresolved, history.to_text()
+        return
+    assert not result.unresolved
+    assert result.n_violations == len(result.violations)
+    flagged = {(v.op.proc, v.op.index) for v in result.violations}
+    rejected = {v.read.op_id for v in offline.violations}
+    assert flagged == rejected, history.to_text()
+
+
+def _recorded_owner_runs(monkeypatch, gc_intervals):
+    """Owner-protocol runs with unread monitors attached while they run,
+    one per GC interval: ``(history, [monitor result, ...])``."""
+    import repro.apps.workload as workload
+
+    attached = []
+
+    class Monitored(DSMCluster):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            attached[:] = [
+                attach_monitor(self, monitor=_unread_monitor(self.n_nodes, gc))
+                for gc in gc_intervals
+            ]
+
+    monkeypatch.setattr(workload, "DSMCluster", Monitored)
+    for seed in (1991, 2024, 7):
+        outcome = workload.run_random_execution(workload.WorkloadConfig(
+            n_nodes=4, n_locations=4, ops_per_proc=100,
+            protocol="causal", seed=seed,
+        ))
+        yield outcome.history, [s.result() for s in attached]
+
+
+def test_unread_monitor_matches_offline_checker(monkeypatch):
+    gc_intervals = (1, 2, 8, 64)
+    outcomes = {"clean": 0, "violating": 0, "cyclic": 0}
+    # About four draws in five are cyclic (reads may name later writes).
+    for seed in range(800):
+        rng = random.Random(f"unread/{seed}")
+        history = random_history(
+            seed,
+            n_procs=rng.randint(2, 5),
+            n_locations=rng.randint(1, 3),
+            ops_per_proc=rng.randint(3, 12),
+        )
+        offline = check_causal(history)
+        outcomes[
+            "cyclic" if offline.cycle is not None
+            else "clean" if offline.ok else "violating"
+        ] += 1
+        for gc in gc_intervals:
+            monitor = _unread_monitor(len(history.processes), gc)
+            _assert_flags_match(feed_history(monitor, history), history)
+    assert min(outcomes.values()) >= 20, outcomes
+    for history, results in _recorded_owner_runs(monkeypatch, gc_intervals):
+        assert len(history) == 400
+        for result in results:
+            assert result.ok and result.reads_checked == len(history.reads())
+            _assert_flags_match(result, history)
+
+
+def test_own_component_test_is_causal_order():
+    """The lemma the monitor's integer tests rest on: for its clocks,
+    ``a *-> b`` iff ``vt(b)[p(a)] >= vt(a)[p(a)]`` iff ``vt(a) <= vt(b)``
+    componentwise — on every pair of processed ops."""
+    histories = 0
+    seed = 0
+    while histories < 200:
+        seed += 1
+        history = random_history(seed, n_procs=3, n_locations=2, ops_per_proc=6)
+        try:
+            order = CausalOrder(history)
+        except CausalityCycleError:
+            continue
+        histories += 1
+        monitor = CausalStreamMonitor(
+            len(history.processes), gc_interval=10**9
+        )
+        feed_history(monitor, history)
+        # Nothing is retired, so every processed op left exactly one
+        # notice, in program order within its (location, process) group.
+        processed = []
+        for proc, ops in enumerate(history.processes):
+            for location in {op.location for op in ops}:
+                mine = [op for op in ops if op.location == location]
+                group_vts = monitor._notices[location][proc].vts
+                assert len(mine) == len(group_vts)
+                processed += zip(mine, group_vts)
+        for a, vt_a in processed:
+            for b, vt_b in processed:
+                causal = a.op_id == b.op_id or order.precedes(a, b)
+                own = vt_b[a.proc] >= vt_a[a.proc]
+                componentwise = all(x <= y for x, y in zip(vt_a, vt_b))
+                assert causal == own == componentwise, (a, b, history.to_text())
