@@ -29,6 +29,9 @@ bytes a first-class measurement, and the measurement is the wire:
   stamp falls back to the **full** form, which resynchronises both
   sides unconditionally.  ``WireCodec(delta=False)`` sends every stamp
   full (what a run without ``delta_stamps`` puts on a socket).
+* **A W_REPLY rides on its request** — its stamp is a delta over the
+  stamp of the WRITE it answers (``VT'`` merges ``VT_i``), not over the
+  channel basis, which still moves to it: a W_REPLY resyncs its channel.
 
 Cost model (all sizes in bytes)::
 
@@ -100,8 +103,8 @@ STAMP_FULL_ENTRY_BYTES = 4
 STAMP_DELTA_ENTRY_BYTES = 6
 
 #: Carried in every frame header and in the live hello; a decoder
-#: rejects any other value.
-WIRE_VERSION = 1
+#: rejects any other value (1 decoded a W_REPLY over the channel basis).
+WIRE_VERSION = 2
 #: Largest frame: the header's length field is 16 bits wide.
 MAX_FRAME = 0xFFFF
 
@@ -196,14 +199,14 @@ class _SendState:
     ``basis`` is the last stamp's components (None: next stamp is full);
     the counters are running totals, so a frame's share is a difference
     and the codec's statistics are sums over channels.  ``nodes``,
-    ``text``, ``value`` and ``stamp`` each encode one field kind.
+    ``text``, ``value`` and ``*stamp`` each encode one field kind.
     """
 
     __slots__ = ("delta", "basis", "seq", "stamps", "stamps_full",
-                 "carried", "wide", "extra")
+                 "carried", "wide", "extra", "asked", "owed")
 
-    def __init__(self, delta: bool) -> None:
-        self.delta = delta
+    def __init__(self, delta: bool, asked, owed) -> None:
+        self.delta, self.asked, self.owed = delta, asked, owed
         self.basis: Optional[Tuple[int, ...]] = None
         self.seq = 0
         self.stamps = self.stamps_full = self.carried = self.wide = 0
@@ -255,15 +258,15 @@ class _SendState:
                     # Unchanged stamp (a reply echoing the request's
                     # merged clock).
                     return _EMPTY_DELTA
-                changed: List[int] = []
-                for index, (new, old) in enumerate(zip(components, basis)):
-                    if new != old:
-                        changed.append(index)
-                        changed.append(new)
-                count = len(changed) >> 1
+                changed = [index for index in range(dimension)
+                           if components[index] != basis[index]]
+                count = len(changed)
                 if stamp_delta_bytes(count) < stamp_full_bytes(dimension):
                     self.carried += count
-                    return _stamp_struct(count).pack(count, *changed)
+                    pairs: List[int] = []
+                    for index in changed:
+                        pairs += index, components[index]
+                    return _stamp_struct(count).pack(count, *pairs)
         if dimension >= _FULL_FLAG:
             raise WireError(f"stamp dimension {dimension} exceeds 15 bits")
         self.carried += dimension
@@ -271,17 +274,29 @@ class _SendState:
         word = _FULL_FLAG | dimension
         return _stamp_struct(word).pack(word, *components)
 
+    def request_stamp(self, request_id: int, clock: VectorClock) -> bytes:
+        if self.delta:
+            self.asked[request_id] = clock
+        return self.stamp(clock)
+
+    def reply_stamp(self, request_id: int, clock: VectorClock) -> bytes:
+        if self.delta:  # over the request's stamp; full without one
+            request = self.owed.pop(request_id, None)
+            self.basis = None if request is None else request.components
+        return self.stamp(clock)
+
 
 class _RecvState:
     """One direction of one channel, receiver side.
 
-    ``nodes``, ``text``, ``value`` and ``stamp`` each parse one field
+    ``nodes``, ``text``, ``value`` and ``*stamp`` each parse one field
     kind at ``off`` and return it with the offset past it.
     """
 
-    __slots__ = ("basis", "clock", "seq")
+    __slots__ = ("delta", "basis", "clock", "seq", "asked", "owed")
 
-    def __init__(self) -> None:
+    def __init__(self, delta: bool, asked, owed) -> None:
+        self.delta, self.asked, self.owed = delta, asked, owed
         self.basis: Optional[Tuple[int, ...]] = None
         #: The clock object built from ``basis`` (immutable, so an
         #: unchanged stamp hands out the same instance again).
@@ -349,12 +364,25 @@ class _RecvState:
         self.basis = components
         return clock, off
 
+    def request_stamp(self, data: bytes, off: int, request_id: int):
+        clock, off = self.stamp(data, off)
+        if self.delta:
+            self.owed[request_id] = clock
+        return clock, off
+
+    def reply_stamp(self, data: bytes, off: int, request_id: int):
+        # The request's clock stands in for the channel's (an empty
+        # delta is the request's stamp); no record: full or desync.
+        request = self.clock = self.asked.pop(request_id, None)
+        self.basis = None if request is None else request.components
+        return self.stamp(data, off)
+
 
 #: How each message field travels, by field name: fields are written in
 #: dataclass order, which both sides walk identically — so a type's
 #: stamps keep one fixed order and the running per-channel basis stays
 #: in lockstep.  ``applied`` stands for the (applied, current) pair that
-#: ends a write reply.
+#: ends a write reply.  A ``Type.field`` key overrides one type's field.
 _FIELD_KINDS = {
     "request_id": "uint", "seq": "uint",
     "location": "text", "unit": "text",
@@ -362,6 +390,7 @@ _FIELD_KINDS = {
     "writer": "node", "sender": "node", "requester": "node", "owner": "node",
     "copyset": "nodes", "entries": "entries",
     "applied": "outcome", "current": None,
+    "WriteRequest.stamp": "request_stamp", "WriteReply.stamp": "reply_stamp",
 }
 #: Per kind: the expression that encodes field ``{f}`` of message ``m`` on
 #: sender state ``s``, and the statement that parses it from ``data`` at
@@ -374,6 +403,9 @@ _FIELD_CODE = {
     "entries": ("put_entries(s, m.{f})", "{f}, off = get_entries(r, data, off)"),
     "outcome": ("put_outcome(s, m.applied, m.current)",
                 "applied, current, off = get_outcome(r, data, off)"),
+    **{kind: (f"s.{kind}(m.request_id, m.{{f}})",
+              f"{{f}}, off = r.{kind}(data, off, request_id)")
+       for kind in ("request_stamp", "reply_stamp")},
 }
 
 
@@ -384,7 +416,7 @@ def _compile(cls, helpers: Dict[str, Any]):
     names = [field.name for field in dataclass_fields(cls)]
     puts, gets = [], []
     for name in names:
-        kind = _FIELD_KINDS[name]
+        kind = _FIELD_KINDS.get(f"{cls.__name__}.{name}", _FIELD_KINDS[name])
         if kind is not None:
             put, get = _FIELD_CODE.get(kind) or (
                 f"s.{kind}(m.{{f}})", f"{{f}}, off = r.{kind}(data, off)")
@@ -625,7 +657,13 @@ class WireCodec:
     receiver-side state per directed channel.  ``encode`` must be called
     in send order and ``decode`` in delivery order — exactly the orders
     the FIFO network already guarantees.  ``delta=False`` writes every
-    stamp in full (no channel basis is kept).
+    stamp in full (no channel basis, no WRITE records are kept).
+
+    ``_asked`` / ``_owed`` (by ``(writer, owner)``, then request id; two
+    tables, as one codec may play both ends) keep a WRITE's stamp from
+    its encode / decode to its W_REPLY's decode / encode or a loss.  After
+    a run ``_owed`` is empty and ``_asked`` holds at most one record per
+    WRITE lost after encoding or W_REPLY lost.
 
     Statistics (``stamps_encoded``, ``stamps_full``, ``entries_carried``,
     ``entries_saved``) report how often the delta path engages.
@@ -635,6 +673,8 @@ class WireCodec:
         self.delta = delta
         self._send_state: Dict[Tuple[int, int], _SendState] = {}
         self._recv_state: Dict[Tuple[int, int], _RecvState] = {}
+        self._asked: Dict[Tuple[int, int], Dict[int, VectorClock]] = {}
+        self._owed: Dict[Tuple[int, int], Dict[int, VectorClock]] = {}
         #: Attached TraceCollector, or None (all emits are guarded).
         self.obs = None
 
@@ -670,6 +710,8 @@ class WireCodec:
             state.basis = None
             if self.obs is not None and self.obs.wants("net", "resync"):
                 self.obs.emit("net", "resync", src=src, dst=dst)
+        # It may be a W_REPLY lost unencoded, whose record nothing pops.
+        self._owed.get((dst, src), {}).clear()
 
     def mark_node_dirty(self, node_id: int) -> None:
         """Dirty every channel to or from ``node_id`` (crash handling)."""
@@ -693,7 +735,9 @@ class WireCodec:
             )
         state = self._send_state.get((src, dst))
         if state is None:
-            state = self._send_state[(src, dst)] = _SendState(self.delta)
+            state = self._send_state[(src, dst)] = _SendState(
+                self.delta, self._asked.setdefault((src, dst), {}),
+                self._owed.setdefault((dst, src), {}))
         carried, wide, extra = state.carried, state.wide, state.extra
         seq = (state.seq + 1) & 0xFFFFFFFF
         try:
@@ -724,7 +768,9 @@ class WireCodec:
             _build_layouts()
         state = self._recv_state.get((src, dst))
         if state is None:
-            state = self._recv_state[(src, dst)] = _RecvState()
+            state = self._recv_state[(src, dst)] = _RecvState(
+                self.delta, self._asked.setdefault((dst, src), {}),
+                self._owed.setdefault((src, dst), {}))
         try:
             if type(data) is not bytes:
                 raise WireError(f"a frame is bytes, not {type(data).__name__}")

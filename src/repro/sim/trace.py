@@ -221,22 +221,6 @@ class NetworkStats:
         """Mean one-way delay over delivered messages (0 if none)."""
         return self.total_latency / self.total if self.total else 0.0
 
-    @property
-    def mean_bytes(self) -> float:
-        """Mean wire size over delivered messages (0 if none)."""
-        return self.bytes_total / self.total if self.total else 0.0
-
-    @property
-    def stamp_entries_saved(self) -> int:
-        """Writestamp entries elided by delta encoding."""
-        return self.stamp_entries_full - self.stamp_entries
-
-    def bytes_of(self, kind: Optional[str] = None) -> int:
-        """Bytes of ``kind`` (all kinds if None)."""
-        if kind is None:
-            return self.bytes_total
-        return self.bytes_by_kind.get(kind, 0)
-
     def snapshot(self, time: float, label: Optional[str] = None) -> CounterSnapshot:
         """Copy the counters, tagged with the simulated time and a label."""
         return CounterSnapshot(

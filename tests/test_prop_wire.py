@@ -74,7 +74,8 @@ def _recorded(cluster):
 
 
 def _run_causal_under_drops(
-    n_nodes, ops, seed, *, delta_stamps, codec=None
+    n_nodes, ops, seed, *, delta_stamps, codec=None, drop_rate=0.25,
+    crash_at=None,
 ):
     """Causal run under drops; a lost WRITE or W_REPLY parks its writer.
 
@@ -84,7 +85,8 @@ def _run_causal_under_drops(
     or is blocked on a message that was dropped.  A write whose W_REPLY
     was lost is applied at the owner but never recorded by its blocked
     writer, so such runs are compared on what the recorder holds
-    (:func:`_recorded`), not on a built ``History``.
+    (:func:`_recorded`), not on a built ``History``.  With ``crash_at``
+    node 1 is also crashed then, and every fault healed 2.5 later.
     """
     namespace = Namespace.explicit(
         n_nodes, {f"w{p}": p for p in range(n_nodes)}
@@ -99,7 +101,10 @@ def _run_causal_under_drops(
     )
     if codec is not None:
         cluster.network.codec = codec
-    cluster.network.set_drop_rate(0.25)
+    cluster.network.set_drop_rate(drop_rate)
+    if crash_at is not None:
+        cluster.sim.schedule_at(crash_at, lambda: cluster.network.crash(1))
+        cluster.sim.schedule_at(crash_at + 2.5, cluster.network.heal_all)
 
     def process(api, me):
         rng = cluster.sim.derived_rng(f"drops-{me}")
@@ -133,6 +138,38 @@ def test_delta_stamps_transparent_under_drops(n_nodes, ops, seed):
     # The delta side never carries more than the full side.
     assert delta.stats.stamp_entries <= full.stats.stamp_entries
     assert delta.stats.bytes_total <= full.stats.bytes_total
+
+
+@settings(deadline=None, max_examples=15,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.integers(min_value=2, max_value=4),
+    st.integers(min_value=1, max_value=15),
+    st.integers(min_value=0, max_value=10_000),
+    st.sampled_from([None, 1.5, 4.0]),
+)
+def test_write_records_are_bounded(n_nodes, ops, seed, crash_at):
+    """The codec's WRITE-stamp tables after a lossy run (WireCodec's
+    docstring): the owner's is empty, and the writer's holds a record
+    only for a write its writer still waits for — one whose WRITE was
+    lost after encoding or whose W_REPLY was lost."""
+    cluster = _run_causal_under_drops(
+        n_nodes, ops, seed, delta_stamps=True, drop_rate=0.2,
+        crash_at=crash_at,
+    )
+    codec = cluster.network.codec
+    assert not any(codec._owed.values())
+    held = {
+        (writer, owner, request_id)
+        for (writer, owner), table in codec._asked.items()
+        for request_id in table
+    }
+    waiting = {
+        (node.node_id, cluster.namespace.owner(location), request_id)
+        for node in cluster.nodes
+        for request_id, (_, location, _, _) in node._pending_writes.items()
+    }
+    assert held <= waiting
 
 
 def _run_broadcast(n_nodes, ops, seed, *, delta_stamps, drop_rate):

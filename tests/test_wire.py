@@ -318,7 +318,8 @@ class TestCodecRoundTrip:
 
     def test_forced_full_codec_keeps_no_basis(self):
         """delta=False (a live run without delta_stamps): every stamp
-        full, byte-for-byte the stateless measure_message cost."""
+        full, byte-for-byte the stateless measure_message cost, and no
+        WRITE stamp kept for its reply."""
         codec = WireCodec(delta=False)
         stamp = vc(3, 1, 4, 1)
         for i in range(3):
@@ -328,6 +329,10 @@ class TestCodecRoundTrip:
             assert frame.stamp_entries == frame.stamp_entries_full == 4
             assert frame.byte_size == measure_message(msg).byte_size
         assert codec.entries_saved == 0 and codec.stamps_full == 3
+        answer = WriteReply(request_id=2, location="x", value=2, stamp=stamp)
+        frame, decoded = self.roundtrip(codec, 1, 0, answer)
+        assert decoded == answer and frame.stamp_entries == 4
+        assert not any(codec._asked.values()) and not any(codec._owed.values())
 
     def test_write_reply_with_current_round_trips(self):
         codec = WireCodec()
@@ -345,3 +350,144 @@ class TestCodecRoundTrip:
                              stamp=vc(1, 0, 0))
         _, decoded = self.roundtrip(codec, 0, 1, msg)
         assert decoded == msg
+
+
+def write(request_id, *components):
+    return WriteRequest(request_id=request_id, location="x",
+                        value=request_id, stamp=vc(*components))
+
+
+def reply(request_id, *components):
+    return WriteReply(request_id=request_id, location="x",
+                      value=request_id, stamp=vc(*components))
+
+
+def read_reply(*components):
+    return ReadReply(request_id=99, location="y", entries=(),
+                     stamp=vc(*components))
+
+
+class TestWriteReplyBasis:
+    """A W_REPLY's stamp is a delta over the WRITE it answers.  Node 0
+    writes, node 1 owns; one codec plays both ends, as in the simulator."""
+
+    def asked(self, codec):
+        return {key: dict(table) for key, table in codec._asked.items() if table}
+
+    def test_reply_is_a_delta_over_its_request_not_the_channel(self):
+        codec = WireCodec()
+        codec.decode(0, 1, codec.encode(0, 1, write(1, 5, 0, 0, 0, 0, 0)).data)
+        # An unrelated stamp on owner -> writer: the channel basis.
+        codec.decode(1, 0, codec.encode(1, 0, read_reply(0, 9, 9, 9, 9, 9)).data)
+        frame = codec.encode(1, 0, reply(1, 5, 9, 0, 0, 0, 0))
+        assert frame.stamp_entries == 1  # the channel basis: 6 (full)
+        assert codec.decode(1, 0, frame.data) == reply(1, 5, 9, 0, 0, 0, 0)
+        assert not self.asked(codec) and not any(codec._owed.values())
+        # The channel basis moved to the reply's stamp.
+        after = codec.encode(1, 0, read_reply(5, 9, 0, 0, 0, 1))
+        assert after.stamp_entries == 1
+        assert codec.decode(1, 0, after.data) == read_reply(5, 9, 0, 0, 0, 1)
+
+    def test_empty_delta_is_the_requests_stamp(self):
+        """Not the channel's cached clock, which a different stamp set."""
+        codec = WireCodec()
+        codec.decode(0, 1, codec.encode(0, 1, write(1, 3, 1, 4)).data)
+        codec.decode(1, 0, codec.encode(1, 0, read_reply(2, 7, 1)).data)
+        frame = codec.encode(1, 0, reply(1, 3, 1, 4))
+        assert frame.stamp_entries == 0
+        decoded = codec.decode(1, 0, frame.data)
+        assert decoded.stamp == vc(3, 1, 4)
+        # ...and the channel now stands on it.
+        frame = codec.encode(1, 0, read_reply(3, 1, 4))
+        assert frame.stamp_entries == 0
+        assert codec.decode(1, 0, frame.data).stamp == vc(3, 1, 4)
+
+    def test_reply_after_a_sequence_gap_decodes_and_resyncs(self):
+        codec = WireCodec()
+        codec.decode(0, 1, codec.encode(0, 1, write(1, 1, 0, 0, 0)).data)
+        codec.decode(1, 0, codec.encode(1, 0, read_reply(0, 2, 0, 0)).data)
+        codec.encode(1, 0, read_reply(0, 3, 0, 0))  # lost, nobody told
+        frame = codec.encode(1, 0, reply(1, 1, 3, 0, 0))
+        assert frame.stamp_entries == 1
+        assert codec.decode(1, 0, frame.data) == reply(1, 1, 3, 0, 0)
+        after = codec.encode(1, 0, read_reply(1, 4, 0, 0))
+        assert after.stamp_entries == 1
+        assert codec.decode(1, 0, after.data) == read_reply(1, 4, 0, 0)
+
+    def test_reply_for_an_unknown_request_is_a_desync(self):
+        owner = WireCodec()
+        owner.decode(0, 1, owner.encode(0, 1, write(7, 1, 0, 0, 0)).data)
+        forged = owner.encode(1, 0, reply(7, 1, 2, 0, 0))
+        assert forged.stamp_entries == 1
+        codec = WireCodec()
+        codec.decode(1, 0, codec.encode(1, 0, read_reply(1, 1, 0, 0)).data)
+        with pytest.raises(WireDesyncError):
+            codec.decode(1, 0, forged.data)
+        # The channel basis went with it: the next delta is refused too.
+        with pytest.raises(WireDesyncError):
+            codec.decode(1, 0, codec.encode(1, 0, read_reply(1, 2, 0, 0)).data)
+
+    def test_another_channels_request_is_not_consumed(self):
+        codec = WireCodec()
+        codec.decode(0, 1, codec.encode(0, 1, write(7, 1, 0, 0, 0)).data)
+        # Owner 2 never saw request 7 from node 0; a reply naming it on
+        # 2 -> 0 is refused, and owner 1's record survives.
+        forger = WireCodec()
+        forger.decode(0, 2, forger.encode(0, 2, write(7, 1, 0, 0, 0)).data)
+        with pytest.raises(WireDesyncError):
+            codec.decode(2, 0, forger.encode(2, 0, reply(7, 1, 0, 2, 0)).data)
+        assert self.asked(codec) == {(0, 1): {7: vc(1, 0, 0, 0)}}
+        frame = codec.encode(1, 0, reply(7, 1, 2, 0, 0))
+        assert frame.stamp_entries == 1
+        assert codec.decode(1, 0, frame.data) == reply(7, 1, 2, 0, 0)
+
+    def test_mark_dirty_keeps_the_writers_record(self):
+        codec = WireCodec()
+        codec.decode(0, 1, codec.encode(0, 1, write(1, 1, 0, 0, 0)).data)
+        frame = codec.encode(1, 0, reply(1, 1, 2, 0, 0))
+        codec.mark_dirty(0, 1)
+        codec.mark_dirty(1, 0)
+        codec.mark_node_dirty(0)
+        assert codec.decode(1, 0, frame.data) == reply(1, 1, 2, 0, 0)
+
+    def test_a_loss_to_the_writer_forgets_the_owners_records(self):
+        """A W_REPLY dropped before encoding never pops its record: the
+        loss report clears them, and the next reply goes full."""
+        codec = WireCodec()
+        for request_id in (1, 2):
+            codec.decode(0, 1, codec.encode(0, 1, write(request_id, 1, 0, 0)).data)
+        codec.mark_dirty(1, 0)
+        assert not any(codec._owed.values())
+        frame = codec.encode(1, 0, reply(2, 1, 1, 0))
+        assert frame.stamp_entries == 3
+        assert codec.decode(1, 0, frame.data) == reply(2, 1, 1, 0)
+        assert self.asked(codec) == {(0, 1): {1: vc(1, 0, 0)}}
+
+    def test_reply_delivered_after_crash_and_heal_decodes(self):
+        """Encoded before the writer crashed, delivered after heal_all."""
+        from repro.memory import Namespace
+        from repro.protocols.base import DSMCluster
+
+        cluster = DSMCluster(
+            3, protocol="causal", delta_stamps=True,
+            namespace=Namespace.explicit(3, {"x": 1}),
+        )
+        network = cluster.network
+        done = []
+
+        def owner(api):
+            yield api.write("x", "own")  # the reply will differ in one entry
+
+        def writer(api):
+            yield api.write("x", "remote")  # WRITE at t=0, W_REPLY at t=1
+            done.append(cluster.sim.now)
+
+        cluster.sim.schedule_at(1.5, lambda: network.crash(0))
+        cluster.sim.schedule_at(1.8, network.heal_all)
+        cluster.spawn(1, owner)
+        cluster.spawn(0, writer)
+        cluster.run()
+        assert done == [2.0]
+        # A full WRITE stamp, then a one-entry delta reply over it.
+        assert (network.stats.total, network.stats.stamp_entries) == (2, 4)
+        assert not self.asked(network.codec)

@@ -160,6 +160,40 @@ def test_frames_round_trip_and_weigh_what_the_model_says(sequence, delta):
 
 
 @settings(**COMMON)
+@given(st.lists(
+    st.tuples(st.sampled_from(["write", "reply", "reply", "other", "dirty"]),
+              clocks(4)),
+    min_size=1, max_size=16,
+))
+def test_replies_round_trip_over_their_requests(steps):
+    """WRITEs on 0 -> 1 answered out of order on 1 -> 0 between other
+    stamps and loss reports: every reply decodes to what was sent.  A
+    reply keeps its request's counters where the drawn clock's are
+    below 2 and takes the drawn ones elsewhere, so its stamp is near
+    the request's as Figure 4's merged ``VT'`` is."""
+    codec = WireCodec()
+    outstanding = {}
+    for step, (action, clock) in enumerate(steps):
+        if action == "dirty":
+            codec.mark_dirty(1, 0)
+            continue
+        channel = (1, 0)
+        if action == "write":
+            outstanding[step] = clock.components
+            channel, message = (0, 1), m.WriteRequest(step, "x", None, clock)
+        elif action == "reply" and outstanding:
+            request_id = list(outstanding)[clock.components[0] % len(outstanding)]
+            message = m.WriteReply(request_id, "x", None, VectorClock(
+                old if new < 2 else new
+                for old, new in zip(outstanding.pop(request_id), clock.components)
+            ))
+        else:
+            message = m.ReadReply(0, "x", (), clock)
+        assert codec.decode(*channel, codec.encode(*channel, message).data) == message
+    assert not any(codec._owed.values()) or outstanding
+
+
+@settings(**COMMON)
 @given(st.integers(min_value=1, max_value=6).flatmap(messages))
 def test_measure_fast_cost_and_encoder_agree(message):
     measured = measure_message(message)
@@ -391,8 +425,10 @@ _RETIRED = {
 
 @pytest.mark.parametrize("code", sorted(_RETIRED))
 def test_a_retired_kind_is_an_unknown_kind(code):
-    """Refused, counted, and fatal to its own connection only."""
-    retired = bytes.fromhex(_RETIRED[code])
+    """Refused, counted, and fatal to its own connection only.  The
+    frames are re-stamped with today's version, so the kind is what the
+    decoder refuses (a version-1 peer is refused for its version)."""
+    retired = bytes([WIRE_VERSION]) + bytes.fromhex(_RETIRED[code])[1:]
     sender = WireCodec()
     first = sender.encode(0, 1, m.Invalidate(1, "x")).data
     receiver = WireCodec()
@@ -407,6 +443,26 @@ def test_a_retired_kind_is_an_unknown_kind(code):
     assert [type(msg) for _, msg in received] == [m.Invalidate]
     assert runtime.frames_rejected == 1 and runtime.frames_delivered == 1
     assert f"unknown frame kind {code}" in runtime.last_rejection
+    assert closed_at is not None and runtime._error is None
+
+
+def test_a_reply_to_no_request_is_refused():
+    """A delta W_REPLY on 0 -> 1 naming a request node 1 never sent:
+    nothing to decode it over, so it is refused like a delta without a
+    basis, counted, and fatal to its connection."""
+    forger = WireCodec()
+    first = forger.encode(0, 1, m.Invalidate(1, "x")).data
+    forger.decode(1, 0, forger.encode(
+        1, 0, m.WriteRequest(9, "x", 1, VectorClock((0, 1)))).data)
+    forged = forger.encode(0, 1, m.WriteReply(9, "x", 1, VectorClock((2, 1))))
+    assert forged.stamp_entries == 1
+    after = _good_frames(1)[0].data
+    runtime, received, closed_at = _read(
+        _framed(first) + _framed(forged.data) + _framed(after)
+    )
+    assert [type(msg) for _, msg in received] == [m.Invalidate]
+    assert runtime.frames_rejected == 1 and runtime.frames_delivered == 1
+    assert "delta stamp without a basis" in runtime.last_rejection
     assert closed_at is not None and runtime._error is None
 
 
