@@ -7,12 +7,11 @@
 :mod:`repro.analysis.tables`
     Minimal ASCII/markdown table rendering used by the CLI and
     EXPERIMENTS.md generation.
-:mod:`repro.analysis.benchjson`
-    Reader of the frozen benchmark trajectory of PRs 1-15
-    (``BENCH_substrate.json``, rendered by ``repro report --bench``).
+:mod:`repro.analysis.results`
+    The JSON results store ``repro all --save`` / ``--baseline`` writes
+    and compares.
 """
 
-from repro.analysis.benchjson import BenchRecord, BenchTrajectory
 from repro.analysis.message_model import (
     atomic_messages_lower_bound,
     causal_messages_per_processor,
@@ -24,15 +23,12 @@ from repro.analysis.message_model import (
 from repro.analysis.results import ResultDelta, ResultsStore
 from repro.analysis.tables import (
     Table,
-    bench_trajectory_table,
     gauge_table,
     histogram_table,
     snapshot_table,
 )
 
 __all__ = [
-    "BenchRecord",
-    "BenchTrajectory",
     "ResultsStore",
     "ResultDelta",
     "causal_messages_per_processor",
@@ -45,5 +41,4 @@ __all__ = [
     "snapshot_table",
     "histogram_table",
     "gauge_table",
-    "bench_trajectory_table",
 ]

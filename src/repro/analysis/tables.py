@@ -15,7 +15,6 @@ __all__ = [
     "snapshot_table",
     "histogram_table",
     "gauge_table",
-    "bench_trajectory_table",
 ]
 
 
@@ -155,45 +154,6 @@ def gauge_table(
         if not name.startswith(prefix):
             continue
         table.add_row(name, gauges[name])
-    return table
-
-
-#: ``(header, metric path)`` columns of the bench-trajectory report.
-_TRAJECTORY_COLUMNS = (
-    ("kernel ev/s", ("kernel", "events_per_sec")),
-    ("proto ops/s (n=4)", ("protocol", "n=4", "ops_per_sec")),
-    ("checker ops/s (n=4)", ("checker", "n=4", "ops_per_sec")),
-    ("bytes/op cut (n=8)", ("bandwidth", "n=8", "bytes_per_op_reduction")),
-    ("monitor ev/s", ("monitor", "events_per_sec")),
-    ("live ops/s", ("runtime", "live", "ops_per_sec")),
-    ("plane overhead", ("obs", "plane", "overhead")),
-)
-
-
-def bench_trajectory_table(
-    trajectory: Any,
-    title: str = "Benchmark trajectory",
-) -> Table:
-    """Render a :class:`~repro.analysis.benchjson.BenchTrajectory`.
-
-    One row per appended run (label + timestamp), one column per
-    headline metric across the schema's history — cells read ``-`` for
-    runs recorded before their section existed (v1 files have no
-    ``bandwidth``, pre-v8 files no ``obs.plane``), so a single table
-    spans every schema version the reader accepts.
-    """
-    headers = ["run", "when"] + [header for header, _ in _TRAJECTORY_COLUMNS]
-    table = Table(headers, title=title)
-    series = [
-        trajectory.metric_series(*path) for _, path in _TRAJECTORY_COLUMNS
-    ]
-    for index, run in enumerate(trajectory.runs):
-        label = run.label + (" (smoke)" if run.smoke else "")
-        cells: List[Any] = [label, run.timestamp]
-        for column in series:
-            value = column[index]
-            cells.append(value if value is not None else "-")
-        table.add_row(*cells)
     return table
 
 

@@ -15,9 +15,7 @@ file.  It holds the three measurements something still asserts on:
 
 Each gate alternates its two sides in one process and reports a ratio
 of medians or a median of ratios, which, unlike raw ops/s, travels
-between machines.  ``BENCH_substrate.json`` is a frozen record of PRs
-1-15 that ``python -m repro report --bench`` renders; nothing here
-reads or writes it.
+between machines.
 """
 
 from __future__ import annotations

@@ -22,12 +22,7 @@ from repro.checker.history import (
     initial_write_id,
 )
 from repro.checker.causality import CausalOrder, CausalityCycleError
-from repro.checker.live_values import (
-    LiveSetCache,
-    live_set,
-    live_values,
-    read_fingerprint,
-)
+from repro.checker.live_values import live_set, live_values
 from repro.checker.causal_checker import (
     CachedCausalChecker,
     CausalCheckResult,
@@ -54,8 +49,6 @@ __all__ = [
     "CausalityCycleError",
     "live_set",
     "live_values",
-    "read_fingerprint",
-    "LiveSetCache",
     "check_causal",
     "CausalCheckResult",
     "CachedCausalChecker",

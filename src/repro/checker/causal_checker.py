@@ -10,16 +10,12 @@ causality relation — a read reading from a causally later write — is
 reported as a violation rather than an exception, so random-workload
 property tests can treat "not causal" uniformly.
 
-Two memoisation layers serve callers that check *many* histories (the
-:mod:`repro.mc` schedule explorer, the benchmark runner):
-
-* passing a :class:`~repro.checker.live_values.LiveSetCache` to
-  :func:`check_causal` memoises per-read live sets under their
-  causal-past fingerprints, shared across histories;
-* :class:`CachedCausalChecker` additionally memoises whole verdicts
-  keyed on the history's operation content, so a dominated schedule —
-  a different interleaving that recorded the *same* history — is checked
-  in O(1) without even rebuilding the causality relation.
+One memoisation layer serves callers that check *many* histories (the
+:mod:`repro.mc` schedule explorer): :class:`CachedCausalChecker`
+memoises whole verdicts keyed on the history's operation content, so a
+dominated schedule — a different interleaving that recorded the *same*
+history — is checked in O(1) without even rebuilding the causality
+relation.
 """
 
 from __future__ import annotations
@@ -29,7 +25,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.checker.causality import CausalityCycleError, CausalOrder
 from repro.checker.history import History, Operation
-from repro.checker.live_values import LiveSetCache, live_set
+from repro.checker.live_values import live_set
 
 __all__ = [
     "CausalCheckResult",
@@ -104,16 +100,9 @@ class CausalCheckResult:
         return "\n".join(lines + [summary])
 
 
-def check_causal(
-    history: History,
-    cache: Optional[LiveSetCache] = None,
-    obs=None,
-) -> CausalCheckResult:
+def check_causal(history: History, obs=None) -> CausalCheckResult:
     """Check Definition 2: every read returns a live value.
 
-    ``cache`` (optional) memoises per-read live sets under causal-past
-    fingerprints; share one cache across calls when checking many
-    related histories.  Verdicts are identical with or without it.
     ``obs`` (optional TraceCollector) receives a ``check.verdict`` event.
 
     Examples
@@ -138,7 +127,7 @@ def check_causal(
 
     verdicts: List[ReadVerdict] = []
     for read in history.reads():
-        live = live_set(history, order, read, cache)
+        live = live_set(order, read)
         live_ids = {write.write_id for write in live}
         ok = read.read_from in live_ids
         verdicts.append(
@@ -177,15 +166,11 @@ def history_fingerprint(history: History) -> Tuple:
 class CachedCausalChecker:
     """Definition 2 checking with whole-history memoisation.
 
-    Wraps :func:`check_causal` with two cache layers: an exact-history
-    table (dominated schedules are O(1) — not even the causality
-    relation is rebuilt) and a shared :class:`LiveSetCache` for the
-    misses (reads whose causal past already appeared in *another*
-    history are served from their fingerprints).
+    Wraps :func:`check_causal` with an exact-history table: dominated
+    schedules are O(1), and not even the causality relation is rebuilt.
     """
 
     def __init__(self) -> None:
-        self.live_cache = LiveSetCache()
         self.history_hits = 0
         self.history_misses = 0
         self._results: Dict[Tuple, CausalCheckResult] = {}
@@ -199,10 +184,18 @@ class CachedCausalChecker:
         if result is not None:
             self.history_hits += 1
             if self.obs is not None and self.obs.wants("check", "verdict"):
-                self.obs.emit("check", "verdict", ok=result.ok, cached=True)
+                # The same keys as check_causal's own event.
+                extra = {}
+                if result.cycle is not None:
+                    extra["cycle"] = str(result.cycle)
+                self.obs.emit(
+                    "check", "verdict", ok=result.ok,
+                    reads=len(result.verdicts),
+                    violations=len(result.violations), cached=True, **extra,
+                )
             return result
         self.history_misses += 1
-        result = check_causal(history, cache=self.live_cache, obs=self.obs)
+        result = check_causal(history, obs=self.obs)
         self._results[key] = result
         return result
 

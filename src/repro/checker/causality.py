@@ -13,9 +13,9 @@ descendants, from a backward pass over a topological order, and its
 strict ancestors, from a forward pass over the same order.  ``precedes``
 is then one bit test.  On first use it also groups the operations by
 location (:class:`LocationOps`: every op, the candidate writes, the ops
-carrying each write's value) and records which ops are reads, in one
-pass.  Definition 1 (:mod:`repro.checker.live_values`) is mask
-arithmetic over that index; nothing there walks the history again.
+carrying each write's value), in one pass.  Definition 1
+(:mod:`repro.checker.live_values`) is mask arithmetic over that index;
+nothing there walks the history again.
 
 Definition 1 considers a read's causal past *excluding the reads-from
 edge established by that read itself*.  A read's only other incoming
@@ -54,15 +54,14 @@ class LocationOps:
     in the order ``History.writes(location)`` yields them (which is
     ascending position, so walking a sub-mask of ``writes_mask`` from
     its lowest bit visits candidates in candidate order);
-    ``write_ids`` are their identities and ``write_position`` maps a
-    write's position in ``ops`` to its place among the candidates.
+    ``write_position`` maps a write's position in ``ops`` to its place
+    among the candidates.
     """
 
     indices: Tuple[int, ...] = ()
     mask: int = 0
     source_masks: Dict[Any, int] = field(default_factory=dict)
     writes: Tuple[Operation, ...] = ()
-    write_ids: Tuple[Any, ...] = ()
     writes_mask: int = 0
     write_position: Dict[int, int] = field(default_factory=dict)
 
@@ -118,7 +117,6 @@ class CausalOrder:
         for ops in history.processes:
             self._below += [(1 << len(self._below)) - 1] * len(ops)
         self._loc_ops: Optional[Dict[str, LocationOps]] = None
-        self._reads_mask = 0
 
     # ------------------------------------------------------------------
     # Graph construction
@@ -285,12 +283,6 @@ class CausalOrder:
                 live |= 1 << i
         return live
 
-    def reads_mask(self) -> int:
-        """Bitset of all read operations."""
-        if self._loc_ops is None:
-            self._index_locations()
-        return self._reads_mask
-
     def location_ops(self, location: str) -> LocationOps:
         """The precomputed :class:`LocationOps` for ``location``.
 
@@ -305,7 +297,6 @@ class CausalOrder:
 
     def _index_locations(self) -> Dict[str, LocationOps]:
         grouped: Dict[str, Tuple[List[int], Dict[Any, int], List[int]]] = {}
-        reads = 0
         for i, op in enumerate(self.ops):
             entry = grouped.get(op.location)
             if entry is None:
@@ -316,7 +307,6 @@ class CausalOrder:
                 entry[2].append(i)
             else:
                 source = op.read_from
-                reads |= 1 << i
             entry[1][source] = entry[1].get(source, 0) | (1 << i)
         ops = self.ops
         table = {
@@ -325,13 +315,12 @@ class CausalOrder:
                 mask=_mask_of(indices),
                 source_masks=sources,
                 writes=tuple(ops[i] for i in writes),
-                write_ids=tuple(ops[i].write_id for i in writes),
                 writes_mask=_mask_of(writes),
                 write_position={i: p for p, i in enumerate(writes)},
             )
             for location, (indices, sources, writes) in grouped.items()
         }
-        self._loc_ops, self._reads_mask = table, reads
+        self._loc_ops = table
         return table
 
     def followers(self, op: Operation) -> List[Operation]:

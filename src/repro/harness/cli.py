@@ -14,7 +14,7 @@ Examples
     repro trace --scenario fig4 --format chrome -o fig4.trace.json
     repro top --scenario workload --ops 100
     repro live --scenario fig3 --flight-recorder fig3.cex.json
-    repro report --bench
+    repro report
 """
 
 from __future__ import annotations
@@ -59,20 +59,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="compare against a previously saved results store",
     )
-    report = sub.add_parser(
+    sub.add_parser(
         "report",
-        help="run every experiment and print EXPERIMENTS.md markdown "
-        "(--bench: render the benchmark trajectory instead)",
-    )
-    report.add_argument(
-        "--bench",
-        metavar="PATH",
-        nargs="?",
-        const="BENCH_substrate.json",
-        default=None,
-        help="render the BENCH_substrate.json trajectory (any schema "
-        "v1-v8) as a markdown table across appended runs instead of "
-        "running the experiments (default path: BENCH_substrate.json)",
+        help="run every experiment and print EXPERIMENTS.md markdown",
     )
     trace = sub.add_parser(
         "trace",
@@ -520,26 +509,6 @@ def _cmd_top(args) -> int:
     return 0 if offline.ok == expected else 1
 
 
-def _cmd_report_bench(path: str) -> int:
-    """Render the benchmark trajectory file as a markdown table."""
-    from repro.analysis import BenchTrajectory, bench_trajectory_table
-    from repro.errors import ReproError
-
-    try:
-        trajectory = BenchTrajectory.load(path)
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    if not trajectory.runs:
-        print(f"no benchmark runs recorded in {path}")
-        return 0
-    table = bench_trajectory_table(
-        trajectory, title=f"Benchmark trajectory ({path})"
-    )
-    print(table.to_markdown())
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns a process exit code."""
     if argv is None:
@@ -561,8 +530,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("  all                  run every experiment")
         return 0
     if args.command == "report":
-        if args.bench:
-            return _cmd_report_bench(args.bench)
         from repro.harness.experiments import generate_markdown_report
 
         print(generate_markdown_report())

@@ -5,7 +5,7 @@ Subcommands
 ``explore``
     Explore a program's schedule space and report (optionally saving the
     first shrunk counterexample as JSON).  Programs come from a preset
-    (``--program fig3|fig5|exhaustive``) or the seeded random generator.
+    (``--program``, any key of ``PRESETS``) or the seeded random generator.
 ``replay``
     Re-execute a saved counterexample and verify its violation still
     reproduces.

@@ -23,9 +23,8 @@ model its protocol promises (``EXPECTED_MODEL``); crashes and reliable-
 network deadlocks are violations too.  Checking goes through one shared
 :class:`~repro.checker.CachedCausalChecker` plus a per-model history
 memo, so dominated schedules that still reach distinct interleavings of
-the *same* recorded history cost O(1) to re-verify — the measurable
-payoff of the checker-memoisation work (see ``bench.py``'s checker
-section).
+the *same* recorded history cost O(1) to re-verify (DESIGN.md §4.6,
+"Checker memoisation").
 """
 
 from __future__ import annotations
@@ -78,8 +77,8 @@ _MODEL_FNS = {
 class CheckerZoo:
     """Memoised verdicts for every consistency model.
 
-    Causal checking runs through a :class:`CachedCausalChecker` (history
-    table + shared live-set cache); the other models get a plain
+    Causal checking runs through a :class:`CachedCausalChecker` (a
+    history table); the other models get a plain
     per-history-fingerprint memo.  One zoo is shared across all leaves
     of an exploration, so dominated schedules re-verify in O(1).
     """
@@ -107,9 +106,6 @@ class CheckerZoo:
             "history_hits": self.causal.history_hits,
             "history_misses": self.causal.history_misses,
             "history_hit_rate": round(self.causal.history_hit_rate, 4),
-            "live_hits": self.causal.live_cache.hits,
-            "live_misses": self.causal.live_cache.misses,
-            "live_hit_rate": round(self.causal.live_cache.hit_rate, 4),
         }
 
 
@@ -211,9 +207,7 @@ class ExplorationResult:
         stats = self.checker_stats
         if stats:
             lines.append(
-                "checker memo: history hit rate "
-                f"{stats['history_hit_rate']:.0%}, live-set hit rate "
-                f"{stats['live_hit_rate']:.0%}"
+                f"checker memo: history hit rate {stats['history_hit_rate']:.0%}"
             )
         return "\n".join(lines)
 

@@ -251,12 +251,30 @@ def _inflight_spec(second_task: bool = False) -> ProgramSpec:
     return make_spec(processes, owners={"x": 0, "y": 1}, nodes=nodes)
 
 
+def _inflight_ack_spec() -> ProgramSpec:
+    """The write side of the in-flight window: ``P1``'s ``W_REPLY`` for
+    ``w(x)1`` is out while ``P1`` serves ``w(z)3``, which follows the
+    ``w(x)2`` the owner applied over it.  Cached on arrival, ``x = 1`` is
+    re-read after ``r(z)3``; ``P2``, told of that read through ``q``,
+    then gets the owner's ``x = 2`` — dead, by Definition 1, once
+    ``r(x)1`` stands between."""
+    return make_spec(
+        [
+            (),
+            (("w", "x", 1), ("r", "z"), ("r", "x"), ("w", "q", 4)),
+            (("w", "x", 2), ("w", "z", 3), ("r", "q"), ("r", "x")),
+        ],
+        owners={"x": 0, "z": 1, "q": 1},
+    )
+
+
 PRESETS: Dict[str, Any] = {
     "fig3": partial(_figure_spec, "fig3"),
     "fig5": partial(_figure_spec, "fig5"),
     "exhaustive": _exhaustive_spec,
     "inflight": _inflight_spec,
     "inflight-tasks": partial(_inflight_spec, second_task=True),
+    "inflight-ack": _inflight_ack_spec,
 }
 
 

@@ -5,9 +5,8 @@ answer "how much".  A :class:`MetricsRegistry` is a flat name -> metric
 map that instrumented components update while a collector is attached
 (the :class:`~repro.obs.collector.TraceCollector` auto-counts every
 emitted ``category.name``, and hot sites add explicit histograms such as
-batch occupancy).  ``snapshot()`` renders the whole registry as a plain
-JSON-safe tree — the shape stored in the ``obs`` section of
-``BENCH_substrate.json``.
+the read-miss round trip).  ``snapshot()`` renders the whole registry as
+a plain JSON-safe tree.
 
 No locks, no time sources, no background threads: the simulator is
 single-threaded and deterministic, and the registry must be too.

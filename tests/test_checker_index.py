@@ -14,10 +14,10 @@ import pytest
 
 from repro.apps.workload import WorkloadConfig, run_random_execution
 from repro.checker import (
+    CachedCausalChecker,
     CausalityCycleError,
     CausalOrder,
     History,
-    LiveSetCache,
     check_causal,
     live_set,
     random_history,
@@ -119,7 +119,7 @@ def assert_matches_definition(history: History):
         assert list(verdict.live_writes) == expected, (
             f"{read} in\n{history.to_text()}"
         )
-        assert live_set(history, order, read) == expected
+        assert live_set(order, read) == expected
         assert verdict.ok == (read.read_from in {w.write_id for w in expected})
     return result
 
@@ -272,27 +272,13 @@ def test_live_sets_equal_definition_on_broadcast_anomaly():
     assert result.cycle is None and not result.ok
 
 
-def test_cached_live_sets_equal_definition():
-    cache = LiveSetCache()
-    for seed in range(200):
-        history = random_history(seed=seed, **SHAPES[seed % len(SHAPES)])
-        try:
-            order = CausalOrder(history)
-        except CausalityCycleError:
-            continue
-        for read in history.reads():
-            expected = reference_live_set(history, order, read)
-            assert live_set(history, order, read, cache) == expected
-    assert cache.hits > 0
-
-
 # ----------------------------------------------------------------------
 # Complexity guard: no wall clock, only how often the history is walked
 # ----------------------------------------------------------------------
 SCANS = ("operations", "_app_operations", "writes", "reads")
 
 
-def _scans_per_check(monkeypatch, history: History, cache) -> dict:
+def _scans_per_check(monkeypatch, history: History) -> dict:
     calls = dict.fromkeys(SCANS, 0)
 
     def counted(name):
@@ -307,14 +293,11 @@ def _scans_per_check(monkeypatch, history: History, cache) -> dict:
     with monkeypatch.context() as patch:
         for name in SCANS:
             patch.setattr(History, name, counted(name))
-        assert check_causal(history, cache=cache).ok
+        assert check_causal(history).ok
     return calls
 
 
-@pytest.mark.parametrize("cached", [False, True])
-def test_one_check_walks_the_history_a_constant_number_of_times(
-    monkeypatch, cached
-):
+def test_one_check_walks_the_history_a_constant_number_of_times(monkeypatch):
     scans = []
     for ops_per_proc in (75, 300):  # 300 and 1 200 operations
         history = run_random_execution(WorkloadConfig(
@@ -322,8 +305,7 @@ def test_one_check_walks_the_history_a_constant_number_of_times(
         )).history
         assert len(history) == 4 * ops_per_proc
         assert len(history.reads()) > 100
-        cache = LiveSetCache() if cached else None
-        scans.append(_scans_per_check(monkeypatch, history, cache))
+        scans.append(_scans_per_check(monkeypatch, history))
     small, large = scans
     assert small == large
     assert all(count <= 2 for count in small.values()), small
@@ -395,3 +377,13 @@ def test_cycle_and_normal_verdict_events_carry_the_same_keys(figure1):
     assert set(normal) <= set(cyclic)
     assert cyclic["ok"] is False and cyclic["reads"] == 0
     assert cyclic["cached"] is False and "cyclic" in cyclic["cycle"]
+
+    # A history-table hit reports the memoised verdict with the same keys.
+    checker = CachedCausalChecker()
+    checker.obs = collector = TraceCollector()
+    for history in (figure1, figure1, History.parse("P1: r(x)1 w(x)1")) * 2:
+        checker.check(history)
+    miss, hit, cyclic_miss, _, _, cyclic_hit = (e.args for e in collector.events)
+    assert (miss["cached"], hit["cached"]) == (False, True)
+    assert {**hit, "cached": False} == miss
+    assert {**cyclic_hit, "cached": False} == cyclic_miss

@@ -1,24 +1,19 @@
 """The memoised causal checker must be invisible except for speed.
 
-ROADMAP's "checker search pruning": live sets memoised under causal-past
-fingerprints (:class:`LiveSetCache`) and whole verdicts memoised under
-history fingerprints (:class:`CachedCausalChecker`).  These tests pin
-the only property that matters — verdict-for-verdict equality with the
-unmemoised checker — over thousands of generated histories and over the
-explorer-style corpora the caches were built for.
+Whole verdicts memoised under history fingerprints
+(:class:`CachedCausalChecker`).  These tests pin the only property that
+matters — verdict-for-verdict equality with the unmemoised checker —
+over thousands of generated histories and over the explorer-style
+corpus the history table was built for.
 """
 
 import random
 
 from repro.checker import (
     CachedCausalChecker,
-    CausalOrder,
-    LiveSetCache,
     check_causal,
     history_fingerprint,
-    live_set,
     random_history,
-    read_fingerprint,
 )
 
 #: Spread of generator shapes; seeds vary inside each test.
@@ -47,23 +42,16 @@ def _equal_results(plain, memoised) -> bool:
 
 def test_memoised_checker_equals_unmemoised_on_5000_histories():
     """The acceptance bar: >= 5000 histories, zero verdict drift."""
-    live_cache = LiveSetCache()
     cached_checker = CachedCausalChecker()
     checked = 0
     for index in range(5000):
         shape = SHAPES[index % len(SHAPES)]
         history = random_history(seed=index, **shape)
         plain = check_causal(history)
-        with_live_cache = check_causal(history, cache=live_cache)
         with_full_cache = cached_checker.check(history)
-        assert _equal_results(plain, with_live_cache), history.to_text()
         assert _equal_results(plain, with_full_cache), history.to_text()
         checked += 1
     assert checked == 5000
-    # The shared cache genuinely engaged (fingerprints repeat across
-    # independently generated histories).
-    assert live_cache.hits > 0
-    assert 0.0 < live_cache.hit_rate < 1.0
 
 
 def test_memoised_checker_equals_unmemoised_on_explorer_corpus():
@@ -106,54 +94,3 @@ def test_history_fingerprint_distinguishes_different_histories():
             seen.add(key)
             distinct += 1
     assert distinct > 40  # collisions would be fingerprint bugs
-
-
-def test_read_fingerprint_is_deterministic_and_value_independent():
-    history, order = _acyclic_history(7, n_procs=3, n_locations=2,
-                                      ops_per_proc=5)
-    for read in history.reads():
-        assert read_fingerprint(history, order, read) == read_fingerprint(
-            history, order, read
-        )
-
-
-def _acyclic_history(start_seed: int, **shape):
-    """First generated history whose causality relation is acyclic.
-
-    (Arbitrary reads-from assignments can produce cyclic relations;
-    check_causal reports those as violations, but direct CausalOrder
-    construction — which the live-set tests need — raises.)
-    """
-    from repro.checker import CausalityCycleError
-
-    for seed in range(start_seed, start_seed + 100):
-        history = random_history(seed=seed, **shape)
-        try:
-            return history, CausalOrder(history)
-        except CausalityCycleError:
-            continue
-    raise AssertionError("no acyclic history in 100 seeds")
-
-
-def test_live_set_cache_hit_returns_equal_operations():
-    cache = LiveSetCache()
-    history, order = _acyclic_history(13, n_procs=3, n_locations=1,
-                                      ops_per_proc=5)
-    for read in history.reads():
-        cold = live_set(history, order, read, cache)
-        warm = live_set(history, order, read, cache)
-        assert cold == warm
-    assert cache.hits == len(history.reads())
-
-
-def test_cache_clear_drops_entries_but_keeps_counters():
-    cache = LiveSetCache()
-    history, order = _acyclic_history(2, n_procs=2, n_locations=1,
-                                      ops_per_proc=4)
-    for read in history.reads():
-        live_set(history, order, read, cache)
-    assert len(cache) > 0
-    misses = cache.misses
-    cache.clear()
-    assert len(cache) == 0
-    assert cache.misses == misses

@@ -38,6 +38,14 @@ class TestCLI:
         assert excinfo.value.code == 2
         assert "invalid choice: 'bench'" in capsys.readouterr().err
 
+    def test_report_has_no_bench_flag(self, capsys):
+        """`report` prints EXPERIMENTS.md and nothing else; the frozen
+        trajectory it once rendered lives in `results/` as markdown."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["report", "--bench"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --bench" in capsys.readouterr().err
+
     def test_write_behind_experiment_runs(self, capsys):
         assert main(["write-behind"]) == 0
         assert "E13" in capsys.readouterr().out

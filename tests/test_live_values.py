@@ -10,7 +10,7 @@ from repro.errors import CheckError
 
 def alpha(history, proc, index):
     order = CausalOrder(history)
-    return live_values(history, order, history.op(proc, index))
+    return live_values(order, history.op(proc, index))
 
 
 class TestFigure2LiveSets:
@@ -107,11 +107,11 @@ class TestLiveSetAPI:
     def test_live_set_returns_write_operations(self, figure2):
         order = CausalOrder(figure2)
         read = figure2.op(0, 3)
-        writes = live_set(figure2, order, read)
+        writes = live_set(order, read)
         assert all(w.is_write for w in writes)
         assert {w.value for w in writes} == {0, 5}
 
     def test_rejects_non_read(self, figure2):
         order = CausalOrder(figure2)
         with pytest.raises(CheckError):
-            live_set(figure2, order, figure2.op(0, 0))
+            live_set(order, figure2.op(0, 0))

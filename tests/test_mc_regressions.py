@@ -18,7 +18,6 @@ from repro.mc import (
     ExploreConfig,
     McError,
     explore,
-    make_spec,
     preset,
     replay,
     replay_trace,
@@ -228,14 +227,19 @@ class TestInFlightAck:
     re-read after r(z)3; P2, told of that read through q, then gets the
     owner's x = 2 — dead, by Definition 1, once r(x)1 stands between."""
 
-    SPEC = make_spec(
-        [
-            (),
-            (("w", "x", 1), ("r", "z"), ("r", "x"), ("w", "q", 4)),
-            (("w", "x", 2), ("w", "z", 3), ("r", "q"), ("r", "x")),
-        ],
-        owners={"x": 0, "z": 1, "q": 1},
-    )
+    SPEC = preset("inflight-ack")
+
+    def test_the_preset_is_the_program_literal(self):
+        assert self.SPEC.to_jsonable() == {
+            "protocol": "causal",
+            "processes": [
+                [],
+                [["w", "x", 1], ["r", "z"], ["r", "x"], ["w", "q", 4]],
+                [["w", "x", 2], ["w", "z", 3], ["r", "q"], ["r", "x"]],
+            ],
+            "owners": [["q", 1], ["x", 0], ["z", 1]],
+            "initial_value": 0,
+        }
 
     def test_the_tree_is_clean_on_every_schedule(self):
         result = explore(self.SPEC, DFS)

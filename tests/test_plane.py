@@ -24,8 +24,7 @@ import struct
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.analysis import BenchRecord, BenchTrajectory
-from repro.analysis.tables import bench_trajectory_table, gauge_table
+from repro.analysis.tables import gauge_table
 from repro.checker import check_causal
 from repro.errors import ProtocolError
 from repro.mc.counterexample import replay
@@ -696,7 +695,7 @@ class TestDashboardRender:
 
 
 # ----------------------------------------------------------------------
-# Tables: gauge visibility and the bench trajectory report
+# Tables: gauge visibility
 # ----------------------------------------------------------------------
 class TestTables:
     def test_gauge_table_filters_by_prefix(self):
@@ -711,48 +710,3 @@ class TestTables:
         assert "live.link.0->1.socket_bytes" in text and "2700" in text
         assert "plane.events_merged" not in text
         assert "plane.events_merged" in gauge_table(snapshot).render()
-
-    def test_bench_trajectory_spans_schema_versions(self):
-        trajectory = BenchTrajectory()
-        trajectory.append(
-            BenchRecord("seed", "t0", {"kernel": {"events_per_sec": 1e6}})
-        )
-        trajectory.append(
-            BenchRecord(
-                "plane-pr",
-                "t1",
-                {
-                    "kernel": {"events_per_sec": 1.2e6},
-                    "runtime": {"live": {"ops_per_sec": 500.0}},
-                    "obs": {"plane": {"overhead": 1.05}},
-                },
-                smoke=True,
-            )
-        )
-        table = bench_trajectory_table(trajectory)
-        markdown = table.to_markdown()
-        assert "seed" in markdown and "plane-pr (smoke)" in markdown
-        assert "plane overhead" in markdown
-        assert "1.05" in markdown
-        # v1-era run backfills the missing sections with '-'.
-        seed_row = next(line for line in markdown.splitlines() if "| seed |" in line)
-        assert "| - |" in seed_row
-
-    def test_cli_report_bench(self, tmp_path, capsys):
-        from repro.harness.cli import main
-
-        path = tmp_path / "bench.json"
-        trajectory = BenchTrajectory()
-        trajectory.append(
-            BenchRecord("r1", "t0", {"kernel": {"events_per_sec": 2.0}})
-        )
-        trajectory.save(path)
-        assert main(["report", "--bench", str(path)]) == 0
-        output = capsys.readouterr().out
-        assert "Benchmark trajectory" in output and "r1" in output
-
-    def test_cli_report_bench_missing_file(self, tmp_path, capsys):
-        from repro.harness.cli import main
-
-        assert main(["report", "--bench", str(tmp_path / "none.json")]) == 0
-        assert "no benchmark runs" in capsys.readouterr().out
