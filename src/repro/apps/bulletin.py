@@ -13,9 +13,10 @@ On causal memory the pattern is safe by construction: the body write
 causally precedes the announcement write, so a reader that sees the
 announcement can never fetch a stale/empty body — the Figure 4
 invalidation sweep evicts any stale cached body the moment the
-announcement value is introduced.  With the unsafe write-behind mode
-(experiment E13) the announcement can overtake the in-flight body write
-and readers observe dangling announcements; tests use the contrast.
+announcement value is introduced.  On E13's write-behind mutant
+(:func:`repro.harness.scenarios.write_behind` applied to ``cluster``)
+the announcement can overtake the in-flight body write and readers
+observe dangling announcements; tests use the contrast.
 
 Posts may name a ``reply_to`` id the author has read, giving the
 transitive invariant: any view containing a reply also contains every
@@ -91,9 +92,6 @@ class BulletinBoard:
         Number of author/reader processes.
     slots_per_author:
         Capacity of each author's announcement log.
-    unsafe_write_behind:
-        Propagated to the cluster — used by tests to demonstrate the
-        dangling-announcement anomaly.
     """
 
     def __init__(
@@ -102,7 +100,6 @@ class BulletinBoard:
         slots_per_author: int = 8,
         seed: int = 0,
         latency: Optional[LatencyModel] = None,
-        unsafe_write_behind: bool = False,
         record_history: bool = True,
     ):
         if n <= 0 or slots_per_author <= 0:
@@ -122,7 +119,6 @@ class BulletinBoard:
                 owner_fn=self._owner_fn,
             ),
             initial_value=EMPTY,
-            unsafe_write_behind=unsafe_write_behind,
             record_history=record_history,
         )
         self._post_counters = [0] * n

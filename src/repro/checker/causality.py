@@ -225,10 +225,6 @@ class CausalOrder:
     # ------------------------------------------------------------------
     # Bitset accessors (the live-set computation runs on these)
     # ------------------------------------------------------------------
-    def descendant_mask(self, index: int) -> int:
-        """Bitset of strict ``*->`` descendants of the op at ``index``."""
-        return self._desc[index]
-
     def ancestor_mask(self, index: int) -> int:
         """Bitset of strict ``*->`` ancestors of the op at ``index``."""
         return self._anc[index]

@@ -268,6 +268,11 @@ class History:
                 raise HistoryError(
                     f"{op} reads from {source}, a write to another location"
                 )
+            # Identity first: NaN and opaque app values never compare.
+            if source.value is not op.value and source.value != op.value:
+                raise HistoryError(
+                    f"{op} reads from {source}, a write of another value"
+                )
 
     # ------------------------------------------------------------------
     # Queries
@@ -358,7 +363,8 @@ class HistoryRecorder:
     program order because the paper's operations block.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, initial_value: Any = 0) -> None:
+        self.initial_value = initial_value
         self._ops: Dict[int, List[Tuple]] = {}
 
     def record_read(
@@ -396,4 +402,4 @@ class HistoryRecorder:
                         )
                     )
             processes.append(ops)
-        return History(processes)
+        return History(processes, initial_value=self.initial_value)

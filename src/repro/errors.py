@@ -48,21 +48,6 @@ class ProtocolError(ReproError):
     """A DSM protocol engine received an impossible message or state."""
 
 
-class WriteRejectedError(ProtocolError):
-    """A write was rejected by the owner's conflict-resolution policy.
-
-    Raised only when a protocol is configured with a rejecting policy (the
-    dictionary application of Section 4.2 of the paper) and the application
-    asked for rejections to be surfaced rather than silently dropped.
-    """
-
-    def __init__(self, location: str, value: object, reason: str):
-        self.location = location
-        self.value = value
-        self.reason = reason
-        super().__init__(f"write of {value!r} to {location!r} rejected: {reason}")
-
-
 class HistoryError(ReproError):
     """An operation history is malformed (e.g. duplicate writes)."""
 

@@ -14,7 +14,9 @@ produce) those histories in the simulator:
   concurrent delete against an owner's newer insert, with either
   resolution policy;
 * :func:`run_discard_liveness` — the Section 3.1 remark that without
-  ``discard`` two self-owning writers never communicate.
+  ``discard`` two self-owning writers never communicate;
+* :func:`run_write_behind_race` — E13, on :func:`write_behind`'s
+  deliberately wrong nodes.
 """
 
 from __future__ import annotations
@@ -25,11 +27,15 @@ from typing import Any, FrozenSet, List, Optional, Tuple
 from repro.apps.dictionary import FREE, DictionaryCluster
 from repro.apps.figures import program_process
 from repro.checker.history import History
+from repro.errors import ProtocolError
 from repro.memory import Namespace
-from repro.protocols.base import DSMCluster
+from repro.memory.local_store import MemoryEntry
+from repro.protocols.base import DSMCluster, WriteOutcome
+from repro.protocols.causal_owner import CausalOwnerNode
+from repro.protocols.messages import WriteReply
 from repro.protocols.policies import ConflictPolicy
 from repro.runtime.scenarios import run_scenario_sim
-from repro.sim.tasks import sleep
+from repro.sim.tasks import Future, sleep
 
 __all__ = [
     "run_figure3_on_broadcast",
@@ -37,6 +43,8 @@ __all__ = [
     "run_dictionary_delete_race",
     "run_discard_liveness",
     "run_write_behind_race",
+    "write_behind",
+    "WriteBehindNode",
     "DeleteRaceOutcome",
     "LivenessOutcome",
 ]
@@ -61,6 +69,48 @@ def run_figure5_on_causal(seed: int = 0) -> History:
     return run_scenario_sim("fig5", seed=seed)
 
 
+class WriteBehindNode(CausalOwnerNode):
+    """E13's mutant: Figure 4 with remote writes that do not block.
+
+    A write to a location another node owns completes at once with a
+    tentative line under the writer's own stamp; the ``W_REPLY`` only
+    merges the clock and restamps that line.  This breaks causal memory,
+    which is why Figure 4's writes block.
+    """
+
+    def write(self, location: str, value: Any) -> Future:
+        future = super().write(location, value)
+        if not future.resolved:  # sent to the owner: complete it now
+            del self._flight[next(reversed(self._pending_writes))]
+            entry = MemoryEntry(value, self.vt, self.node_id)
+            if not self.no_cache:
+                self.store.put(location, entry)
+            self._record_write(location, value, entry)
+            future.resolve(WriteOutcome(location=location, value=value))
+        return future
+
+    def _complete_write(self, msg: WriteReply) -> None:
+        self._pending_writes.pop(msg.request_id)
+        self.vt = self.vt.update(msg.stamp)  # VT_i := update(VT_i, VT')
+        self._note_stamp(msg.stamp, own=True)
+        if msg.applied and not self.no_cache:
+            me = self.node_id
+            cached = self.store.get(msg.location)
+            # The same write (writer and own component match): restamp it.
+            mine = cached is not None and cached.writer == me
+            if mine and cached.stamp[me] == msg.stamp[me]:
+                self.store.restamp(msg.location, msg.stamp)
+
+
+def write_behind(cluster: DSMCluster) -> DSMCluster:
+    """Turn one built causal cluster's nodes into E13's mutant."""
+    for node in cluster.nodes:
+        if type(node) is not CausalOwnerNode:
+            raise ProtocolError("write-behind mutates the causal protocol only")
+        node.__class__ = WriteBehindNode
+    return cluster
+
+
 def run_write_behind_race(unsafe: bool, seed: int = 0) -> History:
     """Why Figure 4's writes block ("reducing the blocking of processors").
 
@@ -81,13 +131,10 @@ def run_write_behind_race(unsafe: bool, seed: int = 0) -> History:
     latency = PerLinkLatency(default=1.0, links={(1, 0): 25.0})
     namespace = Namespace.explicit(3, {"x": 0, "y": 2})
     cluster = DSMCluster(
-        3,
-        protocol="causal",
-        seed=seed,
-        latency=latency,
-        namespace=namespace,
-        unsafe_write_behind=unsafe,
+        3, protocol="causal", seed=seed, latency=latency, namespace=namespace
     )
+    if unsafe:
+        write_behind(cluster)
 
     # x certifies slowly at P0, y fast at P2 — where the observer waits.
     writer = (("w", "x", 1), ("w", "y", 2))

@@ -150,7 +150,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             "kind": cex.kind,
             "model": cex.model,
             "steps": outcome.steps,
-            "history": outcome.history.to_text().splitlines(),
+            "history": outcome.history_text.splitlines(),
         }, indent=2, sort_keys=True))
     else:
         print(cex.summary())

@@ -98,8 +98,9 @@ class Counterexample:
             if run.crashed is not None:
                 break
             run.apply(action)
-        if run.crashed is None:
-            check_causal(run.cluster.history(), obs=collector)
+        history = run.outcome().history if run.crashed is None else None
+        if history is not None:
+            check_causal(history, obs=collector)
         return dc_replace(
             self, events=tuple(collector.to_jsonable())
         )

@@ -119,7 +119,8 @@ def evaluate_outcome(
     """Judge one leaf execution.
 
     Returns ``(verdicts, violated, (kind, model, description))``.  A
-    crash is always a violation; blocked tasks are a violation only on a
+    crash is always a violation (a refused history is one, and no
+    checker runs on it); blocked tasks are a violation only on a
     reliable network (no drops — the paper's protocols may legitimately
     block forever once messages are lost); otherwise the recorded
     history must satisfy the protocol's expected model.
@@ -127,7 +128,7 @@ def evaluate_outcome(
     expected = expected_model or EXPECTED_MODEL[protocol]
     zoo = zoo or CheckerZoo()
     wanted = models or (expected,)
-    verdicts = {
+    verdicts = {} if outcome.history is None else {
         model: zoo.verdict(outcome.history, model) for model in wanted
     }
     if outcome.crashed is not None:
@@ -275,7 +276,8 @@ class _LeafTally:
             zoo=self.zoo,
             expected_model=self.config.expected_model,
         )
-        self._fingerprints.add(history_fingerprint(outcome.history))
+        if outcome.history is not None:
+            self._fingerprints.add(history_fingerprint(outcome.history))
         result.distinct_histories = len(self._fingerprints)
         if outcome.crashed is not None:
             result.crashes += 1
@@ -291,7 +293,7 @@ class _LeafTally:
                     kind=kind,
                     model=model,
                     description=description,
-                    history_text=outcome.history.to_text(),
+                    history_text=outcome.history_text,
                     verdicts=verdicts,
                 )
             )

@@ -39,6 +39,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.apps.figures import program_process
 from repro.checker.history import History
+from repro.errors import HistoryError
 from repro.mc.program import McError, ProgramSpec
 from repro.memory import Namespace
 from repro.protocols.base import DSMCluster
@@ -61,7 +62,8 @@ Action = Tuple[str, Tuple]
 class RunOutcome:
     """What one controlled execution produced."""
 
-    history: History
+    #: None when the run recorded a history the model refuses (a crash).
+    history: Optional[History]
     trace: Tuple[Action, ...]
     steps: int
     completed: bool
@@ -73,6 +75,11 @@ class RunOutcome:
     def clean(self) -> bool:
         """True when every process finished and nothing raised."""
         return self.completed and self.crashed is None
+
+    @property
+    def history_text(self) -> str:
+        """The recorded history in figure notation ("" when refused)."""
+        return "" if self.history is None else self.history.to_text()
 
 
 class ControlledRun:
@@ -228,8 +235,14 @@ class ControlledRun:
         if crashed is None and failed:
             exc = failed[0].exception()
             crashed = f"{type(exc).__name__}: {exc}"
+        try:
+            history = self.cluster.history()
+        except HistoryError as exc:
+            # Reported with its schedule like any crash, never raised.
+            history = None
+            crashed = crashed or f"HistoryError: {exc}"
         return RunOutcome(
-            history=self.cluster.history(),
+            history=history,
             trace=tuple(self.trace),
             steps=len(self.trace),
             completed=not blocked and not failed,

@@ -217,12 +217,12 @@ class LocalStore:
     def restamp(self, location: str, stamp: VectorClock) -> MemoryEntry:
         """Refresh a present entry's writestamp in place (same value/writer).
 
-        E13's ``unsafe_write_behind`` branch replaces a tentative entry
-        with the identical value under its certified stamp; this mutates
-        the store-owned entry instead of allocating a replacement.  A
-        cached entry clears the sweep-watermark guarantee exactly as a
-        re-install would (its stamp changed, so the next sweep must
-        look).
+        E13's write-behind mutant (``repro.harness.scenarios``) replaces
+        a tentative entry with the identical value under its certified
+        stamp; this mutates the store-owned entry instead of allocating
+        a replacement.  A cached entry clears the sweep-watermark
+        guarantee exactly as a re-install would (its stamp changed, so
+        the next sweep must look).
         """
         entry = self._entries[location]
         entry.stamp = stamp

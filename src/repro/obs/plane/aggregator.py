@@ -136,13 +136,6 @@ class TelemetryAggregator:
             state = self.sources[node] = SourceState(node)
         return state
 
-    def close_source(self, node: Any) -> None:
-        """Mark one stream finished; it no longer gates the merge."""
-        state = self.sources.get(node)
-        if state is not None:
-            state.closed = True
-        self._release()
-
     def bind_recv_wall(self, source: Callable[[], float]) -> None:
         """Wall-clock source for frame-arrival stamps (skew input)."""
         self._recv_wall = source

@@ -127,7 +127,7 @@ def deadlock_counterexample(
             model=None,
             description=description
             or f"flight-recorder {kind} reproduction (schedule {schedule})",
-            history_text=outcome.history.to_text(),
+            history_text=outcome.history_text,
             verdicts={},
             events=tuple(event.to_jsonable() for event in events),
         )

@@ -228,7 +228,10 @@ def _write_identity(location: str, entry: MemoryEntry) -> Tuple:
     own vector component exactly once, so that component alone
     identifies the write, and it is invariant across the two copies of
     a certified write (the writer's and the owner's) even when their
-    merged stamps differ.
+    merged stamps differ.  That holds while the writer issues nothing
+    between a remote ``WRITE`` and its ``W_REPLY``: an owner that has
+    merged a later component of the writer names the write after a
+    later one (DESIGN.md §4.2).
     """
     if entry.writer == INITIAL_WRITER:
         return ("init", location)
@@ -292,7 +295,6 @@ class DSMCluster:
         trace_messages: bool = False,
         record_history: bool = True,
         no_cache: bool = False,
-        unsafe_write_behind: bool = False,
         delta_stamps: bool = False,
         batch_delivery: bool = False,
     ):
@@ -311,7 +313,7 @@ class DSMCluster:
         self.runtime = SimRuntime(self.sim, self.network, self.scheduler)
         self._assemble(
             n_nodes, protocol, namespace, policy, initial_value,
-            record_history, no_cache, unsafe_write_behind, delta_stamps,
+            record_history, no_cache, delta_stamps,
         )
 
     def _assemble(
@@ -323,7 +325,6 @@ class DSMCluster:
         initial_value: Any = 0,
         record_history: bool = True,
         no_cache: bool = False,
-        unsafe_write_behind: bool = False,
         delta_stamps: bool = False,
     ) -> None:
         """Build the cluster onto ``self.runtime`` — any driver's."""
@@ -333,12 +334,12 @@ class DSMCluster:
         self.protocol = protocol
         self.delta_stamps = delta_stamps
         self.namespace = namespace or Namespace.hashed(n_nodes)
-        self.recorder = HistoryRecorder() if record_history else None
+        self.recorder = HistoryRecorder(initial_value) if record_history else None
         #: The collector bound by attach_obs (None until attached).
         self._obs = None
         self.server: Optional[DSMNode] = None
         self.nodes: List[DSMNode] = self._build_nodes(
-            policy, initial_value, no_cache, unsafe_write_behind
+            policy, initial_value, no_cache
         )
 
     def _build_nodes(
@@ -346,7 +347,6 @@ class DSMCluster:
         policy: Optional[object],
         initial_value: Any,
         no_cache: bool,
-        unsafe_write_behind: bool,
     ) -> List[DSMNode]:
         protocol = self.protocol
         # Local imports: the concrete engines subclass DSMNode from this
@@ -368,19 +368,11 @@ class DSMCluster:
         )
         if protocol == "causal":
             return [
-                CausalOwnerNode(
-                    i,
-                    policy=policy,
-                    no_cache=no_cache,
-                    unsafe_write_behind=unsafe_write_behind,
-                    **common,
-                )
+                CausalOwnerNode(i, policy=policy, no_cache=no_cache, **common)
                 for i in range(self.n_nodes)
             ]
-        if no_cache or unsafe_write_behind:
-            raise ProtocolError(
-                "no_cache/unsafe_write_behind apply to the causal protocol only"
-            )
+        if no_cache:
+            raise ProtocolError("no_cache applies to the causal protocol only")
         if policy is not None:
             raise ProtocolError(
                 "conflict policies apply to the causal protocol only"

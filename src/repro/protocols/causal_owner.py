@@ -71,19 +71,12 @@ class CausalOwnerNode(DSMNode):
         *,
         policy: Optional[ConflictPolicy] = None,
         no_cache: bool = False,
-        unsafe_write_behind: bool = False,
         **kwargs: Any,
     ):
         super().__init__(node_id, **kwargs)
         self.vt = VectorClock.zero(self.n_nodes)
         self.policy = policy or LastWriterWins()
         self.no_cache = no_cache
-        # The "reducing the blocking of processors" temptation: complete
-        # remote writes immediately instead of blocking for W_REPLY.
-        # This is UNSAFE — it breaks causal memory (experiment E13 shows
-        # the violation) — and exists to demonstrate why Figure 4's
-        # writes block.
-        self.unsafe_write_behind = unsafe_write_behind
         self._pending_reads: Dict[int, Tuple[Future, str, float]] = {}
         #: Per pending request: foreign stamps merged while its reply is
         #: in flight, as (served, own) — own once an operation of this
@@ -98,9 +91,7 @@ class CausalOwnerNode(DSMNode):
         self.overtaken_reads = 0
         #: Write acks overtaken in flight: completed, not cached.
         self.overtaken_writes = 0
-        self._pending_writes: Dict[
-            int, Tuple[Optional[Future], str, Any, float]
-        ] = {}
+        self._pending_writes: Dict[int, Tuple[Future, str, Any, float]] = {}
 
     # ------------------------------------------------------------------
     # r_i(x)v  (Figure 4, first procedure)
@@ -220,20 +211,6 @@ class CausalOwnerNode(DSMNode):
                 stamp=self.vt,
             ),
         )
-        if self.unsafe_write_behind:
-            # Complete immediately with a tentative cached entry; the
-            # eventual W_REPLY only merges clocks.  (writer, VT[writer])
-            # identifies the write, so the tentative and the owner's
-            # copies share one identity despite differing merged stamps.
-            self._pending_writes[request_id] = (
-                None, location, value, self.runtime.now,
-            )
-            entry = MemoryEntry(value=value, stamp=self.vt, writer=self.node_id)
-            if not self.no_cache:
-                self.store.put(location, entry)
-            self._record_write(location, value, entry)
-            future.resolve(WriteOutcome(location=location, value=value))
-            return future
         self._pending_writes[request_id] = (future, location, value, self.runtime.now)
         self._flight[request_id] = ([], [])
         return future
@@ -463,24 +440,10 @@ class CausalOwnerNode(DSMNode):
                 f"for {msg.location!r}"
             )
         future, location, value, started = pending
-        served, owned = self._flight.pop(msg.request_id, ([], []))
+        served, owned = self._flight.pop(msg.request_id)
         # VT_i := update(VT_i, VT')
         self.vt = self.vt.update(msg.stamp)
         self._note_stamp(msg.stamp, own=True)
-        if future is None:
-            # E13's unsafe branch: the operation already completed; refresh
-            # the tentative cached entry to the canonical stamp.
-            if msg.applied and not self.no_cache:
-                cached = self.store.get(location)
-                if (
-                    cached is not None
-                    and cached.writer == self.node_id
-                    and cached.stamp[self.node_id] == msg.stamp[self.node_id]
-                ):
-                    # Same write (own component matches), same value and
-                    # writer — only the stamp changes, so restamp in place.
-                    self.store.restamp(location, msg.stamp)
-            return
         self.stats.blocked_time += self.runtime.now - started
         if msg.applied:
             # M_i[x] := (v, VT') — the writer caches its own write under

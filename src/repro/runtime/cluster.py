@@ -31,8 +31,7 @@ class LiveCluster(DSMCluster):
     (wall-clock deadline for :meth:`run` — the live analogue of deadlock
     detection) — and passes every other keyword (``protocol``,
     ``namespace``, ``policy``, ``initial_value``, ``record_history``,
-    ``no_cache``, ``unsafe_write_behind``) to the assembly
-    :class:`DSMCluster` shares.
+    ``no_cache``) to the assembly :class:`DSMCluster` shares.
 
     ``seed`` feeds :meth:`~repro.runtime.base.Runtime.derived_rng`
     exactly as the simulator's does, so a seeded workload issues the

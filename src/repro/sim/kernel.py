@@ -319,10 +319,6 @@ class Simulator:
 
         return self._push_event(time, run_group, tag)
 
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------

@@ -194,11 +194,6 @@ class NetworkStats:
         return sum(edge[1] for edge in self._edges.values())
 
     @property
-    def bytes_by_kind(self) -> Counter:
-        """Wire bytes per message kind."""
-        return self._sum_by(0, 1)
-
-    @property
     def bytes_by_pair(self) -> Counter:
         """Wire bytes per directed (src, dst) edge."""
         out: Counter = Counter()

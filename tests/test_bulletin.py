@@ -5,6 +5,7 @@ import pytest
 from repro.apps.bulletin import BulletinBoard, Post
 from repro.checker import check_causal
 from repro.errors import ReproError
+from repro.harness.scenarios import write_behind
 from repro.sim.latency import PerLinkLatency
 from repro.sim.tasks import sleep
 
@@ -119,7 +120,9 @@ class TestWriteBehindAnomaly:
     def _run(self, unsafe: bool):
         # Slow the author->body-owner link so the announcement can
         # overtake the in-flight body write under write-behind.
-        board = BulletinBoard(n=3, seed=7, unsafe_write_behind=unsafe)
+        board = BulletinBoard(n=3, seed=7)
+        if unsafe:
+            write_behind(board.cluster)
         body_owner = board.cluster.namespace.owner(board.body_location("p0.0"))
         ann_owner = board.cluster.namespace.owner(
             board.announcement_location(0, 0)

@@ -178,10 +178,7 @@ class TestHeldBackPile:
     HISTORY = "52fac9852984a71f"
     APPLIED_AT_NODE_1 = "e8b1f533fa1ff35c"
 
-    # One value, unused: it keeps this test's id (``[False]``) now that
-    # the flush-window arm is gone; dropping it is a rename for a later PR.
-    @pytest.mark.parametrize("batching", [False])
-    def test_pile_drains_in_the_pinned_order(self, batching):
+    def test_pile_drains_in_the_pinned_order(self):
         latency = PerLinkLatency(default=1.0, links={(0, 1): 40.0})
         cluster = DSMCluster(5, protocol="broadcast", seed=9, latency=latency)
         node1 = cluster.nodes[1]

@@ -543,17 +543,17 @@ class TestInFlightReplay:
         assert check_causal(cluster.history()).ok
 
     def test_overtaken_by_an_own_write_ack_is_re_requested(self):
-        """E13's branch: the W_REPLY of a write-behind write lands while
-        the read is out; its stamp dominates the initial x."""
-        cluster = self.cluster(unsafe_write_behind=True)
+        """Case (b): a second task's W_REPLY lands while the first task's
+        read is out; its stamp dominates the initial x."""
+        cluster = self.cluster()
         node1 = cluster.nodes[1]
         results = []
 
-        def process(api):
-            yield api.write("z", 9)  # completes at once; W_REPLY at t = 2
-            yield from self.reader(results)(api)
+        def second_task(api):
+            yield api.write("z", 9)  # W_REPLY at t = 2, stamp (0, 1, 0)
 
-        cluster.spawn(1, process)
+        cluster.spawn(1, self.reader(results))
+        cluster.spawn(1, second_task)
         cluster.run()
         value, cached, reads, again = results
         assert (value, cached.value, reads, again) == (0, 0, 2, 0)

@@ -257,10 +257,7 @@ def test_live_sets_equal_definition_on_paper_figures(name, request):
     assert result.cycle is None and result.ok == (name == "figure2")
 
 
-# One value, unused: it keeps this test's id (``[False]``) now that the
-# write-behind arm is gone; dropping it is a rename for a later PR.
-@pytest.mark.parametrize("batching", [False])
-def test_live_sets_equal_definition_on_recorded_owner_runs(batching):
+def test_live_sets_equal_definition_on_recorded_owner_runs():
     outcome = run_random_execution(WorkloadConfig(
         n_nodes=4, n_locations=3, ops_per_proc=40, seed=7,
     ))

@@ -156,6 +156,34 @@ class TestRecorder:
         with pytest.raises(HistoryError, match=r"P2\.r\(x\)1.*P1\.w\(y\)1"):
             History([[w_y], [r_x]])
 
+    def test_read_of_another_value_than_its_source_rejected(self):
+        # A read returns exactly what its source wrote.
+        recorder = HistoryRecorder()
+        recorder.record_write(0, "x", 1, write_id=(0, 1))
+        recorder.record_write(0, "x", 2, write_id=(0, 2))
+        recorder.record_read(1, "x", 2, read_from=(0, 1))
+        with pytest.raises(
+            HistoryError, match=r"P2\.r\(x\)2.*P1\.w\(x\)1.*another value"
+        ):
+            recorder.build(n_procs=2)
+
+    def test_read_value_check_is_identity_first(self):
+        nan = float("nan")
+        recorder = HistoryRecorder()
+        recorder.record_write(0, "x", nan, write_id=(0, 1))
+        recorder.record_read(1, "x", nan, read_from=(0, 1))
+        history = recorder.build(n_procs=2)
+        assert history.op(1, 0).value is nan
+
+    def test_recorded_initial_reads_carry_the_memory_initial_value(self):
+        recorder = HistoryRecorder(initial_value=None)
+        recorder.record_read(0, "x", None, read_from=initial_write_id("x"))
+        assert recorder.build(n_procs=1).initial_value is None
+        zero = HistoryRecorder()  # the default memory starts at 0
+        zero.record_read(0, "x", None, read_from=initial_write_id("x"))
+        with pytest.raises(HistoryError, match="another value"):
+            zero.build(n_procs=1)
+
     def test_build_infers_proc_count(self):
         recorder = HistoryRecorder()
         recorder.record_write(2, "x", 1, write_id=("w",))

@@ -5,6 +5,7 @@ import pytest
 from repro.apps.workload import WorkloadConfig
 from repro.clocks import VectorClock
 from repro.errors import ReproError
+from repro.harness.scenarios import write_behind
 from repro.memory.local_store import MemoryEntry
 from repro.protocols.base import DSMCluster
 from repro.protocols.invariants import InvariantMonitor, InvariantViolation
@@ -47,9 +48,7 @@ class TestCleanRuns:
     def test_write_behind_state_is_still_invariant_clean(self):
         # Write-behind breaks *history* causality, not node-local state
         # invariants — a useful distinction the monitor makes visible.
-        cluster = DSMCluster(
-            3, protocol="causal", seed=7, unsafe_write_behind=True
-        )
+        cluster = write_behind(DSMCluster(3, protocol="causal", seed=7))
         monitor = InvariantMonitor(cluster)
         run_workload(cluster)
         cluster.run()

@@ -18,6 +18,7 @@ from repro.mc import (
     ExploreConfig,
     McError,
     explore,
+    make_spec,
     preset,
     replay,
     replay_trace,
@@ -255,3 +256,51 @@ class TestInFlightAck:
         )
         history = result.violations[0].history_text
         assert "r(z)3 r(x)1 w(q)4" in history and "r(q)4 r(x)2" in history
+
+
+#: Two tasks on node 1 write x (owned by node 0) and z (owned by node 2).
+#: Once node 0 has served w(q)7, whose stamp carries w(z)5, it stamps
+#: w(x)1 with node 1's component 2: the name of w(z)5 (DESIGN.md §4.2).
+TWO_WRITES_ONE_NODE = make_spec(
+    [(), (("w", "x", 1),), (("r", "z"), ("w", "q", 7)), (("w", "z", 5),)],
+    owners={"x": 0, "q": 0, "z": 2},
+    nodes=(0, 1, 2, 1),
+)
+
+FIND_FIRST = ExploreConfig(strategy="dfs", stop_on_violation=True)
+
+
+class TestWriteIdentity:
+    """A history ``History`` refuses is a crash the explorer reports."""
+
+    def test_a_refused_history_is_reported_not_raised(self):
+        result = explore(
+            TWO_WRITES_ONE_NODE, ExploreConfig(strategy="dfs", max_schedules=500)
+        )
+        assert result.violations
+        assert {cex.kind for cex in result.violations} == {"crash"}
+        cex = result.violations[0]
+        assert "HistoryError: duplicate write identity (1, 2)" in (
+            cex.description
+        )
+        # No history, so no checker ran on it.
+        assert (cex.history_text, cex.verdicts) == ("", {})
+
+    def test_the_crash_replays_and_shrinks(self):
+        cex = explore(TWO_WRITES_ONE_NODE, FIND_FIRST).violations[0]
+        outcome = replay(cex)
+        assert outcome.history is None
+        assert outcome.crashed.startswith("HistoryError")
+        small = shrink(cex, FIND_FIRST)
+        assert small.kind == "crash"
+        assert small.n_ops <= TWO_WRITES_ONE_NODE.n_ops
+        assert replay(small).history is None
+        assert cex.with_causal_trace().events
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP: a write's name drifts when its node issues "
+        "another write before the W_REPLY",
+    )
+    def test_explores_clean(self):
+        assert explore(TWO_WRITES_ONE_NODE, FIND_FIRST).ok
