@@ -17,8 +17,6 @@ from repro.analysis.message_model import (
     causal_messages_per_processor,
     central_messages_estimate,
     crossover_analysis,
-    delta_stamp_reduction,
-    stamp_bytes_per_message,
 )
 from repro.analysis.results import ResultDelta, ResultsStore
 from repro.analysis.tables import (
@@ -35,8 +33,6 @@ __all__ = [
     "atomic_messages_lower_bound",
     "central_messages_estimate",
     "crossover_analysis",
-    "delta_stamp_reduction",
-    "stamp_bytes_per_message",
     "Table",
     "snapshot_table",
     "histogram_table",

@@ -18,19 +18,16 @@ worker, and handshake bits owned by their worker:
 These closed forms are compared against *measured* counts by experiment
 E6 (``python -m repro solver-table``; see ``tests/test_experiments.py``).
 
-The wire layer (PR 3) adds a *byte* axis to the same analysis: the
-dominant metadata cost of causal DSM is the vector writestamp, ``4n``
-bytes per full stamp.  :func:`stamp_bytes_per_message` gives the full
-and delta costs, and :func:`delta_stamp_reduction` the closed-form
-fraction of stamp bytes the delta encoding removes when a channel's
-consecutive messages differ in ``k`` components — the analytic twin of
-``python -m perf``'s measured ``stamp_entries_per_op``.
+The wire layer adds a *byte* axis to the same analysis: the dominant
+metadata cost of causal DSM is the vector writestamp, ``4n`` bytes per
+full stamp.  Its size rules are :func:`repro.protocols.wire.stamp_full_bytes`
+and :func:`repro.protocols.wire.stamp_delta_bytes`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List
+from typing import Iterable, List
 
 __all__ = [
     "causal_messages_per_processor",
@@ -39,8 +36,6 @@ __all__ = [
     "central_messages_estimate",
     "crossover_analysis",
     "ComparisonRow",
-    "stamp_bytes_per_message",
-    "delta_stamp_reduction",
 ]
 
 
@@ -73,31 +68,6 @@ def central_messages_estimate(n: int) -> int:
     the constant row of ``A`` and of ``b`` (nothing is cached).
     """
     return 2 * (n - 1) + 2 + 16 + 2 * (n + 1)
-
-
-def stamp_bytes_per_message(n: int, changed: int = 1) -> Dict[str, int]:
-    """Wire bytes of one writestamp: full versus delta encoding.
-
-    A full stamp costs ``2 + 4n`` bytes (count prefix + one 4-byte
-    component per processor); a delta carrying ``changed`` components
-    costs ``2 + 6*changed`` (count prefix + index and value per entry).
-    Matches the constants in :mod:`repro.protocols.wire`.
-    """
-    return {"full": 2 + 4 * n, "delta": 2 + 6 * changed}
-
-
-def delta_stamp_reduction(n: int, changed: int = 1) -> float:
-    """Fraction of stamp bytes removed by delta encoding (0 when none).
-
-    In steady state each message on a channel typically advances ``1-2``
-    components (the sender's own, plus whatever it merged since), so for
-    ``n >= 8`` the reduction exceeds ``1 - (2+12)/(2+32) ≈ 0.59`` — the
-    analytic basis for the PR's ≥30%-at-n≥8 acceptance bar.
-    """
-    costs = stamp_bytes_per_message(n, changed)
-    if costs["delta"] >= costs["full"]:
-        return 0.0
-    return 1.0 - costs["delta"] / costs["full"]
 
 
 @dataclass(frozen=True)

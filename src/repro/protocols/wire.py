@@ -40,18 +40,26 @@ Cost model (all sizes in bytes)::
     writer/node ids      4
     location name        2 + len(name)
     scalar value         8   (None/bool: 1, str: 2 + len)
-    stamp, full          2 + 4 * n        (count prefix + counters)
-    stamp, delta         2 + 6 * changed  (count prefix + index:counter)
+    stamp, full          2 + 4 * n        (prefix + u32 counters)
+    stamp, sparse delta  2 + (i + w) * k  (prefix + k (index, step) pairs)
+    stamp, dense delta   2 + w * n        (prefix + n steps)
 
-A delta entry costs more than a full entry (it must name its index), so
-the encoder automatically falls back to the full form whenever more than
-``2n/3`` entries changed — the delta path never loses.
+A delta carries each moved component's signed *step* over its basis,
+``w`` = 1, 2 or 4 bytes wide, the narrowest that holds every step of
+the stamp; an index ``i`` is 1 byte while ``n <= 256``, else 2.  Fewer
+than ``2n/3`` moved components travel as sparse pairs, more as a dense
+vector of all ``n`` steps where the full form would otherwise go, so a
+delta is never larger than the full stamp and carries as many entries
+as the full-or-pairs rule before it.  A stamp goes full without a basis,
+on a dimension change, on a step beyond ``i32`` and above ``n = 4095``.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, fields as dataclass_fields
+from itertools import compress
+from operator import add, sub
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.clocks import VectorClock
@@ -75,7 +83,6 @@ __all__ = [
     "ID_BYTES",
     "STAMP_COUNT_BYTES",
     "STAMP_FULL_ENTRY_BYTES",
-    "STAMP_DELTA_ENTRY_BYTES",
 ]
 
 
@@ -100,11 +107,11 @@ HEADER_BYTES = 12
 ID_BYTES = 4
 STAMP_COUNT_BYTES = 2
 STAMP_FULL_ENTRY_BYTES = 4
-STAMP_DELTA_ENTRY_BYTES = 6
 
 #: Carried in every frame header and in the live hello; a decoder
-#: rejects any other value (1 decoded a W_REPLY over the channel basis).
-WIRE_VERSION = 2
+#: rejects any other value (1 decoded a W_REPLY over the channel basis,
+#: 2 carried a delta's new counters instead of its steps).
+WIRE_VERSION = 3
 #: Largest frame: the header's length field is 16 bits wide.
 MAX_FRAME = 0xFFFF
 
@@ -128,9 +135,15 @@ def stamp_full_bytes(dimension: int) -> int:
     return STAMP_COUNT_BYTES + STAMP_FULL_ENTRY_BYTES * dimension
 
 
-def stamp_delta_bytes(changed: int) -> int:
-    """A delta writestamp: count prefix plus (index, counter) pairs."""
-    return STAMP_COUNT_BYTES + STAMP_DELTA_ENTRY_BYTES * changed
+def stamp_delta_bytes(dimension: int, changed: int, step_bytes: int) -> int:
+    """A delta writestamp over a ``dimension``-entry basis of which
+    ``changed`` components moved, each step ``step_bytes`` wide: count
+    prefix plus (index, step) pairs while fewer than ``2n/3`` moved,
+    else plus all ``dimension`` steps."""
+    if 3 * changed < 2 * dimension:
+        index_bytes = 1 if dimension <= _NARROW_INDEX_LIMIT else 2
+        return STAMP_COUNT_BYTES + (index_bytes + step_bytes) * changed
+    return STAMP_COUNT_BYTES + step_bytes * dimension
 
 
 class Frame(NamedTuple):
@@ -171,11 +184,25 @@ _TAG_INT = struct.Struct(">Bq")
 _TAG_FLOAT = struct.Struct(">Bd")
 _TAG_STR = struct.Struct(">BH")
 
-# A stamp's 16-bit prefix: top bit set = full (low bits: dimension, then
-# that many u32 counters); clear = delta (low bits: pair count, then that
-# many (u16 index, u32 counter) pairs over the channel basis).
+# A stamp's 16-bit prefix: bit 15 set = full (low bits: dimension, then
+# that many u32 counters); 0 = the basis again; otherwise a delta over
+# the basis: bit 14 dense, bits 12-13 the step width (i8, i16, i32; 3 is
+# refused), bits 0-11 the count.  A sparse delta is that many (index,
+# step) pairs, indices u8 over a basis of at most 256 entries, else u16,
+# strictly increasing; a dense one is one step per basis entry.
 _FULL_FLAG = 0x8000
+_DENSE_FLAG = 0x4000
+_WIDTH_MASK, _WIDTH_SHIFT = 0x3000, 12
+_COUNT_MASK = 0x0FFF
+_WIDTHS = (0x0000, 0x1000, 0x2000)  # i8, i16, i32 in the prefix
+_NARROW_INDEX_LIMIT = 256
 _EMPTY_DELTA = b"\x00\x00"
+_U32_MAX = 0xFFFFFFFF
+#: Packers by key: the prefix word, plus ``_WIDE_KEY`` for a sparse delta
+#: over more than 256 entries (u16 indices), plus ``_BODY_KEY`` for the
+#: entries alone (what a decoder unpacks, past the prefix it has read).
+_WIDE_KEY = 0x10000
+_BODY_KEY = 0x20000
 _STAMP_STRUCTS: Dict[int, struct.Struct] = {}
 
 # W_REPLY flag bits, and the byte for each combination.
@@ -183,13 +210,22 @@ _APPLIED, _HAS_CURRENT = 1, 2
 _FLAGS = (b"\x00", b"\x01", b"\x02", b"\x03")
 
 
-def _stamp_struct(word: int) -> struct.Struct:
-    """Packer for a whole stamp (prefix + entries), keyed by its prefix."""
-    packer = _STAMP_STRUCTS.get(word)
-    if packer is None:
-        count = word & ~_FULL_FLAG
-        entries = "%dI" % count if word & _FULL_FLAG else "HI" * count
-        packer = _STAMP_STRUCTS[word] = struct.Struct(">H" + entries)
+def _stamp_struct(key: int) -> struct.Struct:
+    """Packer for a stamp, keyed as above (callers try ``_STAMP_STRUCTS``
+    first); only for a prefix the decoder accepts: width code 3 has none."""
+    word = key & 0xFFFF
+    if word & _FULL_FLAG:
+        entries = "%dI" % (word - _FULL_FLAG)
+    else:
+        step = "bhi"[(word & _WIDTH_MASK) >> _WIDTH_SHIFT]
+        count = word & _COUNT_MASK
+        if word & _DENSE_FLAG:
+            entries = "%d%s" % (count, step)
+        else:
+            entries = ("H" if key & _WIDE_KEY else "B") + step
+            entries *= count
+    packer = _STAMP_STRUCTS[key] = struct.Struct(
+        (">" if key & _BODY_KEY else ">H") + entries)
     return packer
 
 
@@ -253,26 +289,44 @@ class _SendState:
         if self.delta:
             basis = self.basis
             self.basis = components
-            if basis is not None and len(basis) == dimension:
+            if (basis is not None and len(basis) == dimension
+                    and dimension <= _COUNT_MASK):
                 if components == basis:
                     # Unchanged stamp (a reply echoing the request's
                     # merged clock).
                     return _EMPTY_DELTA
-                changed = [index for index in range(dimension)
-                           if components[index] != basis[index]]
-                count = len(changed)
-                if stamp_delta_bytes(count) < stamp_full_bytes(dimension):
-                    self.carried += count
+                steps = list(map(sub, components, basis))
+                count = dimension - steps.count(0)
+                if 3 * count < 2 * dimension:
                     pairs: List[int] = []
-                    for index in changed:
-                        pairs += index, components[index]
-                    return _stamp_struct(count).pack(count, *pairs)
+                    for index in compress(range(dimension), steps):
+                        pairs += index, steps[index]
+                    steps = pairs
+                    key = count if dimension <= _NARROW_INDEX_LIMIT else (
+                        count | _WIDE_KEY)
+                else:
+                    key, count = _DENSE_FLAG | dimension, dimension
+                # The basis was sent, so it is in range; a moved counter
+                # past 32 bits would ride a small step (a sum below 2**32
+                # bounds every counter without looking at each).
+                if sum(components) > _U32_MAX and max(components) > _U32_MAX:
+                    raise WireError("a stamp counter exceeds 32 bits")
+                for width in _WIDTHS:  # the narrowest that packs
+                    word = key | width
+                    packer = _STAMP_STRUCTS.get(word) or _stamp_struct(word)
+                    try:
+                        packed = packer.pack(word & 0xFFFF, *steps)
+                    except struct.error:
+                        continue
+                    self.carried += count
+                    return packed
         if dimension >= _FULL_FLAG:
             raise WireError(f"stamp dimension {dimension} exceeds 15 bits")
         self.carried += dimension
         self.stamps_full += 1
         word = _FULL_FLAG | dimension
-        return _stamp_struct(word).pack(word, *components)
+        packer = _STAMP_STRUCTS.get(word) or _stamp_struct(word)
+        return packer.pack(word, *components)
 
     def request_stamp(self, request_id: int, clock: VectorClock) -> bytes:
         if self.delta:
@@ -289,8 +343,9 @@ class _SendState:
 class _RecvState:
     """One direction of one channel, receiver side.
 
-    ``nodes``, ``text``, ``value`` and ``*stamp`` each parse one field
-    kind at ``off`` and return it with the offset past it.
+    ``nodes``, ``value`` and ``*stamp`` each parse one field kind at
+    ``off`` and return it with the offset past it (a name is parsed
+    inline by the generated decoders).
     """
 
     __slots__ = ("delta", "basis", "clock", "seq", "asked", "owed")
@@ -308,18 +363,12 @@ class _RecvState:
         node_ids = struct.unpack_from(">%di" % count, data, off + 2)
         return node_ids, off + 2 + ID_BYTES * count
 
-    def text(self, data: bytes, off: int) -> Tuple[str, int]:
-        (length,) = _U16.unpack_from(data, off)
-        end = off + 2 + length
-        raw = data[off + 2:end]
-        if len(raw) != length:
-            raise WireError("text runs past the end of the frame")
-        return raw.decode(), end
-
     def value(self, data: bytes, off: int) -> Tuple[Any, int]:
         tag = data[off]
-        if tag == _T_STR:
-            return self.text(data, off + 1)
+        if tag == _T_STR:  # a name after its tag (see "text" below)
+            (length,) = _U16.unpack_from(data, off + 1)
+            end = off + 3 + length
+            return data[off + 3:end].decode(), end
         if tag == _T_INT:
             return _I64.unpack_from(data, off + 1)[0], off + 9
         if tag == _T_FLOAT:
@@ -332,11 +381,12 @@ class _RecvState:
         (word,) = _U16.unpack_from(data, off)
         off += 2
         if word & _FULL_FLAG:
-            end = off + STAMP_FULL_ENTRY_BYTES * (word - _FULL_FLAG)
-            if end == off or end > len(data):
-                raise WireError("full stamp is empty or runs past the frame")
-            components = _stamp_struct(word).unpack_from(data, off - 2)[1:]
-            off = end
+            if word == _FULL_FLAG:
+                raise WireError("full stamp of dimension 0")
+            key = word | _BODY_KEY
+            packer = _STAMP_STRUCTS.get(key) or _stamp_struct(key)
+            components = packer.unpack_from(data, off)
+            off += packer.size
         else:
             basis = self.basis
             if basis is None:
@@ -346,20 +396,54 @@ class _RecvState:
                 )
             if not word:
                 return self.clock, off
-            if off + STAMP_DELTA_ENTRY_BYTES * word > len(data):
-                raise WireError("delta stamp runs past the frame")
-            pairs = _stamp_struct(word).unpack_from(data, off - 2)
-            off += STAMP_DELTA_ENTRY_BYTES * word
-            mutable = list(basis)
-            dimension = len(mutable)
-            for position in range(1, 2 * word, 2):
-                index = pairs[position]
-                if index >= dimension:
+            if word & _WIDTH_MASK == _WIDTH_MASK:
+                raise WireError(f"delta step width code 3 in {word:#06x}")
+            count = word & _COUNT_MASK
+            dimension = len(basis)
+            if word & _DENSE_FLAG:
+                if count != dimension:
                     raise WireError(
-                        f"delta index {index} outside dimension {dimension}"
-                    )
-                mutable[index] = pairs[position + 1]
-            components = tuple(mutable)
+                        f"dense delta of {count} over dimension {dimension}")
+                key = word | _BODY_KEY
+                packer = _STAMP_STRUCTS.get(key) or _stamp_struct(key)
+                start, off = off, off + packer.size
+                components = tuple(map(add, basis, packer.unpack_from(data, start)))
+                # Only a negative step (a step with a sign byte set) can
+                # leave zero behind; only a sum past 2**32 can hide a
+                # counter past it.
+                if (not data[start:off].isascii() and min(components) < 0
+                        or sum(components) > _U32_MAX
+                        and max(components) > _U32_MAX):
+                    raise WireError(
+                        "dense delta moves a counter out of [0, 2**32)")
+            else:
+                if not count:
+                    raise WireError(f"sparse delta of no pairs in {word:#06x}")
+                key = word | _BODY_KEY
+                if dimension > _NARROW_INDEX_LIMIT:
+                    key |= _WIDE_KEY
+                packer = _STAMP_STRUCTS.get(key) or _stamp_struct(key)
+                pairs = iter(packer.unpack_from(data, off))  # index, step, ...
+                off += packer.size
+                mutable = list(basis)
+                last = -1
+                for index in pairs:
+                    step = next(pairs)
+                    if not last < index < dimension:
+                        raise WireError(
+                            f"delta index {index} after {last} in dimension "
+                            f"{dimension}")
+                    last = index
+                    value = mutable[index] + step
+                    if step > 0:
+                        if value > _U32_MAX:
+                            raise WireError(
+                                f"delta moves counter {index} to {value}")
+                    elif not step or value < 0:
+                        raise WireError(
+                            f"delta moves counter {index} by {step} to {value}")
+                    mutable[index] = value
+                components = tuple(mutable)
         clock = self.clock = VectorClock._from_trusted(components)
         self.basis = components
         return clock, off
@@ -395,10 +479,14 @@ _FIELD_KINDS = {
 #: Per kind: the expression that encodes field ``{f}`` of message ``m`` on
 #: sender state ``s``, and the statement that parses it from ``data`` at
 #: ``off`` on receiver state ``r`` — a state method of the kind's name
-#: unless listed here (fixed-width kinds inline; composites, which need
-#: the message classes, are helpers :func:`_build_layouts` supplies).
+#: unless listed here (fixed-width kinds and a name's decoding inline;
+#: composites, which need the message classes, are helpers
+#: :func:`_build_layouts` supplies).
 _FIELD_CODE = {
     "uint": ("_ID.pack(m.{f})", "({f},) = _ID.unpack_from(data, off); off += 4"),
+    # A short slice is caught by the next field or the final length check.
+    "text": ("s.text(m.{f})", "({f},) = _U16.unpack_from(data, off); "
+             "off += 2 + {f}; {f} = data[off - {f}:off].decode()"),
     "node": ("_NODE.pack(m.{f})", "({f},) = _NODE.unpack_from(data, off); off += 4"),
     "entries": ("put_entries(s, m.{f})", "{f}, off = get_entries(r, data, off)"),
     "outcome": ("put_outcome(s, m.applied, m.current)",
@@ -411,8 +499,13 @@ _FIELD_CODE = {
 
 def _compile(cls, helpers: Dict[str, Any]):
     """Straight-line ``encode(s, m) -> bytes`` and ``decode(r, data, off)
-    -> (cls(...), off)`` for ``cls``'s fields, generated from the tables
-    above; ``helpers`` are the names the generated code may call."""
+    -> (message, off)`` for ``cls``'s fields, generated from the tables
+    above; ``helpers`` are the names the generated code may call.
+
+    A slotted type's message is built by ``object.__new__`` and its slot
+    descriptors' ``__set__``, which skips the frozen dataclass ``__init__``
+    (no registered type has a ``__post_init__`` to skip); any other type
+    is called."""
     names = [field.name for field in dataclass_fields(cls)]
     puts, gets = [], []
     for name in names:
@@ -422,13 +515,22 @@ def _compile(cls, helpers: Dict[str, Any]):
                 f"s.{kind}(m.{{f}})", f"{{f}}, off = r.{kind}(data, off)")
             puts.append(put.format(f=name))
             gets.append(get.format(f=name))
+    namespace = {"cls": cls, "_ID": _ID, "_NODE": _NODE, "_U16": _U16, **helpers}
+    if "__slots__" in cls.__dict__:
+        namespace["new"] = object.__new__
+        namespace.update(
+            (f"set_{name}", cls.__dict__[name].__set__) for name in names)
+        gets.append("m = new(cls)")
+        gets += [f"set_{name}(m, {name})" for name in names]
+        built = "m"
+    else:
+        built = f"cls({', '.join(names)})"
     source = (
-        f"def encode(s, m):\n    return {' + '.join(puts)}\n"
+        f"def encode(s, m):\n    return b''.join(({', '.join(puts)},))\n"
         "def decode(r, data, off):\n    "
         + "\n    ".join(gets)
-        + f"\n    return cls({', '.join(names)}), off\n"
+        + f"\n    return {built}, off\n"
     )
-    namespace = {"cls": cls, "_ID": _ID, "_NODE": _NODE, **helpers}
     exec(source, namespace)
     return namespace["encode"], namespace["decode"]
 
@@ -751,10 +853,10 @@ class WireCodec:
             state.basis = None  # stamps already walked have no receiver
             raise WireError(f"cannot encode {layout.kind}: {exc}") from exc
         state.seq = seq
-        return Frame(
+        return tuple.__new__(Frame, (  # skips the NamedTuple's Python __new__
             data, length - (state.extra - extra),
             state.carried - carried, state.wide - wide,
-        )
+        ))
 
     def decode(self, src: int, dst: int, data: bytes) -> object:
         """Parse one frame received on ``(src, dst)`` into its message.
@@ -764,8 +866,6 @@ class WireCodec:
         receiver has no basis for.  Either way the channel's basis is
         dropped, so only a full stamp gets it going again.
         """
-        if not _LAYOUTS:
-            _build_layouts()
         state = self._recv_state.get((src, dst))
         if state is None:
             state = self._recv_state[(src, dst)] = _RecvState(
@@ -785,7 +885,11 @@ class WireCodec:
                     f"frame for channel {from_}->{to} on {src}->{dst}")
             layout = _BY_CODE.get(code)
             if layout is None:
-                raise WireError(f"unknown frame kind {code}")
+                if not _LAYOUTS:
+                    _build_layouts()
+                layout = _BY_CODE.get(code)
+                if layout is None:
+                    raise WireError(f"unknown frame kind {code}")
             if seq != (state.seq + 1) & 0xFFFFFFFF:
                 # Frames were lost: whatever they did to the basis is
                 # unknown, so only a full stamp may follow.
@@ -793,7 +897,8 @@ class WireCodec:
             state.seq = seq
             message, off = layout.decode(state, data, HEADER_BYTES)
             if off != length:
-                raise WireError(f"{length - off} trailing bytes")
+                raise WireError(f"{length - off} trailing bytes" if off < length
+                                else f"a field runs {off - length} bytes past the frame")
         except WireError:
             state.basis = None
             raise

@@ -295,6 +295,51 @@ def test_sim_frames_weigh_what_the_ledger_charged_under_drops(
     assert _recorded(plain) == _recorded(cluster)
 
 
+#: One move of one component: a step of each width, either way, and one
+#: too wide for any (the stamp then goes full).
+_moves = st.tuples(
+    st.integers(min_value=0, max_value=19),
+    st.sampled_from([1, -1, 100, -128, 200, -40_000, 40_000, 2 ** 31 + 7]),
+)
+
+
+@settings(**COMMON)
+@given(
+    st.integers(min_value=1, max_value=20),
+    st.lists(st.tuples(st.booleans(), st.lists(_moves, max_size=20)),
+             min_size=1, max_size=25),
+)
+def test_steps_of_every_width_keep_both_mirrors_in_step(dimension, walk):
+    """A channel whose counters move by steps of every width, up and
+    down, between loss reports: every stamp decodes to what was sent and
+    carries the entries the pre-step rule did (k pairs while 6k < 4n,
+    else n; n without a basis or with a step beyond i32)."""
+    from repro.clocks import VectorClock
+    from repro.protocols.messages import WriteRequest
+    from repro.protocols.wire import WireCodec
+
+    codec = WireCodec()
+    clock, basis = [2 ** 31] * dimension, None
+    for request_id, (dirty, moves) in enumerate(walk):
+        if dirty:
+            codec.mark_dirty(0, 1)
+            basis = None
+        for index, step in moves:
+            index %= dimension
+            clock[index] = min(max(clock[index] + step, 0), 2 ** 32 - 1)
+        message = WriteRequest(request_id, "x", None, VectorClock(clock))
+        frame = codec.encode(0, 1, message)
+        assert codec.decode(0, 1, frame.data) == message
+        moved = [new - old for old, new in zip(basis or clock, clock) if new != old]
+        if basis is None or not all(-(2 ** 31) <= d < 2 ** 31 for d in moved):
+            assert frame.stamp_entries == dimension
+        elif 6 * len(moved) < 4 * dimension:
+            assert frame.stamp_entries == len(moved)
+        else:
+            assert frame.stamp_entries == dimension
+        basis = tuple(clock)
+
+
 # ----------------------------------------------------------------------
 # 3. Reconnect resync: a lost connection restarts every delta chain
 # ----------------------------------------------------------------------

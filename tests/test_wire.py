@@ -5,6 +5,7 @@ formula, hostile input) live in ``test_wire_frames.py``.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.clocks import VectorClock
 from repro.protocols.messages import (
@@ -31,6 +32,18 @@ from repro.protocols.wire import (
 
 def vc(*components):
     return VectorClock(components)
+
+
+#: One component of a (basis, stamp) pair: equal, a small move either
+#: way, or anywhere in the counter's 32 bits.
+_counter = st.integers(min_value=0, max_value=2 ** 32 - 1)
+_basis_and_stamp_component = st.one_of(
+    _counter.map(lambda c: (c, c)),
+    st.tuples(st.integers(min_value=200, max_value=2 ** 20),
+              st.integers(min_value=-200, max_value=200)).map(
+        lambda pair: (pair[0], pair[0] + pair[1])),
+    st.tuples(_counter, _counter),
+)
 
 
 class TestCostModel:
@@ -109,10 +122,36 @@ class TestCostModel:
         assert frame.stamp_entries == 2
         assert codec.decode(0, 1, frame.data) == ok
 
-    def test_delta_entry_costs_more_than_full_entry(self):
-        # The delta must name its index, so near-total change flips to full.
-        assert stamp_delta_bytes(3) > stamp_full_bytes(3)
-        assert stamp_delta_bytes(1) < stamp_full_bytes(8)
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.integers(min_value=1, max_value=24),
+                     st.integers(min_value=250, max_value=300)).flatmap(
+        lambda n: st.tuples(*[_basis_and_stamp_component] * n)))
+    def test_a_delta_never_outweighs_the_full_stamp(self, pairs):
+        """Over random (basis, stamp) pairs: the chosen form is never
+        larger than the full one, carries the entries the pre-step rule
+        carried (k pairs while 6k < 4n, else n), and weighs what
+        :func:`stamp_delta_bytes` says for its narrowest step width."""
+        basis, stamp = (tuple(side) for side in zip(*pairs))
+        n = len(basis)
+        codec = WireCodec()
+        first = codec.encode(0, 1, read_reply(*basis))
+        frame = codec.encode(0, 1, read_reply(*stamp))
+        codec.decode(0, 1, first.data)
+        assert codec.decode(0, 1, frame.data) == read_reply(*stamp)
+        steps = [new - old for old, new in zip(basis, stamp) if new != old]
+        k = len(steps)
+        size = frame.byte_size - (HEADER_BYTES + ID_BYTES + location_bytes("y") + 2)
+        assert size <= stamp_full_bytes(n)
+        if not k:
+            assert (size, frame.stamp_entries) == (2, 0)
+        elif not all(-(2 ** 31) <= d < 2 ** 31 for d in steps):
+            assert (size, frame.stamp_entries) == (stamp_full_bytes(n), n)
+        else:
+            width = next(w for w in (1, 2, 4)
+                         if all(-(2 ** (8 * w - 1)) <= d < 2 ** (8 * w - 1)
+                                for d in steps))
+            assert size == stamp_delta_bytes(n, k, width)
+            assert frame.stamp_entries == (k if 6 * k < 4 * n else n)
 
     def test_fast_cost_agrees_with_measure_for_every_type(self):
         """The network's allocation-free fast path must match the

@@ -17,6 +17,7 @@ Three claims about :class:`~repro.protocols.wire.WireCodec`:
 import pickle
 import random
 import struct
+from dataclasses import FrozenInstanceError, fields as dataclass_fields
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -34,6 +35,7 @@ from repro.protocols.wire import (
     WireError,
     fast_cost,
     measure_message,
+    stamp_delta_bytes,
 )
 
 COMMON = dict(
@@ -204,24 +206,70 @@ def test_measure_fast_cost_and_encoder_agree(message):
 
 
 def test_stamp_forms_on_one_channel():
-    """Full, delta, empty delta, dimension change, post-dirty: by hand."""
+    """Every stamp form by hand, byte for byte, on one channel: a delta
+    carries each moved component's signed step in the narrowest width
+    that holds every step of the stamp."""
     codec = WireCodec()
 
-    def send(*components):
-        msg = m.WriteRequest(1, "x", None, VectorClock(components))
-        frame = codec.encode(0, 1, msg)
-        assert codec.decode(0, 1, frame.data) == msg
-        # header + id + location + None + stamp
-        return len(frame.data) - (HEADER_BYTES + 4 + 3 + 1), frame.stamp_entries
+    def stamp(frame, message, start):
+        assert codec.decode(0, 1, frame.data) == message
+        return frame.data[start:], frame.stamp_entries
 
-    assert send(1, 0, 0, 0, 0, 0) == (2 + 4 * 6, 6)   # first: full
-    assert send(2, 0, 0, 0, 0, 0) == (2 + 6 * 1, 1)   # one entry moved
-    assert send(2, 0, 0, 0, 0, 0) == (2, 0)           # nothing moved
-    assert send(3, 1, 1, 1, 0, 0) == (2 + 4 * 6, 6)   # 4 of 6: full is shorter
-    assert send(3, 1, 1) == (2 + 4 * 3, 3)            # dimension changed
-    assert send(3, 1, 2) == (2 + 6, 1)
+    def send(*components):
+        message = m.WriteRequest(1, "x", None, VectorClock(components))
+        # header + id + location + None, then the stamp
+        return stamp(codec.encode(0, 1, message), message, HEADER_BYTES + 8)
+
+    full = struct.Struct(">H6I")
+    assert send(1, 0, 0, 0, 0, 0) == (full.pack(0x8006, 1, 0, 0, 0, 0, 0), 6)
+    # sparse, i8: u16 count 1, then (u8 index, i8 step)
+    assert send(2, 0, 0, 0, 0, 0) == (bytes.fromhex("0001 00 01"), 1)
+    assert send(2, 0, 0, 0, 0, 0) == (b"\x00\x00", 0)  # nothing moved
+    # sparse, i16 at step 128; i32 at step 32 768 (bits 12-13: width)
+    assert send(2, 128, 0, 0, 0, 0) == (bytes.fromhex("1001 01 0080"), 1)
+    assert send(2, 128, 32768, 0, 0, 0) == (
+        bytes.fromhex("2001 02 00008000"), 1)
+    # dense: 4 of 6 moved, so all six steps, the widest deciding
+    assert send(3, 129, 32769, 1, 0, 0) == (
+        bytes.fromhex("4006 01 01 01 01 00 00"), 6)
+    assert send(4, 130, 32770, 301, 0, 0) == (
+        bytes.fromhex("5006 0001 0001 0001 012c 0000 0000"), 6)
+
+    # A negative step: an R_REPLY carrying an entry older than the
+    # channel's last stamp; its own stamp then moves forward again.
+    entry = m.EntryPayload("y", None, VectorClock((3, 130, 32770, 301, 0, 0)), 0)
+    message = m.ReadReply(2, "x", (entry,), VectorClock((5, 130, 32770, 301, 0, 0)))
+    # header + id + location + count; entry: location + None, stamp, writer
+    data, entries = stamp(codec.encode(0, 1, message), message, HEADER_BYTES + 9)
+    assert data == bytes.fromhex("0001 79 00 0001 00 ff 00000000 0001 00 02")
+    assert entries == 2
+
+    assert send(5 + 2 ** 31, 130, 32770, 301, 0, 0) == (  # a step >= 2**31
+        full.pack(0x8006, 5 + 2 ** 31, 130, 32770, 301, 0, 0), 6)
+    assert send(3, 1, 2) == (struct.pack(">H3I", 0x8003, 3, 1, 2), 3)  # n moved
+    assert send(3, 1, 3) == (bytes.fromhex("0001 02 01"), 1)
     codec.mark_dirty(0, 1)
-    assert send(3, 1, 2) == (2 + 4 * 3, 3)            # after a loss: full
+    assert send(3, 1, 3) == (struct.pack(">H3I", 0x8003, 3, 1, 3), 3)  # a loss
+    # Over 256 entries an index takes two bytes.
+    wide = [0] * 300
+    assert send(*wide)[1] == 300
+    wide[299] = 5
+    assert send(*wide) == (bytes.fromhex("0001 012b 05"), 1)
+    assert stamp_delta_bytes(300, 1, 1) == 5
+
+
+def test_a_counter_past_32_bits_is_refused_as_a_delta_too():
+    """A step that fits would carry it; the encoder refuses the counter,
+    and the channel restarts from a full stamp."""
+    codec = WireCodec()
+    top = 2 ** 32 - 1
+    codec.decode(0, 1, codec.encode(
+        0, 1, m.WriteRequest(1, "x", 1, VectorClock((top, 0)))).data)
+    with pytest.raises(WireError, match="cannot encode WRITE"):
+        codec.encode(0, 1, m.WriteRequest(2, "x", 1, VectorClock((top + 1, 0))))
+    frame = codec.encode(0, 1, m.WriteRequest(3, "x", 1, VectorClock((top, 1))))
+    assert frame.stamp_entries == 2
+    assert codec.decode(0, 1, frame.data).stamp == VectorClock((top, 1))
 
 
 def test_fields_outside_their_width_are_refused():
@@ -243,7 +291,10 @@ def test_fields_outside_their_width_are_refused():
 # 2. Hostile input
 # ----------------------------------------------------------------------
 def _corpus():
-    """One well-formed, self-contained (full-stamp) frame per shape."""
+    """One well-formed frame per shape, each after the frames its channel
+    decodes first: none for a full-stamp frame, its basis frame for a
+    delta (sparse, dense, i16, an R_REPLY with an older entry) and none
+    for a W_REPLY over the WRITE its receiver sent."""
     clock = VectorClock((3, 0, 2))
     entry = m.EntryPayload("y", "held", VectorClock((1, 0, 2)), 2)
     samples = [
@@ -257,48 +308,81 @@ def _corpus():
         lh.MigGrant(9, "x", 1, clock, 1, (0, 2)),
         lh.MigInvalidate(10, "x"),
     ]
-    return [WireCodec().encode(0, 1, sample).data for sample in samples]
+    corpus = [((), WireCodec().encode(0, 1, sample).data) for sample in samples]
+    basis = m.WriteRequest(1, "x", 1, VectorClock((5, 0, 7, 1, 0, 3)))
+    for after in (
+        m.WriteRequest(2, "x", 1, VectorClock((6, 0, 7, 1, 0, 3))),  # sparse
+        m.WriteRequest(2, "x", 1, VectorClock((6, 1, 8, 2, 0, 3))),  # dense
+        m.WriteRequest(2, "x", 1, VectorClock((5, 0, 7, 30_001, 0, 3))),  # i16
+        m.ReadReply(2, "x", (m.EntryPayload(  # an older entry: step -1
+            "x", 0, VectorClock((5, 0, 6, 1, 0, 3)), 0),),
+            VectorClock((9, 0, 7, 1, 0, 3))),
+    ):
+        sender = WireCodec()
+        corpus.append(((sender.encode(0, 1, basis).data,),
+                       sender.encode(0, 1, after).data))
+    owner = WireCodec()
+    owner.decode(1, 0, owner.encode(1, 0, _ASKED).data)
+    reply = owner.encode(0, 1, m.WriteReply(5, "x", 1, VectorClock((2, 4, 1))))
+    assert reply.stamp_entries == 1
+    corpus.append(((), reply.data))
+    return corpus
 
 
-def _decode_fresh(data):
-    """Decode on a channel that has seen nothing; only wire errors allowed."""
+#: The WRITE every receiver below has sent on 1 -> 0: a W_REPLY in the
+#: corpus is a delta over it.
+_ASKED = m.WriteRequest(5, "x", 1, VectorClock((0, 4, 1)))
+
+
+def _receiver(before=()):
+    """Node 1's codec after sending ``_ASKED`` and decoding ``before``."""
+    codec = WireCodec()
+    codec.encode(1, 0, _ASKED)
+    for frame in before:
+        codec.decode(0, 1, frame)
+    return codec
+
+
+def _decode_fresh(data, before=()):
+    """Decode on a channel that has seen only ``before``; only wire errors
+    allowed."""
     try:
-        return WireCodec().decode(0, 1, data)
-    except (WireError, WireDesyncError):
+        return _receiver(before).decode(0, 1, data)
+    except WireError:
         return None
 
 
 def test_every_truncation_is_a_wire_error():
-    for data in _corpus():
-        assert _decode_fresh(data) is not None
+    for before, data in _corpus():
+        assert _decode_fresh(data, before) is not None
         for cut in range(len(data)):
             with pytest.raises(WireError):
-                WireCodec().decode(0, 1, data[:cut])
+                _receiver(before).decode(0, 1, data[:cut])
             if cut >= HEADER_BYTES:
                 # A truncation whose header length was patched to match
                 # gets past the length check and must die in the body.
                 patched = data[:10] + struct.pack(">H", cut) + data[12:cut]
                 with pytest.raises(WireError):
-                    WireCodec().decode(0, 1, patched)
+                    _receiver(before).decode(0, 1, patched)
         with pytest.raises(WireError, match="header says"):
-            WireCodec().decode(0, 1, data + b"\x00")
+            _receiver(before).decode(0, 1, data + b"\x00")
         padded = data[:10] + struct.pack(">H", len(data) + 1) + data[12:] + b"\x00"
         with pytest.raises(WireError, match="trailing"):
-            WireCodec().decode(0, 1, padded)
+            _receiver(before).decode(0, 1, padded)
 
 
 def test_random_byte_flips_never_escape_as_other_exceptions():
     rng = random.Random(1991)
-    for data in _corpus():
+    for before, data in _corpus():
         for _ in range(400):
             mutated = bytearray(data)
             for _ in range(rng.randint(1, 3)):
                 mutated[rng.randrange(len(mutated))] = rng.randrange(256)
-            _decode_fresh(bytes(mutated))  # a message or a wire error
+            _decode_fresh(bytes(mutated), before)  # a message or a wire error
 
 
 def test_foreign_payloads_are_wire_errors():
-    well_formed = _corpus()[2]
+    well_formed = _corpus()[2][1]
     hostile = [
         b"",
         b"\x00" * HEADER_BYTES,
@@ -331,6 +415,78 @@ def test_a_failed_decode_drops_the_basis():
         codec.decode(0, 1, second.data[:-1])
     with pytest.raises(WireDesyncError):
         codec.decode(0, 1, second.data)
+
+
+def _write_frame(seq, stamp):
+    """A WRITE frame on 0 -> 1 (request 1, location "x", value None)
+    whose stamp is the given bytes, prefix included."""
+    body = bytes.fromhex("00000001 0001 78 00") + stamp
+    return struct.pack(">BBHHIH", WIRE_VERSION, 3, 0, 1, seq,
+                       HEADER_BYTES + len(body)) + body
+
+
+#: Malformed deltas over the basis (5, 0, 7, 2**32 - 1), each with the
+#: words its refusal names.
+_MALFORMED_DELTAS = {
+    "width code 3": ("3001 00 00000001", "width code 3"),
+    "dense count is not the dimension": ("4003 01 01 01", "dense delta of 3"),
+    "sparse of no pairs": ("1000", "no pairs"),
+    "index past the dimension": ("0001 04 01", "index 4 after -1"),
+    "indices out of order": ("0002 02 01 01 01", "index 1 after 2"),
+    "an index twice": ("0002 01 01 01 01", "index 1 after 1"),
+    "a zero step": ("0001 02 00", "by 0"),
+    "sparse below zero": ("0001 01 ff", "to -1"),
+    "sparse past 32 bits": ("0001 03 01", "to 4294967296"),
+    "dense below zero": ("4004 00 ff 00 00", r"out of \[0, 2\*\*32\)"),
+    "dense past 32 bits": ("4004 00 00 00 01", r"out of \[0, 2\*\*32\)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED_DELTAS))
+def test_a_malformed_delta_is_refused_and_drops_the_basis(name):
+    """Every delta the decoder refuses: a WireError, never another
+    exception, and only a full stamp restarts the channel after it."""
+    stamp, refusal = _MALFORMED_DELTAS[name]
+    codec = WireCodec()
+    basis = struct.pack(">H4I", 0x8004, 5, 0, 7, 2 ** 32 - 1)
+    codec.decode(0, 1, _write_frame(1, basis))
+    good = _write_frame(3, bytes.fromhex("0001 00 01"))
+    with pytest.raises(WireError, match=refusal) as refused:
+        codec.decode(0, 1, _write_frame(2, bytes.fromhex(stamp)))
+    assert type(refused.value) is WireError
+    with pytest.raises(WireDesyncError):
+        codec.decode(0, 1, good)
+    assert codec.decode(0, 1, _write_frame(4, basis)).stamp == VectorClock(
+        (5, 0, 7, 2 ** 32 - 1))
+
+
+def test_a_well_formed_hand_made_delta_decodes():
+    """The frames above are refused for their stamps alone."""
+    codec = WireCodec()
+    codec.decode(0, 1, _write_frame(1, struct.pack(">H4I", 0x8004, 5, 0, 7, 9)))
+    for seq, stamp, after in (
+        (2, "0002 01 01 03 ff", (5, 1, 7, 8)),
+        (3, "4004 ff 00 01 01", (4, 1, 8, 9)),
+        (4, "1001 02 7fff", (4, 1, 8 + 2 ** 15 - 1, 9)),
+    ):
+        decoded = codec.decode(0, 1, _write_frame(seq, bytes.fromhex(stamp)))
+        assert decoded.stamp == VectorClock(after)
+
+
+@pytest.mark.parametrize(
+    "cls", sorted(message_strategies(3), key=lambda cls: cls.__name__))
+@settings(**{**COMMON, "max_examples": 10})
+@given(data=st.data())
+def test_a_decoded_message_is_its_type_and_frozen(cls, data):
+    """Decoding builds a slotted message without its ``__init__``: it is
+    still equal to what was sent, of the same type, and frozen."""
+    message = data.draw(message_strategies(3)[cls])
+    codec = WireCodec()
+    decoded = codec.decode(0, 1, codec.encode(0, 1, message).data)
+    assert type(decoded) is cls and decoded == message
+    first = dataclass_fields(cls)[0].name
+    with pytest.raises(FrozenInstanceError):
+        setattr(decoded, first, getattr(message, first))
 
 
 # -- the live runtime's reader, fed from memory (no sockets, no loop) ----

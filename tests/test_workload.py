@@ -120,23 +120,25 @@ def _ledger(config, monkeypatch):
 #: The bytes and stamp entries of the ``causal`` / ``True`` rows moved
 #: again when a W_REPLY's stamp became a delta over its WRITE's stamp;
 #: their digests and message counts did not.
+#: The bytes of every ``True`` row moved again when a delta stamp began
+#: to carry steps instead of counters; nothing else in any row did.
 LEDGERS = {
     ("causal", 4, False, 1991): ("1733210095e7fd9c", 92, 4565, 368),
     ("causal", 4, False, 2024): ("70935068ab5a3d1c", 82, 4067, 328),
-    ("causal", 4, True, 1991): ("1733210095e7fd9c", 92, 3673, 122),
-    ("causal", 4, True, 2024): ("70935068ab5a3d1c", 82, 3297, 117),
+    ("causal", 4, True, 1991): ("1733210095e7fd9c", 92, 3369, 122),
+    ("causal", 4, True, 2024): ("70935068ab5a3d1c", 82, 3017, 117),
     ("causal", 8, False, 1991): ("f66d80ded9ee4ee8", 216, 14220, 1728),
     ("causal", 8, False, 2024): ("ab742ef76bc5c5b9", 208, 13683, 1664),
-    ("causal", 8, True, 1991): ("f66d80ded9ee4ee8", 216, 10688, 742),
-    ("causal", 8, True, 2024): ("ab742ef76bc5c5b9", 208, 10171, 692),
+    ("causal", 8, True, 1991): ("f66d80ded9ee4ee8", 216, 9096, 742),
+    ("causal", 8, True, 2024): ("ab742ef76bc5c5b9", 208, 8723, 692),
     ("broadcast", 4, False, 1991): ("777069513ff59dc2", 81, 4050, 324),
     ("broadcast", 4, False, 2024): ("513a1636f063f2db", 81, 4050, 324),
-    ("broadcast", 4, True, 1991): ("777069513ff59dc2", 81, 3360, 117),
-    ("broadcast", 4, True, 2024): ("513a1636f063f2db", 81, 3360, 117),
+    ("broadcast", 4, True, 1991): ("777069513ff59dc2", 81, 3084, 117),
+    ("broadcast", 4, True, 2024): ("513a1636f063f2db", 81, 3084, 117),
     ("broadcast", 8, False, 1991): ("20180bdaede17a29", 350, 23100, 2800),
     ("broadcast", 8, False, 2024): ("34523ac4a224dc65", 350, 23100, 2800),
-    ("broadcast", 8, True, 1991): ("20180bdaede17a29", 350, 15456, 742),
-    ("broadcast", 8, True, 2024): ("34523ac4a224dc65", 350, 15456, 742),
+    ("broadcast", 8, True, 1991): ("20180bdaede17a29", 350, 14280, 742),
+    ("broadcast", 8, True, 2024): ("34523ac4a224dc65", 350, 14280, 742),
 }
 
 
