@@ -285,8 +285,16 @@ class LocalStore:
         doomed_units: Dict[str, None] = {}
         kept_old = False
         unit_of = self.namespace.unit
+        s = stamp.components
+        width = len(s)
         for location in candidates:
-            if entries[location].stamp.strictly_less(stamp):
+            entry = entries[location]
+            # strictly_less reordered: the writer's component decides
+            # "not older" at once on most lines (DESIGN.md §4.10).
+            w, t = entry.writer, entry.stamp.components
+            if w >= 0 and len(t) == width and t[w] > s[w]:
+                continue
+            if entry.stamp.strictly_less(stamp):
                 if location in keep_set:
                     kept_old = True  # survivor below the sweep stamp
                 else:

@@ -14,6 +14,7 @@ route requests with no directory service.
 
 from __future__ import annotations
 
+import functools
 import re
 import zlib
 from typing import Callable, Dict, Iterable, Optional
@@ -25,6 +26,7 @@ __all__ = ["Namespace", "location_array"]
 _ARRAY_RE = re.compile(r"^(?P<base>[^\[\]]+)\[(?P<index>\d+)\](?P<rest>.*)$")
 
 
+@functools.lru_cache(maxsize=None)  # a program names a bounded set
 def location_array(base: str, *indices: int) -> str:
     """Build an array-style location name, e.g. ``location_array('x', 3)``.
 

@@ -64,9 +64,8 @@ class CausalBroadcastNode(DSMNode):
                 location=location, hit=True,
             )
         self._record_read(location, entry)
-        future = Future(label=f"bread:{self.node_id}:{location}")
-        future.resolve(entry.value)
-        return future
+        label = f"bread:{self.node_id}:{location}"
+        return Future.completed(entry.value, label)
 
     def write(self, location: str, value: Any) -> Future:
         """Apply locally, broadcast to everyone else (n-1 messages)."""

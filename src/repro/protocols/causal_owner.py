@@ -99,7 +99,6 @@ class CausalOwnerNode(DSMNode):
     def read(self, location: str) -> Future:
         """Read ``location``; local on a hit, blocking request on a miss."""
         self.stats.reads += 1
-        future = Future(label="read")
         # get() returns None exactly when is_valid() is False (owned
         # locations always materialise), so one lookup decides hit/miss.
         entry = self.store.get(location)
@@ -113,8 +112,7 @@ class CausalOwnerNode(DSMNode):
                     "proto", "op.read", node=self.node_id, clock=self.vt,
                     location=location, hit=True,
                 )
-            future.resolve(entry.value)
-            return future
+            return Future.completed(entry.value, "read")
         self.stats.remote_reads += 1
         if self.obs is not None and self.obs.wants("proto", "op.read"):
             self.obs.emit(
@@ -122,6 +120,7 @@ class CausalOwnerNode(DSMNode):
                 location=location, hit=False,
                 owner=self.namespace.owner(location),
             )
+        future = Future(label="read")
         self._send_read_request(future, location, self.runtime.now)
         return future
 
@@ -189,15 +188,15 @@ class CausalOwnerNode(DSMNode):
                 location=location,
                 mode="local" if self.store.owns(location) else "remote",
             )
-        future = Future(label="write")
         if self.store.owns(location):
             entry = MemoryEntry(value=value, stamp=self.vt, writer=self.node_id)
             self.store.put(location, entry)
             self.stats.local_writes += 1
             self._record_write(location, value, entry)
             self._notify_watchers(location, value)
-            future.resolve(WriteOutcome(location=location, value=value))
-            return future
+            outcome = WriteOutcome(location=location, value=value)
+            return Future.completed(outcome, "write")
+        future = Future(label="write")
         self.stats.remote_writes += 1
         request_id = self.next_request_id()
         owner = self.namespace.owner(location)

@@ -130,8 +130,9 @@ class _LiveScheduler:
     """Adapter letting the simulator's Task machinery drive generators here.
 
     :class:`~repro.sim.tasks.Task` touches its scheduler only as
-    ``self._scheduler.sim.call_soon(...)`` — so a shim whose ``sim`` is
-    the live runtime re-targets every resume at the asyncio loop.
+    ``self._scheduler.sim.call_soon(...)`` and ``.may_continue()`` — so a
+    shim whose ``sim`` is the live runtime re-targets every resume at the
+    asyncio loop.
     """
 
     def __init__(self, runtime: "AsyncioRuntime"):
@@ -382,6 +383,10 @@ class AsyncioRuntime(Runtime):
             self._loop.call_soon(callback)
         else:
             self._loop.call_soon(callback, arg)
+
+    def may_continue(self) -> bool:
+        """Never: a task here resumes through the asyncio loop only."""
+        return False
 
     def schedule(self, delay: float, callback, tag=None, arg=NO_ARG):
         if arg is NO_ARG:

@@ -170,6 +170,8 @@ class Simulator:
         self._cancelled_skips = 0
         self._compactions = 0
         self._running = False
+        #: True only inside ``run()``'s bare fast path (see may_continue).
+        self._free_running = False
         #: Attached TraceCollector, or None.  The bare ``run()`` fast
         #: path branches on this ONCE before its loop, so a detached run
         #: executes byte-identical bytecode to the pre-obs kernel.
@@ -234,7 +236,7 @@ class Simulator:
         arg: object = NO_ARG,
     ) -> ScheduledEvent:
         """Schedule ``callback`` at the current time (after pending events)."""
-        return self.schedule(0.0, callback, tag=tag, arg=arg)
+        return self._push_event(self.now, callback, tag, arg)
 
     def schedule_batch(
         self,
@@ -356,6 +358,13 @@ class Simulator:
         """Times the heap was rebuilt to evict cancelled corpses."""
         return self._compactions
 
+    def may_continue(self) -> bool:
+        """True when an event scheduled now would be the next one run:
+        in ``run()``'s bare fast path with nothing queued due by ``now``,
+        so a task may resume inline on an already resolved future."""
+        queue = self._queue
+        return self._free_running and (not queue or queue[0][0] > self.now)
+
     def derived_rng(self, label: str) -> random.Random:
         """A new RNG deterministically derived from the seed and ``label``.
 
@@ -405,6 +414,7 @@ class Simulator:
                     # — the zero-overhead-when-disabled guarantee — no
                     # per-event obs test either.
                     no_arg = NO_ARG
+                    self._free_running = True
                     while queue:
                         time, _, event = heappop(queue)
                         event._in_heap = False
@@ -476,7 +486,7 @@ class Simulator:
             if until is not None and until > self.now:
                 self.now = until
         finally:
-            self._running = False
+            self._running = self._free_running = False
 
     # ------------------------------------------------------------------
     # Controlled scheduling (the repro.mc explorer hook)

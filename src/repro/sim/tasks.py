@@ -9,7 +9,8 @@ paper while keeping the whole simulation single-threaded and deterministic.
 
 A process may yield:
 
-* a :class:`Future` — suspend until it resolves, receive its value;
+* a :class:`Future` — suspend until it resolves, receive its value (an
+  already resolved one continues at once when nothing else is due);
 * ``None`` — cooperative yield: resume after all currently pending events
   at the same simulated time (used by busy-wait loops).
 
@@ -50,6 +51,14 @@ class Future:
         self._exc: Optional[BaseException] = None
         self._callbacks: list[Callable[["Future"], None]] = []
         self.label = label
+
+    @classmethod
+    def completed(cls, value: Any, label: str = "") -> "Future":
+        """A future born resolved with ``value``: no callback list to run."""
+        future = cls.__new__(cls)
+        future._state, future._value, future._exc = _RESOLVED, value, None
+        future.label = label
+        return future
 
     # -- state ----------------------------------------------------------
     @property
@@ -138,18 +147,30 @@ class Task(Future):
     def _step(self, value: Any = None, exc: Optional[BaseException] = None) -> None:
         if self.resolved:
             return
-        try:
-            if exc is not None:
-                yielded = self._gen.throw(exc)
-            else:
-                yielded = self._gen.send(value)
-        except StopIteration as stop:
-            self.resolve(stop.value)
+        gen = self._gen
+        while True:
+            try:
+                if exc is not None:
+                    yielded = gen.throw(exc)
+                else:
+                    yielded = gen.send(value)
+            except StopIteration as stop:
+                self.resolve(stop.value)
+                return
+            except BaseException as error:  # noqa: BLE001 - propagate via future
+                self.fail(error)
+                return
+            # A future already resolved (a read hit) continues in this
+            # event when its resume event would run next anyway.
+            if (
+                isinstance(yielded, Future)
+                and yielded._state is _RESOLVED
+                and self._scheduler.sim.may_continue()
+            ):
+                value, exc = yielded._value, None
+                continue
+            self._handle_yield(yielded)
             return
-        except BaseException as error:  # noqa: BLE001 - propagate via future
-            self.fail(error)
-            return
-        self._handle_yield(yielded)
 
     def _handle_yield(self, yielded: Any) -> None:
         sim = self._scheduler.sim
@@ -172,9 +193,12 @@ class Task(Future):
         if future.failed:
             exc = future.exception()
             assert exc is not None
-            sim.call_soon(lambda: self._step(exc=exc), tag=self._tag)
+            sim.call_soon(self._throw, tag=self._tag, arg=exc)
         else:
             sim.call_soon(self._step, tag=self._tag, arg=future.result())
+
+    def _throw(self, exc: BaseException) -> None:
+        self._step(exc=exc)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self.resolved else "running"
@@ -235,9 +259,7 @@ class TaskScheduler:
 def sleep(sim: Simulator, duration: float) -> Future:
     """A future that resolves ``duration`` time units from now."""
     future = Future(label=f"sleep:{duration}")
-    sim.schedule(
-        duration, lambda: future.resolve(None), tag=("sleep", duration)
-    )
+    sim.schedule(duration, future.resolve, tag=("sleep", duration), arg=None)
     return future
 
 

@@ -12,7 +12,8 @@ def test_e18_fast_path_claim_at_n8():
     """E18 (DESIGN.md experiment index): at n = 8 on the mixed workload
     with write bursts, delta stamps cut stamp entries per op by at least
     30 % (measured 54.3 %) and bytes per op by at least 15 % (measured
-    22.6 %) while changing no message: equal counts, equal histories."""
+    39.8 % since a delta carries steps) while changing no message: equal
+    counts, equal histories."""
     from repro.protocols.base import DSMCluster
 
     n_nodes, ops_per_proc = 8, 120

@@ -125,8 +125,12 @@ def random_stamp(rng):
     return VectorClock([rng.randrange(0, 5) for _ in range(N_NODES)])
 
 
-def drive(seed, namespace_factory):
-    """One random op sequence applied to both stores, compared stepwise."""
+def drive(seed, namespace_factory, writers=range(N_NODES)):
+    """One random op sequence applied to both stores, compared stepwise.
+
+    ``writers`` is what a line's writer id is drawn from; the sweep
+    tests that component first, and skips the test for the initial
+    writer (-1)."""
     namespace, locations = namespace_factory()
     rng = random.Random(seed)
     fast = LocalStore(0, namespace, n_nodes=N_NODES)
@@ -139,7 +143,7 @@ def drive(seed, namespace_factory):
             entry = MemoryEntry(
                 value=rng.randrange(100),
                 stamp=random_stamp(rng),
-                writer=rng.randrange(N_NODES),
+                writer=rng.choice(writers),
             )
             fast.put(location, entry)
             naive.put(location, entry)
@@ -191,6 +195,31 @@ def test_optimised_sweep_matches_naive_word_granularity(seed, script):
 @pytest.mark.parametrize("seed", range(25))
 def test_optimised_sweep_matches_naive_page_granularity(seed, script):
     drive(seed + SCRIPT_OFFSETS[script], paged_namespace)
+
+
+@pytest.mark.parametrize(
+    "namespace_factory", [word_namespace, paged_namespace], ids=["word", "page"]
+)
+@pytest.mark.parametrize("seed", range(25))
+def test_writer_first_sweep_matches_naive_with_initial_writers(
+    seed, namespace_factory
+):
+    """Lines written by anyone, the initial writer -1 included, under
+    the sweep's writer-first test — word lines and page units alike."""
+    drive(2000 + seed, namespace_factory, writers=range(-1, N_NODES))
+
+
+def test_writer_first_test_is_only_a_reordering():
+    namespace, _ = word_namespace()
+    store = LocalStore(0, namespace, n_nodes=N_NODES)
+    # Its writer's component decides: not older, whatever the others say.
+    store.put("loc0", MemoryEntry(1, VectorClock((0, 3, 0)), writer=1))
+    # Writer 2's component is equal; component 1 is the one that exceeds.
+    store.put("loc1", MemoryEntry(2, VectorClock((0, 3, 1)), writer=2))
+    # The initial writer has no component: the full test decides.
+    store.put("loc2", MemoryEntry(3, VectorClock((0, 0, 0)), writer=-1))
+    assert store.invalidate_older_than(VectorClock((1, 2, 1))) == ["loc2"]
+    assert store.invalidate_older_than(VectorClock((1, 4, 1))) == ["loc0", "loc1"]
 
 
 def test_watermark_actually_skips_redundant_sweeps():
