@@ -4,11 +4,13 @@
 read operation in the execution is live for that read."
 
 :func:`check_causal` evaluates that condition over a :class:`History`,
-returning a :class:`CausalCheckResult` with per-read live sets and a list
-of violations (reads whose write source is not live for them).  A cyclic
-causality relation — a read reading from a causally later write — is
-reported as a violation rather than an exception, so random-workload
-property tests can treat "not causal" uniformly.
+returning a :class:`CausalCheckResult` with a verdict per read and a list
+of violations (reads whose write source is not live for them).  Each
+read is decided by asking :meth:`CausalOrder.is_live` about its own
+source alone; its whole live set is built only when someone asks.  A
+cyclic causality relation — a read reading from a causally later write
+— is reported as a violation rather than an exception, so
+random-workload property tests can treat "not causal" uniformly.
 
 One memoisation layer serves callers that check *many* histories (the
 :mod:`repro.mc` schedule explorer): :class:`CachedCausalChecker`
@@ -38,11 +40,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ReadVerdict:
-    """The live-set analysis of one read operation."""
+    """One read's verdict; its live set is built from ``order`` when asked."""
 
     read: Operation
-    live_writes: Tuple[Operation, ...]
     ok: bool
+    order: CausalOrder = field(repr=False, compare=False)
+
+    @property
+    def live_writes(self) -> Tuple[Operation, ...]:
+        """The writes live for the read, in :func:`live_set` order."""
+        return tuple(live_set(self.order, self.read))
 
     @property
     def live_values(self) -> Set[Any]:
@@ -125,14 +132,11 @@ def check_causal(history: History, obs=None) -> CausalCheckResult:
             )
         return CausalCheckResult(ok=False, cycle=cycle)
 
-    verdicts: List[ReadVerdict] = []
-    for read in history.reads():
-        live = live_set(order, read)
-        live_ids = {write.write_id for write in live}
-        ok = read.read_from in live_ids
-        verdicts.append(
-            ReadVerdict(read=read, live_writes=tuple(live), ok=ok)
-        )
+    write_by_id = history.write_by_id
+    verdicts = [
+        ReadVerdict(read, order.is_live(write_by_id(read.read_from), read), order)
+        for read in history.reads()
+    ]
     result = CausalCheckResult(
         ok=all(v.ok for v in verdicts), verdicts=verdicts
     )

@@ -40,8 +40,10 @@ is live iff it is concurrent with ``r`` (``vt_excl[p(w)] < vt(w)[p(w)]``)
 or no *notice* — a processed same-location operation carrying a
 different write's value — sits causally between them.  Notices are
 grouped per issuing process; per group that question is one bisect and
-one int compare (:func:`_excluded`), and the same test serves the read
-path, :meth:`CausalStreamMonitor.windowed_live_set` and GC.
+one int compare (:func:`~repro.checker.causality._excluded`), and the
+same test serves the read path,
+:meth:`CausalStreamMonitor.windowed_live_set`, GC and the offline
+checker.
 
 **Garbage collection.**  Every ``gc_interval`` processed operations the
 monitor computes the *minimum frontier* (componentwise min over all
@@ -74,6 +76,7 @@ from typing import (
     Tuple,
 )
 
+from repro.checker.causality import _NoticeGroup, _excluded
 from repro.errors import ReproError
 
 __all__ = [
@@ -128,81 +131,6 @@ class MonitorOp(NamedTuple):
 
     def __str__(self) -> str:
         return f"P{self.proc + 1}.{self.kind}({self.location}){self.value}"
-
-
-class _NoticeGroup:
-    """One process's same-location notices, in processing order.
-
-    ``seqs[k]`` is notice ``k``'s own component — strictly increasing,
-    so "notice in a cut" is a prefix found by one ``bisect_right``.
-    Along one process the other components are nondecreasing too, so
-    "source in the notice's past" is a suffix.  ``last_other[k]`` is the
-    largest index ``j <= k`` whose source differs from ``srcs[k]`` (-1 if
-    none): the one notice of the prefix that can witness an exclusion
-    even when a process read the same write a thousand times.
-    """
-
-    __slots__ = ("seqs", "vts", "srcs", "last_other")
-
-    def __init__(self):
-        self.seqs: List[int] = []
-        self.vts: List[Tuple[int, ...]] = []
-        self.srcs: List[Tuple] = []
-        self.last_other: List[int] = []
-
-    def __len__(self) -> int:
-        return len(self.seqs)
-
-    def append(self, seq: int, vt: Tuple[int, ...], src: Tuple) -> None:
-        srcs = self.srcs
-        if not srcs:
-            self.last_other.append(-1)
-        elif srcs[-1] != src:
-            self.last_other.append(len(srcs) - 1)
-        else:
-            self.last_other.append(self.last_other[-1])
-        self.seqs.append(seq)
-        self.vts.append(vt)
-        srcs.append(src)
-
-    def drop_prefix(self, count: int) -> None:
-        """Retire the first ``count`` notices (GC)."""
-        self.seqs = self.seqs[count:]
-        self.vts = self.vts[count:]
-        self.srcs = self.srcs[count:]
-        self.last_other = [
-            j - count if j >= count else -1 for j in self.last_other[count:]
-        ]
-
-
-def _excluded(
-    groups: Dict[int, _NoticeGroup],
-    source: Tuple,
-    writer: int,
-    own: int,
-    cut: Tuple[int, ...],
-) -> bool:
-    """Does a notice of another write sit between ``source`` and ``cut``?
-
-    The between-ness test of reads, live sets and GC alike.  ``source``
-    was written by ``writer`` with own component ``own``; ``cut`` is a
-    downward-closed timestamp (a read's ``vt_excl`` or the min-frontier).
-    A notice of process ``q`` lies in the cut iff its own component is
-    at most ``cut[q]``; the group's witness is its in-cut tip, or
-    ``last_other[tip]`` when the tip carries ``source`` itself, and it
-    lies after ``source`` iff its ``writer`` component reaches ``own``.
-    """
-    for q, group in groups.items():
-        k = bisect_right(group.seqs, cut[q]) - 1
-        if k < 0:
-            continue
-        if group.srcs[k] == source:
-            k = group.last_other[k]
-            if k < 0:
-                continue
-        if group.vts[k][writer] >= own:
-            return True
-    return False
 
 
 @dataclass(frozen=True)

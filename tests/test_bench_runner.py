@@ -47,16 +47,24 @@ def test_e18_fast_path_claim_at_n8():
     assert 1 - delta.stats.bytes_total / full.stats.bytes_total >= 0.15
 
 
-def test_the_ci_check_gate_runs_at_toy_size():
-    """`bench_check_gate` as CI's `check-gate` job calls it, smaller."""
-    from repro.bench import CHECK_GATE_RATIO, bench_check_gate
+def test_the_ci_check_gate_runs_at_toy_size(monkeypatch):
+    """`bench_check_gate` as CI's `check-gate` job calls it, smaller, on
+    a scripted clock: ``check_over_sim`` is the median of the per-round
+    ratios, not the ratio of the two sides' medians."""
+    import repro.bench as bench
 
-    gate = bench_check_gate(rounds=2, ops_per_proc=20)
-    assert gate["causal"] and gate["ops"] == 160 and gate["rounds"] == 2
-    assert gate["check_over_sim"] == pytest.approx(
-        gate["check_ops_per_sec"] / gate["sim_ops_per_sec"]
+    # Per round: start, simulated, checked.  Round one simulates for 1 s
+    # and checks for 0.5 s (ratio 2), round two 2 s and 0.25 s (ratio 8).
+    ticks = iter([0.0, 1.0, 1.5, 10.0, 12.0, 12.25])
+    monkeypatch.setattr(
+        bench, "time", type("Clock", (), {"perf_counter": lambda: next(ticks)})
     )
-    assert CHECK_GATE_RATIO > 1  # verifying a run is cheaper than producing it
+    gate = bench.bench_check_gate(rounds=2, ops_per_proc=20)
+    assert gate["causal"] and gate["ops"] == 160 and gate["rounds"] == 2
+    assert gate["sim_ops_per_sec"] == pytest.approx((160 + 80) / 2)
+    assert gate["check_ops_per_sec"] == pytest.approx((320 + 640) / 2)
+    assert gate["check_over_sim"] == pytest.approx((2 + 8) / 2)  # not 4
+    assert bench.CHECK_GATE_RATIO > 1  # verifying is cheaper than producing
 
 
 def test_the_ci_long_history_gate_runs_at_toy_size():

@@ -127,13 +127,6 @@ class TestCycles:
 
 
 class TestUtilities:
-    def test_followers(self, figure1):
-        order = CausalOrder(figure1)
-        w_y = figure1.op(0, 1)
-        follower_ids = {op.op_id for op in order.followers(w_y)}
-        assert (1, 1) in follower_ids  # r2(y)2
-        assert (0, 0) not in follower_ids
-
     def test_foreign_operation_rejected(self, figure1, figure2):
         order = CausalOrder(figure1)
         with pytest.raises(CheckError):

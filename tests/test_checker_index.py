@@ -1,17 +1,22 @@
 """The checker's index: a literal Definition 1 to compare against, and
-a guard that one check walks the history a constant number of times.
+guards that one check walks the history a constant number of times and
+asks the between-ness test at most once per read.
 
-``live_set`` is mask arithmetic over what :class:`CausalOrder` indexes
-once per history.  The reference below is the definition read off the
-page — per-pair ``precedes`` / ``precedes_excluding_rf`` loops over the
-plain operation list, no masks, no tables — and every ``alpha`` set the
-checker produces must equal it, write for write and in the same order.
+:class:`CausalOrder` gives every operation a vector clock and decides
+liveness on them with the test the streaming monitor uses
+(``_excluded``).  The reference here shares none of that: ``*->`` is a
+plain graph search (``_causal_graph.py``) and Definition 1 is read off
+the page, per pair of operations.  Every ``alpha`` set the checker
+produces must equal it, write for write and in the same order; every
+``precedes`` answer must equal the search's; a cyclic history must name
+the same operations, in the same order.
 """
 
 import random
 
 import pytest
 
+from _causal_graph import CausalGraph, reference_live_set
 from repro.apps.workload import WorkloadConfig, run_random_execution
 from repro.checker import (
     CachedCausalChecker,
@@ -22,7 +27,7 @@ from repro.checker import (
     live_set,
     random_history,
 )
-from repro.checker.causality import bit_indices
+from repro.checker import causality
 from repro.checker.history import Operation, initial_write_id
 from repro.harness.scenarios import run_figure3_on_broadcast
 
@@ -72,50 +77,33 @@ def interleaved_history(
     return History(processes, locations=locations)
 
 
-def _source(op: Operation):
-    return op.write_id if op.is_write else op.read_from
-
-
-def reference_live_set(history: History, order: CausalOrder, read: Operation):
-    """Definition 1, one ``precedes`` query per pair of operations."""
-    on_location = [
-        op for op in history.operations(include_init=True)
-        if op.location == read.location and op.op_id != read.op_id
-    ]
-    live = []
-    for write in on_location:
-        if not write.is_write or order.precedes(read, write):
-            continue
-        if order.precedes_excluding_rf(write, read) and any(
-            _source(between) != write.write_id
-            and order.precedes(write, between)
-            and order.precedes_excluding_rf(between, read)
-            for between in on_location
-        ):
-            continue  # another value served notice in between
-        live.append(write)
-    return live
-
-
 def assert_matches_definition(history: History):
     """``check_causal``'s result, every live set in it compared with the
-    reference (a cyclic history has none: it must get the cycle verdict)."""
+    reference (a cyclic history has none: it must get the cycle verdict,
+    naming the operations on or after a cycle)."""
     result = check_causal(history)
-    try:
-        order = CausalOrder(history)
-    except CausalityCycleError:
+    graph = CausalGraph(history)
+    members = graph.cycle_members()
+    if members:
         assert result.cycle is not None and not result.ok
         assert result.verdicts == []
+        assert result.cycle.cycle_members == members
+        with pytest.raises(CausalityCycleError):
+            CausalOrder(history)
         return result
     assert result.cycle is None
-    for i, op in enumerate(order.ops):  # ancestors are descendants, transposed
-        assert [order.ops[k] for k in bit_indices(order.ancestor_mask(i))] == [
-            other for other in order.ops if order.precedes(other, op)
-        ]
+    order = CausalOrder(history)
     reads = history.reads()
+    for a in order.ops:
+        assert [order.precedes(a, b) for b in order.ops] == [
+            graph.precedes(a, b) for b in order.ops
+        ], (a, history.to_text())
+        assert [order.precedes_excluding_rf(a, r) for r in reads] == [
+            graph.precedes_excluding_rf(a, r) for r in reads
+        ], (a, history.to_text())
     assert [v.read for v in result.verdicts] == reads
     for read, verdict in zip(reads, result.verdicts):
-        expected = reference_live_set(history, order, read)
+        expected = reference_live_set(graph, read)
         assert list(verdict.live_writes) == expected, (
             f"{read} in\n{history.to_text()}"
         )
@@ -162,21 +150,35 @@ def test_live_sets_equal_definition_on_generated_and_mutated_histories():
     assert min(causal, violating, cyclic) > 100, (causal, violating, cyclic)
 
 
-def _condition2_load(history: History):
-    """Per read: how many writes ``live_set`` puts to condition 2's test,
-    and how many writes to the read's location lie in its past."""
-    order = CausalOrder(history)
-    load = []
-    for read in history.reads():
-        loc = order.location_ops(read.location)
-        past = order.past_mask(order.index_of(read))
-        candidates = order.frontier_writes(past, loc)
-        assert candidates <= set(bit_indices(loc.writes_mask & past))
-        load.append((len(candidates), (loc.writes_mask & past).bit_count()))
-    return load
+def _excluded_calls(monkeypatch, history: History) -> int:
+    """How often one ``check_causal`` asks the between-ness test."""
+    calls = [0]
+    original = causality._excluded
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(causality, "_excluded", counted)
+        check_causal(history)
+    return calls[0]
 
 
-def test_live_sets_equal_definition_on_contended_histories():
+def _past_writes(history: History) -> int:
+    """The most writes of its location any read has in its past (the
+    graph's count): how many a per-write test would have to look at."""
+    graph = CausalGraph(history)
+    return max(
+        sum(
+            graph.precedes_excluding_rf(write, read)
+            for write in history.writes(location=read.location)
+        )
+        for read in history.reads()
+    )
+
+
+def test_live_sets_equal_definition_on_contended_histories(monkeypatch):
     rng = random.Random(22)
     causal = violating = deepest = 0
     for seed in range(48):
@@ -189,11 +191,10 @@ def test_live_sets_equal_definition_on_contended_histories():
                 continue  # only a rewired read can close a cycle
             causal += result.ok
             violating += not result.ok
-            load = _condition2_load(history)
-            assert max(c for c, _ in load) <= shape["n_procs"] + 1
-            deepest = max(deepest, max(w for _, w in load))
+            assert _excluded_calls(monkeypatch, history) <= len(history.reads())
+            deepest = max(deepest, _past_writes(history))
     assert min(causal, violating) >= 10, (causal, violating)
-    # The regime SHAPES never reach: far more past writes than chains.
+    # The regime SHAPES never reach: far more past writes than processes.
     assert deepest > 40, deepest
 
 
@@ -204,11 +205,12 @@ def test_live_sets_equal_definition_on_contended_owner_runs(seed):
     )).history
     assert assert_matches_definition(recorded).ok
     assert_matches_definition(rewire_one_read(recorded, random.Random(seed)))
-    assert max(w for _, w in _condition2_load(recorded)) > 8 + 1
+    assert _past_writes(recorded) > 8 + 1
 
 
-# The corners the frontier argument leans on; ``alpha`` is asked of the
-# last read of the last process.
+# The corners a read's causal frontier has (the bitset index once leaned
+# on them; the clock test must get them right as well); ``alpha`` is
+# asked of the last read of the last process.
 FRONTIER_CORNERS = {
     "a process's first operation: its past is the initial writes":
         ("P1: w(x)1 w(x)2\nP2: r(x)0", {0, 1, 2}),
@@ -308,17 +310,19 @@ def test_one_check_walks_the_history_a_constant_number_of_times(monkeypatch):
     assert all(count <= 2 for count in small.values()), small
 
 
-def test_a_read_tests_condition_two_on_at_most_one_write_per_chain():
-    """However long the history, a read puts at most ``n_procs + 1``
-    writes to condition 2's test, where its past holds many more."""
-    for ops_per_proc in (75, 300):  # 300 and 1 200 operations
+def test_check_causal_asks_excluded_at_most_once_per_read(monkeypatch):
+    """A read is decided on its own source: however long the history,
+    ``check_causal`` calls the between-ness test at most once per read,
+    where a read's past holds many writes of its location."""
+    for ops_per_proc in (75, 300, 2400):  # 300, 1 200 and 9 600 operations
         history = run_random_execution(WorkloadConfig(
             n_nodes=4, n_locations=8, ops_per_proc=ops_per_proc, seed=3,
         )).history
-        load = _condition2_load(history)
-        assert len(load) > 100
-        assert max(c for c, _ in load) <= history.n_procs + 1
-    assert max(w for _, w in load) > 2 * (history.n_procs + 1)
+        assert len(history) == 4 * ops_per_proc
+        calls = _excluded_calls(monkeypatch, history)
+        assert 0 < calls <= len(history.reads()), calls
+        if ops_per_proc == 300:
+            assert _past_writes(history) > 2 * (history.n_procs + 1)
 
 
 # ----------------------------------------------------------------------
@@ -340,20 +344,6 @@ def test_history_serves_per_location_writes_and_reads_as_fresh_lists(figure2):
     figure2.writes(location="x").clear()
     assert len(figure2.reads()) == n_reads > 0
     assert figure2.writes(location="x") == by_scan
-
-
-def test_unknown_location_is_an_empty_view_and_leaves_no_entry(figure1):
-    order = CausalOrder(figure1)
-    empty = order.location_ops("nowhere")
-    assert (empty.indices, empty.mask, empty.writes) == ((), 0, ())
-    assert "nowhere" not in order._loc_ops
-
-
-def test_bit_indices_yields_set_bits_lowest_first():
-    assert list(bit_indices(0)) == []
-    assert list(bit_indices(0b1011)) == [0, 1, 3]
-    wide = (1 << 5000) | (1 << 64) | 1
-    assert list(bit_indices(wide)) == [0, 64, 5000]
 
 
 def test_verdict_lookup_by_op_id(figure2):

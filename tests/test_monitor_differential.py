@@ -8,12 +8,18 @@ faults — the online verdict must coincide with the offline
 no per-read offline verdicts (the offline checker reports the cycle);
 there the monitor must agree on the overall verdict via its unresolved
 (parked-forever) reads.
+
+The checker and the monitor share their between-ness test
+(``repro.checker.causality._excluded``), so their agreement is not
+independent evidence.  The tests that carry that weight hold the monitor
+against ``_causal_graph.py`` instead: ``*->`` by plain graph search and
+Definition 1 read off the page.
 """
 
 import random
 
+from _causal_graph import CausalGraph, reference_live_set
 from repro.checker import check_causal
-from repro.checker.causality import CausalityCycleError, CausalOrder
 from repro.checker.generator import random_history
 from repro.mc.program import random_program
 from repro.mc.scheduler import ControlledRun
@@ -200,18 +206,23 @@ def _recorded_owner_runs(monkeypatch, gc_intervals):
         yield outcome.history, [s.result() for s in attached]
 
 
-def test_unread_monitor_matches_offline_checker(monkeypatch):
-    gc_intervals = (1, 2, 8, 64)
-    outcomes = {"clean": 0, "violating": 0, "cyclic": 0}
-    # About four draws in five are cyclic (reads may name later writes).
+def _unread_corpus():
+    """The random histories both unread-monitor tests draw."""
     for seed in range(800):
         rng = random.Random(f"unread/{seed}")
-        history = random_history(
+        yield random_history(
             seed,
             n_procs=rng.randint(2, 5),
             n_locations=rng.randint(1, 3),
             ops_per_proc=rng.randint(3, 12),
         )
+
+
+def test_unread_monitor_matches_offline_checker(monkeypatch):
+    gc_intervals = (1, 2, 8, 64)
+    outcomes = {"clean": 0, "violating": 0, "cyclic": 0}
+    # About four draws in five are cyclic (reads may name later writes).
+    for history in _unread_corpus():
         offline = check_causal(history)
         outcomes[
             "cyclic" if offline.cycle is not None
@@ -228,18 +239,46 @@ def test_unread_monitor_matches_offline_checker(monkeypatch):
             _assert_flags_match(result, history)
 
 
+def test_unread_monitor_matches_the_literal_definition():
+    """The same corpus, read for read against the graph-search oracle:
+    a read is flagged iff its source is outside its literal live set,
+    and a cyclic history leaves reads parked."""
+    flagged_reads = 0
+    for history in _unread_corpus():
+        graph = CausalGraph(history)
+        cyclic = bool(graph.cycle_members())
+        rejected = set() if cyclic else {
+            read.op_id for read in history.reads()
+            if read.read_from not in {
+                write.write_id for write in reference_live_set(graph, read)
+            }
+        }
+        flagged_reads += len(rejected)
+        for gc in (1, 64):
+            result = feed_history(
+                _unread_monitor(len(history.processes), gc), history
+            )
+            if cyclic:
+                assert not result.ok and result.unresolved, history.to_text()
+                continue
+            assert not result.unresolved
+            flagged = {(v.op.proc, v.op.index) for v in result.violations}
+            assert flagged == rejected, history.to_text()
+    assert flagged_reads >= 20, flagged_reads
+
+
 def test_own_component_test_is_causal_order():
     """The lemma the monitor's integer tests rest on: for its clocks,
     ``a *-> b`` iff ``vt(b)[p(a)] >= vt(a)[p(a)]`` iff ``vt(a) <= vt(b)``
-    componentwise — on every pair of processed ops."""
+    componentwise — on every pair of processed ops, ``*->`` by graph
+    search."""
     histories = 0
     seed = 0
     while histories < 200:
         seed += 1
         history = random_history(seed, n_procs=3, n_locations=2, ops_per_proc=6)
-        try:
-            order = CausalOrder(history)
-        except CausalityCycleError:
+        graph = CausalGraph(history)
+        if graph.cycle_members():
             continue
         histories += 1
         monitor = CausalStreamMonitor(
@@ -257,7 +296,7 @@ def test_own_component_test_is_causal_order():
                 processed += zip(mine, group_vts)
         for a, vt_a in processed:
             for b, vt_b in processed:
-                causal = a.op_id == b.op_id or order.precedes(a, b)
+                causal = a.op_id == b.op_id or graph.precedes(a, b)
                 own = vt_b[a.proc] >= vt_a[a.proc]
                 componentwise = all(x <= y for x, y in zip(vt_a, vt_b))
                 assert causal == own == componentwise, (a, b, history.to_text())
