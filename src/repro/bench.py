@@ -212,14 +212,17 @@ def bench_live_gate(rounds: int = 5, ops_per_proc: int = 1000) -> Dict[str, Any]
 CHECK_GATE_RATIO = 7.0
 
 
-def bench_check_gate(rounds: int = 15, ops_per_proc: int = 150) -> Dict[str, Any]:
+def bench_check_gate(rounds: int = 7, ops_per_proc: int = 600) -> Dict[str, Any]:
     """What CI's check gate reads: verifying a run relative to producing it.
 
     Each round, with a fresh seed, produces an n=8 history on
-    ``SimRuntime`` (1 200 ops at the default size, the ``check-offline``
-    shape) and verifies it with ``check_causal`` straight after;
-    ``check_over_sim`` is the median of the per-round ratios, so a host
-    slowdown lands on both sides of one round, as in :func:`bench_obs`.
+    ``SimRuntime`` (4 800 ops at the default size, the ``check-offline``
+    shape four times over) and verifies it with ``check_causal`` straight
+    after; ``check_over_sim`` is the median of the per-round ratios, so a
+    host slowdown lands on both sides of one round, as in
+    :func:`bench_obs`; a check of 1 200 ops lasted ~5 ms, so one
+    collector pass moved its round by tens of per cent.  Each round
+    checks a new history (``History`` indexes its reads on first use).
     Unlike raw ops/s the ratio travels between machines; above 1 the
     verifier is cheaper than the run it verifies.
     """

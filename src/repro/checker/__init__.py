@@ -2,10 +2,10 @@
 
 This package implements the paper's Section 2 semantics as executable
 mathematics: operation histories with program order and reads-from, the
-causality relation as exact vector clocks (the streaming monitor's,
-assigned offline, with the between-ness test the two share), the live
-sets ``alpha(o)`` of Definition 1, and the causal-memory correctness
-condition of Definition 2.  Every protocol execution recorded by the
+causality relation as exact vector clocks (assigned by
+:class:`~repro.checker.causality.CausalFeed`, the one feed the streaming
+monitor runs too), the live sets ``alpha(o)`` of Definition 1, and the
+causal-memory correctness condition of Definition 2.  Every protocol execution recorded by the
 simulator can be validated against these definitions — the
 reproduction's ground truth.
 

@@ -6,8 +6,9 @@ read operation in the execution is live for that read."
 :func:`check_causal` evaluates that condition over a :class:`History`,
 returning a :class:`CausalCheckResult` with a verdict per read and a list
 of violations (reads whose write source is not live for them).  Each
-read is decided by asking :meth:`CausalOrder.is_live` about its own
-source alone; its whole live set is built only when someone asks.  A
+read's verdict is the one :class:`CausalOrder` reached on its own
+source while filing it; its whole live set is built only when someone
+asks.  A
 cyclic causality relation — a read reading from a causally later write
 — is reported as a violation rather than an exception, so
 random-workload property tests can treat "not causal" uniformly.
@@ -132,9 +133,9 @@ def check_causal(history: History, obs=None) -> CausalCheckResult:
             )
         return CausalCheckResult(ok=False, cycle=cycle)
 
-    write_by_id = history.write_by_id
+    rejected = order.rejected
     verdicts = [
-        ReadVerdict(read, order.is_live(write_by_id(read.read_from), read), order)
+        ReadVerdict(read, read.op_id not in rejected, order)
         for read in history.reads()
     ]
     result = CausalCheckResult(

@@ -6,36 +6,47 @@ read is caused by the write it reads) — and ``*->`` is the transitive
 closure.  Operations unrelated by ``*->`` are *concurrent*.  Initial
 writes causally precede every operation of every process.
 
-A :class:`CausalOrder` is the one place a history is indexed, once per
-check.  One pass gives every operation its Fidge–Mattern clock by the
-streaming monitor's rule: bump the issuing process's component, and a
-read joins its source's clock.  A read whose source has no clock yet
-parks its process until it has one, so the processing order is a
-linearisation of ``*->`` and the clocks are exact: ``vt(o)[p(o)]`` is
-``o``'s position in its process, and ``a *-> b`` iff
-``vt(b)[p(a)] >= vt(a)[p(a)]``, one int compare.  What is still parked
-when nothing can move is a cycle and everything after it.  Initial
-writes have the zero clock.
+A :class:`CausalFeed` is the one place clocks are assigned and reads
+decided.  Operations arrive in program order per process, interleaved
+across processes in any way.  Each gets its Fidge–Mattern clock: bump
+the issuing process's component, and a read joins its source's clock.
+A read whose source has no clock yet parks its process — its later
+operations queue behind it — and filing that write wakes exactly the
+processes parked on it.  So the filing order is a linearisation of
+``*->`` and the clocks are exact: ``vt(o)[p(o)]`` is ``o``'s position
+in its process, and ``a *-> b`` iff ``vt(b)[p(a)] >= vt(a)[p(a)]``, one
+int compare.  What is still parked when the stream ends is a cycle and
+everything after it.  Initial writes have the zero clock.
 
 Definition 1 considers a read's causal past *excluding the reads-from
 edge established by that read itself*.  A read's only other in-edge is
 its program-order predecessor (the initial writes, for a process's
-first operation), so that past is the predecessor's clock, or zero.
-The same pass files every operation as a *notice* of its location, per
+first operation), so that past is its process's frontier when it is
+filed.  Every operation is filed as a *notice* of its location, per
 issuing process (:class:`_NoticeGroup`), and condition 2 is
-:func:`_excluded`: the between-ness test the monitor
-(:mod:`repro.monitor.monitor`) imports from here (DESIGN.md §4.3, §4.8).
+:func:`_excluded`, the one between-ness test.  A read is decided when it
+is filed, on its own source: one own-component compare, else one
+``_excluded`` call.  :meth:`CausalFeed.live_ids` puts every write of a
+location to the same predicate.
+
+The feed has two users, and each overrides its hook: a
+:class:`CausalOrder` is a whole history fed through it, keeping every
+clock and verdict; the streaming monitor
+(:class:`repro.monitor.CausalStreamMonitor`) adds garbage collection and
+a verdict sink (DESIGN.md §4.3, §4.8).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, List, Tuple
+from collections import deque
+from itertools import zip_longest
+from typing import Any, Deque, Dict, List, Set, Tuple
 
 from repro.checker.history import History, INIT_PROC, Operation
 from repro.errors import CheckError
 
-__all__ = ["CausalOrder", "CausalityCycleError"]
+__all__ = ["CausalFeed", "CausalOrder", "CausalityCycleError"]
 
 Clock = Tuple[int, ...]
 
@@ -57,7 +68,7 @@ class CausalityCycleError(CheckError):
 
 
 class _NoticeGroup:
-    """One process's same-location notices, in processing order.
+    """One process's same-location notices, in filing order.
 
     ``seqs[k]`` is notice ``k``'s own component — strictly increasing,
     so "notice in a cut" is a prefix found by one ``bisect_right``.
@@ -131,8 +142,149 @@ def _excluded(
     return False
 
 
-class CausalOrder:
-    """Every operation's vector clock, and Definition 1 on them.
+class CausalFeed:
+    """Clocks, parking and read verdicts over an operation stream.
+
+    :meth:`feed` takes each process's operations in program order.
+    Every filed operation goes to :meth:`_filed`, the hook a user
+    overrides; a user that retires writes also overrides :meth:`_dead`,
+    so that a read of a retired source is decided instead of parked.
+    """
+
+    def __init__(self, n_procs: int):
+        self._zero: Clock = (0,) * n_procs
+        #: Per process, the clock of its last filed operation.
+        self.frontier: List[Clock] = [self._zero] * n_procs
+        #: location -> {write_id: (clock, writer)}, in filing order.  A
+        #: location enters with its initial write, ``(zero, 0)``, which
+        #: both own-component tests pass trivially.
+        self._candidates: Dict[str, Dict[Tuple, Tuple[Clock, int]]] = {}
+        #: location -> {proc: _NoticeGroup}: every filed op, as a notice.
+        self._notices: Dict[str, Dict[int, _NoticeGroup]] = {}
+        #: Per process, its parked read and the ops queued behind it, as
+        #: ``(proc, index, kind, location, value, source)``.
+        self._pending: List[Deque[Tuple]] = [deque() for _ in range(n_procs)]
+        self._n_pending = 0
+        #: source -> the processes whose parked read names it.
+        self._waiting: Dict[Tuple, List[int]] = {}
+        #: Processes whose parked read's source has just been filed.
+        self._woken: List[int] = []
+        self._arrivals: List[int] = [0] * n_procs
+
+    def feed(
+        self, proc: int, kind: str, location: str, value: Any, source: Tuple
+    ) -> None:
+        """File ``proc``'s next operation, or queue it behind its
+        process's parked read.
+
+        ``source`` is the write identity: a write's own, a read's
+        reads-from.  The operation's index is its arrival position.
+        """
+        index = self._arrivals[proc]
+        self._arrivals[proc] = index + 1
+        queue = self._pending[proc]
+        if queue or not self._file(proc, index, kind, location, value, source):
+            if not queue:
+                self._waiting.setdefault(source, []).append(proc)
+            queue.append((proc, index, kind, location, value, source))
+            self._n_pending += 1
+        elif self._woken:
+            self._drain()
+
+    def _drain(self) -> None:
+        """The parking pass: file each woken process's queue until it
+        empties or its head parks again, on a new source."""
+        woken, pending = self._woken, self._pending
+        while woken:
+            proc = woken.pop()
+            queue = pending[proc]
+            while queue:
+                op = queue.popleft()
+                self._n_pending -= 1
+                if not self._file(*op):
+                    queue.appendleft(op)
+                    self._n_pending += 1
+                    self._waiting.setdefault(op[5], []).append(proc)
+                    break
+
+    def _file(self, proc, index, kind, location, value, source) -> bool:
+        """Clock, decide and file one op; False when a read must park."""
+        candidates = self._candidates.get(location)
+        if candidates is None:
+            if (
+                kind == "r" and source[0] != "init"
+                and not self._dead(location, source)
+            ):
+                return False
+            candidates = self._candidates[location] = {
+                ("init", location): (self._zero, 0)
+            }
+            self._notices[location] = {}
+        past = self.frontier[proc]
+        vt = past[:proc] + (past[proc] + 1,) + past[proc + 1:]
+        groups = self._notices[location]
+        ok = True
+        if kind == "w":
+            candidates[source] = (vt, proc)
+            parked = self._waiting.pop(source, None)
+            if parked is not None:
+                self._woken += parked
+        else:
+            entry = candidates.get(source)
+            if entry is None:
+                if not self._dead(location, source):
+                    return False
+                ok = False  # its clock is gone: the read keeps vt
+            else:
+                source_vt, writer = entry
+                own = source_vt[writer]
+                if past[writer] < own:  # concurrent: live (condition 1)
+                    vt = tuple(map(max, vt, source_vt))
+                else:
+                    ok = not _excluded(groups, source, writer, own, past)
+        self.frontier[proc] = vt
+        group = groups.get(proc)
+        if group is None:
+            group = groups[proc] = _NoticeGroup()
+        group.append(vt[proc], vt, source)
+        self._filed(proc, index, kind, location, value, source, past, vt, ok)
+        return True
+
+    def _dead(self, location: str, source: Tuple) -> bool:
+        """Was this unseen source filed and then retired?  Never, here."""
+        return False
+
+    def _filed(self, proc, index, kind, location, value, source, past, vt, ok):
+        """Hook: one op was filed with clock ``vt``; a read's ``past``
+        excludes its own reads-from edge and ``ok`` is its verdict."""
+
+    def live_ids(
+        self, location: str, proc: int, past: Clock
+    ) -> Tuple[Tuple, ...]:
+        """Definition 1: the ids of ``location``'s filed writes live for
+        a read by ``proc`` whose past is ``past``, in filing order.
+
+        A write outside the past is concurrent, and live unless the read
+        precedes it (two own-component compares; the read's own
+        component is ``past[proc] + 1``).  A write in the past is live
+        unless a notice of another value sits in between.  Asked after
+        the read is filed, the read's own notice lies outside ``past``,
+        so the answer is the one the read was decided on.
+        """
+        groups = self._notices[location]
+        return tuple(
+            write_id
+            for write_id, (vt, writer) in self._candidates[location].items()
+            if (
+                vt[proc] <= past[proc] if past[writer] < vt[writer]
+                else not _excluded(groups, write_id, writer, vt[writer], past)
+            )
+        )
+
+
+class CausalOrder(CausalFeed):
+    """A history fed through a :class:`CausalFeed`: every operation's
+    clock, every read's verdict, and Definition 1 on them.
 
     Raises
     ------
@@ -142,57 +294,35 @@ class CausalOrder:
     """
 
     def __init__(self, history: History):
+        super().__init__(history.n_procs)
         self.history = history
         self.ops: List[Operation] = history.operations(include_init=True)
         self._pos: Dict[Tuple[int, int], int] = {
             op.op_id: i for i, op in enumerate(self.ops)
         }
-        self._zero: Clock = (0,) * history.n_procs
         #: Per process, its operations' clocks in program order.
         self._clocks: List[List[Clock]] = [[] for _ in history.processes]
-        #: write_id -> (clock, writer).  An initial write is
-        #: ``(zero, 0)``, which both own-component tests pass trivially.
-        self._written: Dict[Tuple, Tuple[Clock, int]] = {
-            init.write_id: (self._zero, 0) for init in history.init_writes
-        }
-        #: location -> {proc: _NoticeGroup}: every op, as a notice.
-        self._notices: Dict[str, Dict[int, _NoticeGroup]] = {}
-        self._assign_clocks()
-
-    def _assign_clocks(self) -> None:
-        processes, written = self.history.processes, self._written
-        waiting: Dict[Tuple, List[int]] = {}  # source -> parked processes
-        ready = list(range(len(processes)))
-        while ready:
-            p = ready.pop()
-            ops, clocks = processes[p], self._clocks[p]
-            vt = clocks[-1] if clocks else self._zero
-            for op in ops[len(clocks):]:
-                vt = vt[:p] + (vt[p] + 1,) + vt[p + 1:]
-                if op.is_write:
-                    source = op.write_id
-                    written[source] = (vt, p)
-                    ready += waiting.pop(source, ())
-                else:
-                    source = op.read_from
-                    entry = written.get(source)
-                    if entry is None:
-                        waiting.setdefault(source, []).append(p)
-                        break
-                    source_vt, writer = entry
-                    if vt[writer] < source_vt[writer]:
-                        vt = tuple(map(max, vt, source_vt))
-                clocks.append(vt)
-                groups = self._notices.setdefault(op.location, {})
-                group = groups.get(p)
-                if group is None:
-                    group = groups[p] = _NoticeGroup()
-                group.append(vt[p], vt, source)
-        if waiting:
+        #: The op ids of the reads whose source is not live for them.
+        self.rejected: Set[Tuple[int, int]] = set()
+        feed = self.feed
+        for column in zip_longest(*history.processes):  # round-robin
+            for op in column:
+                if op is not None:
+                    feed(
+                        op.proc, op.kind, op.location, op.value,
+                        op.write_id if op.kind == "w" else op.read_from,
+                    )
+        if self._n_pending:
+            processes = history.processes
             raise CausalityCycleError([
-                op for ops, clocks in zip(processes, self._clocks)
-                for op in ops[len(clocks):]
+                processes[proc][index]
+                for queue in self._pending for proc, index, *_ in queue
             ])
+
+    def _filed(self, proc, index, kind, location, value, source, past, vt, ok):
+        self._clocks[proc].append(vt)
+        if not ok:
+            self.rejected.add((proc, index))
 
     def index_of(self, op: Operation) -> int:
         """Internal index of an operation (stable across queries)."""
@@ -240,39 +370,11 @@ class CausalOrder:
         past, vt_a = self._past(read), self._clock(a)
         return a.proc == INIT_PROC or past[a.proc] >= vt_a[a.proc]
 
-    def is_live(self, write: Operation, read: Operation) -> bool:
-        """Definition 1: is ``write``'s value live for ``read``?"""
-        return self._live(
-            write, read.proc, self._past(read), self._notices[read.location]
-        )
-
     def live_set(self, read: Operation) -> List[Operation]:
         """The writes of ``read``'s location live for it, in
         ``History.writes`` order (the initial write first)."""
-        past, groups = self._past(read), self._notices[read.location]
+        live = set(self.live_ids(read.location, read.proc, self._past(read)))
         return [
             write for write in self.history.writes(location=read.location)
-            if self._live(write, read.proc, past, groups)
+            if write.write_id in live
         ]
-
-    def _live(
-        self,
-        write: Operation,
-        proc: int,
-        past: Clock,
-        groups: Dict[int, _NoticeGroup],
-    ) -> bool:
-        """The live predicate for a read of ``proc`` with this ``past``
-        and its location's notice ``groups``.
-
-        Outside the past, ``write`` is concurrent and live unless the
-        read precedes it (condition 1: two own-component compares; the
-        read's own component is its past's plus one).  In the past it is
-        live unless a notice of another value sits in between
-        (condition 2).
-        """
-        vt, writer = self._written[write.write_id]
-        own = vt[writer]
-        if past[writer] < own:
-            return vt[proc] <= past[proc]
-        return not _excluded(groups, write.write_id, writer, own, past)

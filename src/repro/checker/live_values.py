@@ -12,9 +12,10 @@ The initial write of each location participates like any other write, so
 ``alpha`` sets can contain the distinguished initial value, matching the
 paper's worked examples (``alpha(r1(z)5) = {0, 5}`` in Figure 2).
 
-Each write of the read's location is put to the live predicate of
-:meth:`CausalOrder.live_set`, an exact test on the clocks the order
-assigned; nothing walks the history beyond the location's writes.
+Each write of the read's location is put to the one live predicate,
+:meth:`~repro.checker.causality.CausalFeed.live_ids`, an exact test on
+the clocks the order assigned; nothing walks the history beyond the
+location's writes.
 ``tests/test_checker_index.py`` pins every live set against a literal
 per-pair reading of the definition on a graph search of its own.
 """

@@ -9,41 +9,25 @@ the ``proto.op.commit`` event stream, in memory bounded by the causal
 How it works
 ------------
 
-**Monitor clocks.**  The monitor assigns every operation its own vector
-timestamp over the causality relation the paper defines: program order
-union reads-from, transitively closed.  Protocol clocks are useless
-here — they order operations by *message* paths the memory abstraction
-does not expose, so two application-level concurrent writes can look
-ordered.  Each op bumps its issuing process's component; a read then
-joins its source's timestamp.  So ``vt(o)[p(o)]`` is ``o``'s position in
-its process's processed sequence and every ``vt(o)`` is a downward-
-closed cut, which gives the own-component test (Fidge/Mattern):
-``a *-> b`` iff ``vt(b)[p(a)] >= vt(a)[p(a)]`` — one int compare, no
-vector compare.
+**One feed.**  The monitor is a
+:class:`~repro.checker.causality.CausalFeed`, the offline checker's own:
+clocks over program order and reads-from, parking, and the decision of
+each read at filing time all live in :mod:`repro.checker.causality`.
+Commit events arrive in per-process program order, interleaved
+arbitrarily — an owner-protocol remote write commits at the writer only
+when the W-REPLY lands, possibly after a read that used its value —
+and the feed's parking files any such interleaving as a linearisation
+of causality, so each read's verdict is the offline one (DESIGN.md
+§4.8).  Reads parked forever (a causality cycle, or a truncated stream)
+are reported as *unresolved* and fail the run, matching the offline
+checker's cycle verdict.  Protocol clocks play no part: they order
+operations by *message* paths the memory abstraction does not expose.
 
-**Parking.**  Events arrive in *commit* order, which interleaves
-processes arbitrarily and can even deliver a write's commit after a
-commit of a read that used its value (an owner-protocol remote write
-commits at the writer only when the W-REPLY lands).  Per-process queues
-preserve program order; a write is always processable, a read parks
-until its source write has been processed.  The processed sequence is
-therefore a linearisation of causality, which is what makes
-verdict-at-processing-time equal the offline verdict (DESIGN.md §4.8).
-Reads parked forever (a causality cycle, or a truncated stream) are
-reported as *unresolved* and fail the run, matching the offline
-checker's cycle verdict.
-
-**Verdict.**  For read ``r`` by process ``p`` from write ``w``:
-``vt_excl = bump(frontier[p], p)`` is ``r``'s timestamp with its own
-reads-from edge excluded (Definition 1 demands the exclusion).  ``w``
-is live iff it is concurrent with ``r`` (``vt_excl[p(w)] < vt(w)[p(w)]``)
-or no *notice* — a processed same-location operation carrying a
-different write's value — sits causally between them.  Notices are
-grouped per issuing process; per group that question is one bisect and
-one int compare (:func:`~repro.checker.causality._excluded`), and the
-same test serves the read path,
-:meth:`CausalStreamMonitor.windowed_live_set`, GC and the offline
-checker.
+**What the monitor adds.**  The replay window handed to the shrinker,
+the window accounting, and a :class:`MonitorVerdict` for each read
+someone will see (a violation, or every read when ``on_verdict`` is
+set); its ``live`` evidence is
+:meth:`~repro.checker.causality.CausalFeed.live_ids` at the read's past.
 
 **Garbage collection.**  Every ``gc_interval`` processed operations the
 monitor computes the *minimum frontier* (componentwise min over all
@@ -65,18 +49,10 @@ from collections import deque
 from dataclasses import dataclass
 from time import perf_counter
 from typing import (
-    Any,
-    Callable,
-    Deque,
-    Dict,
-    List,
-    NamedTuple,
-    Optional,
-    Set,
-    Tuple,
+    Any, Callable, Deque, Dict, List, NamedTuple, Optional, Set, Tuple,
 )
 
-from repro.checker.causality import _NoticeGroup, _excluded
+from repro.checker.causality import CausalFeed, _excluded
 from repro.errors import ReproError
 
 __all__ = [
@@ -117,9 +93,9 @@ class MonitorOp(NamedTuple):
     events arrive in per-process program order (operations block), so it
     coincides with the offline :class:`~repro.checker.history.Operation`
     index.  ``source`` is the write identity: the op's own for a write,
-    the reads-from assignment for a read.  Built only when an op parks
-    or a verdict is handed out; the field order is the processing
-    code's positional signature.
+    the reads-from assignment for a read.  Built only when a verdict is
+    handed out or :meth:`CausalStreamMonitor.result` lists parked ops;
+    the field order is the feed's parked-op tuple.
     """
 
     proc: int
@@ -208,7 +184,7 @@ class MonitorResult:
         return "\n".join(lines)
 
 
-class CausalStreamMonitor:
+class CausalStreamMonitor(CausalFeed):
     """Incremental Definition-2 checking over an operation stream.
 
     Parameters
@@ -248,6 +224,7 @@ class CausalStreamMonitor:
     ):
         if n_procs <= 0:
             raise ReproError(f"need at least one process, got {n_procs}")
+        super().__init__(n_procs)
         self.n_procs = n_procs
         self.metrics = metrics
         self.gc_interval = gc_interval
@@ -255,9 +232,6 @@ class CausalStreamMonitor:
         self.window_ops = window_ops
         self.on_verdict = on_verdict
 
-        self._zero = (0,) * n_procs
-        #: Last processed op's timestamp per process (the causal frontier).
-        self.frontier: List[Tuple[int, ...]] = [self._zero] * n_procs
         # Metric objects resolved once: the per-op path must not pay a
         # string-keyed registry lookup per update.
         if metrics is not None:
@@ -268,22 +242,13 @@ class CausalStreamMonitor:
             self._c_gc = metrics.counter("monitor.gc_retired")
             self._c_violations = metrics.counter("monitor.violations")
             self._h_observe = metrics.histogram("monitor.observe_us")
-        self._pending: List[Deque[MonitorOp]] = [deque() for _ in range(n_procs)]
-        #: location -> {write_id: (vt, writer)}, insertion-ordered (the
-        #: candidates); the initial write is ``(zero, 0)``, which both
-        #: own-component tests pass trivially.
-        self._candidates: Dict[str, Dict[Tuple, Tuple[Tuple[int, ...], int]]] = {}
-        #: location -> {proc: _NoticeGroup} — processed ops serving
-        #: notice, grouped by issuing process.
-        self._notices: Dict[str, Dict[int, _NoticeGroup]] = {}
-        #: Highest protocol stamp processed per writer (dead-source test).
+        #: Highest protocol stamp filed per writer (dead-source test).
         self._max_stamp: Dict[int, int] = {}
         #: GC-killed ids that lack the (writer, stamp) shape and so fall
         #: outside the _max_stamp test (synthetic histories only; the
         #: protocol stream never feeds these, keeping memory bounded).
         self._killed_odd: Set[Tuple] = set()
         self._init_killed: Set[str] = set()
-        self._arrivals: List[int] = [0] * n_procs
         self._program_window: List[Deque[Tuple]] = [
             deque(maxlen=window_ops) for _ in range(n_procs)
         ]
@@ -291,11 +256,11 @@ class CausalStreamMonitor:
         self._obs_seconds = 0.0
         self._timing_tick = 0
         self._ops_synced = 0  # ops already folded into the metrics counter
-        #: Incrementally maintained candidates + notices count;
-        #: recounting per op would be O(locations).  Parked ops are
-        #: counted separately in ``_n_pending``; the window is the sum.
+        #: Candidates + notices held, less each location's initial
+        #: write (``len(_candidates)`` counts those; GC's retirements
+        #: include them).  Kept incrementally: recounting per op would
+        #: be O(locations).  The window adds the parked ops.
         self._window = 0
-        self._n_pending = 0
 
         self.ops_processed = 0
         self.reads_checked = 0
@@ -332,176 +297,82 @@ class CausalStreamMonitor:
         self, proc: int, kind: str, location: str, value: Any, source: Tuple
     ) -> None:
         """Feed one committed operation (program order per process)."""
+        self._program_window[proc].append(
+            ("w", location, value) if kind == "w" else ("r", location)
+        )
         if self.metrics is None:
-            self._feed(proc, kind, location, value, source)
+            self.feed(proc, kind, location, value, source)
             return
         self._timing_tick += 1
         if self._timing_tick % self.TIMING_SAMPLE:
-            self._feed(proc, kind, location, value, source)
+            self.feed(proc, kind, location, value, source)
             return
         started = perf_counter()
         try:
-            self._feed(proc, kind, location, value, source)
+            self.feed(proc, kind, location, value, source)
         finally:
             elapsed = perf_counter() - started
             self._obs_seconds += elapsed
             self._h_observe.observe(elapsed * 1e6)
 
-    def _feed(
-        self, proc: int, kind: str, location: str, value: Any, source: Tuple
-    ) -> None:
-        index = self._arrivals[proc]
-        self._arrivals[proc] = index + 1
-        self._program_window[proc].append(
-            ("w", location, value) if kind == "w" else ("r", location)
-        )
-        # Nothing parked anywhere: processing this op cannot unblock
-        # anything, so it skips the queue round trip.
-        if self._n_pending == 0 and self._process(
-            proc, index, kind, location, value, source
-        ):
-            return
-        self._pending[proc].append(
-            MonitorOp(proc, index, kind, location, value, source)
-        )
-        self._n_pending += 1
-        self._drain()
-
-    # ------------------------------------------------------------------
-    # Kahn-with-parking processing
-    # ------------------------------------------------------------------
-    def _drain(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            for queue in self._pending:
-                while queue:
-                    op = queue.popleft()
-                    self._n_pending -= 1
-                    if not self._process(*op):
-                        queue.appendleft(op)
-                        self._n_pending += 1
-                        break  # parks the whole process (program order)
-                    progress = True
-
     def _dead(self, location: str, source: Tuple) -> bool:
-        """Was this unseen source processed and then retired by GC?"""
+        """Was this unseen source filed and then retired by GC?"""
         if source[0] == "init":
             return location in self._init_killed
         if _is_stamped(source):
             # The writer has committed past this stamp, so the write was
-            # processed and GC retired it: provably dead (§4.8).
+            # filed and GC retired it: provably dead (§4.8).
             return source[1] <= self._max_stamp.get(source[0], -1)
         return source in self._killed_odd
 
-    def _process(
-        self,
-        proc: int,
-        index: int,
-        kind: str,
-        location: str,
-        value: Any,
-        source: Tuple,
-    ) -> bool:
-        """Process one op; False (nothing changed) when a read must park."""
-        candidates = self._candidates.get(location)
-        if kind == "r":
-            if candidates is None and source[0] == "init":
-                candidates = self._touch_location(location)
-            entry = None if candidates is None else candidates.get(source)
-            if entry is None and not self._dead(location, source):
-                return False
-        if candidates is None:
-            candidates = self._touch_location(location)
-        last = self.frontier[proc]
-        vt = last[:proc] + (last[proc] + 1,) + last[proc + 1:]
-        groups = self._notices[location]
+    def _filed(self, proc, index, kind, location, value, source, past, vt, ok):
+        """Window accounting, the verdict sink, and GC's cadence."""
         verdict = None
         if kind == "w":
-            candidates[source] = (vt, proc)
             self._window += 2  # +candidate +notice
             if _is_stamped(source):
                 writer, stamp = source
                 if stamp > self._max_stamp.get(writer, -1):
                     self._max_stamp[writer] = stamp
         else:
-            vt_excl = vt
-            if entry is None:
-                # The source's timestamp is below every process's
-                # frontier (that is why it was retired), so vt_excl IS
-                # the read's exact timestamp.
-                ok, reason = False, "dead-source"
-            else:
-                source_vt, writer = entry
-                own = source_vt[writer]
-                if vt_excl[writer] < own:
-                    ok = True  # concurrent -> live (condition 1)
-                    vt = tuple(map(max, vt_excl, source_vt))
-                else:
-                    ok = not _excluded(groups, source, writer, own, vt_excl)
-                reason = "" if ok else "stale-source"
+            self._window += 1  # +notice
+            self.reads_checked += 1
             # Verdict objects are built only when someone will see them.
-            # Evidence is snapshotted before the read's own notice lands
-            # (the notice would retire other candidates from the
-            # reported live set).
             if not ok or self.on_verdict is not None:
+                reason = ""
+                if not ok:
+                    # A dead source's clock is gone with its candidate.
+                    reason = (
+                        "stale-source" if source in self._candidates[location]
+                        else "dead-source"
+                    )
                 verdict = MonitorVerdict(
                     op=MonitorOp(proc, index, kind, location, value, source),
                     ok=ok, vt=vt,
-                    live=self.windowed_live_set(location, vt_excl),
+                    live=self.live_ids(location, proc, past),
                     reason=reason,
                     causal_past=() if ok else self._causal_past(vt),
                 )
-            self._window += 1  # +notice
-            self.reads_checked += 1
-        self.frontier[proc] = vt
-        group = groups.get(proc)
-        if group is None:
-            group = groups[proc] = _NoticeGroup()
-        group.append(vt[proc], vt, source)
-        if verdict is not None:
-            if self.on_verdict is not None:
-                self.on_verdict(verdict)
-            if not verdict.ok:
-                self.n_violations += 1
-                if len(self.violations) < self.VIOLATION_LIMIT:
-                    self.violations.append(verdict)
-                if self.metrics is not None:
-                    self._c_violations.inc()
-                if self.raise_on_violation:
-                    self._after_process()
-                    raise MonitorViolationError(verdict)
-        self._after_process()
-        return True
-
-    def _touch_location(self, location: str) -> Dict:
-        """Materialise the location: init candidate plus its notice groups."""
-        candidates = self._candidates[location] = {
-            ("init", location): (self._zero, 0)
-        }
-        self._notices[location] = {}
-        self._window += 1
-        return candidates
-
-    # ------------------------------------------------------------------
-    # Windowed live sets (Definition 1 over the window)
-    # ------------------------------------------------------------------
-    def windowed_live_set(
-        self, location: str, vt_excl: Tuple[int, ...]
-    ) -> Tuple[Tuple, ...]:
-        """The window's live write identities for an exclusion timestamp."""
-        candidates = self._candidates.get(location)
-        if not candidates:
-            return ()
-        groups = self._notices[location]
-        return tuple(
-            write_id
-            for write_id, (write_vt, writer) in candidates.items()
-            if vt_excl[writer] < write_vt[writer]  # concurrent (condition 1)
-            or not _excluded(
-                groups, write_id, writer, write_vt[writer], vt_excl
-            )
-        )
+                if self.on_verdict is not None:
+                    self.on_verdict(verdict)
+                if not ok:
+                    self.n_violations += 1
+                    if len(self.violations) < self.VIOLATION_LIMIT:
+                        self.violations.append(verdict)
+                    if self.metrics is not None:
+                        self._c_violations.inc()
+        self.ops_processed += 1
+        window = self._window + len(self._candidates) + self._n_pending
+        if window > self.max_window:
+            self.max_window = window
+        self._since_gc += 1
+        if self._since_gc >= self.gc_interval:
+            self._since_gc = 0
+            self._collect()
+            if self.metrics is not None:
+                self._sync_metrics()
+        if not ok and self.raise_on_violation:
+            raise MonitorViolationError(verdict)
 
     def _causal_past(self, vt: Tuple[int, ...]) -> Tuple[Tuple, ...]:
         """Window writes causally at-or-below ``vt`` (violation evidence)."""
@@ -515,18 +386,6 @@ class CausalStreamMonitor:
     # ------------------------------------------------------------------
     # GC of causally-dominated prefixes
     # ------------------------------------------------------------------
-    def _after_process(self) -> None:
-        self.ops_processed += 1
-        window = self._window + self._n_pending
-        if window > self.max_window:
-            self.max_window = window
-        self._since_gc += 1
-        if self._since_gc >= self.gc_interval:
-            self._since_gc = 0
-            self._collect()
-            if self.metrics is not None:
-                self._sync_metrics()
-
     def _sync_metrics(self) -> None:
         """Fold current state into the gauges (GC cadence, and on result).
 
@@ -537,7 +396,7 @@ class CausalStreamMonitor:
         """
         self._c_ops.inc(self.ops_processed - self._ops_synced)
         self._ops_synced = self.ops_processed
-        self._g_window.set(self._window + self._n_pending)
+        self._g_window.set(self.window_size())
         self._g_frontier.set(self.frontier_width())
         if self._obs_seconds > 0.0:
             # _obs_seconds holds the 1-in-TIMING_SAMPLE sampled feeds.
@@ -594,7 +453,7 @@ class CausalStreamMonitor:
     # ------------------------------------------------------------------
     def window_size(self) -> int:
         """Ops currently held: candidates + notices + parked."""
-        return self._window + self._n_pending
+        return self._window + len(self._candidates) + self._n_pending
 
     def frontier_width(self) -> int:
         """Total componentwise spread between process frontiers."""
@@ -612,7 +471,7 @@ class CausalStreamMonitor:
         """The verdict so far (final once the stream has ended)."""
         if self.metrics is not None:
             self._sync_metrics()
-        unresolved = [op for queue in self._pending for op in queue]
+        unresolved = [MonitorOp(*op) for queue in self._pending for op in queue]
         return MonitorResult(
             ok=self.n_violations == 0 and not unresolved,
             reads_checked=self.reads_checked,

@@ -9,11 +9,11 @@ no per-read offline verdicts (the offline checker reports the cycle);
 there the monitor must agree on the overall verdict via its unresolved
 (parked-forever) reads.
 
-The checker and the monitor share their between-ness test
-(``repro.checker.causality._excluded``), so their agreement is not
+The checker and the monitor are one feed
+(``repro.checker.causality.CausalFeed``), so their agreement is not
 independent evidence.  The tests that carry that weight hold the monitor
 against ``_causal_graph.py`` instead: ``*->`` by plain graph search and
-Definition 1 read off the page.
+Definition 1 read off the page, in more than one feed order.
 """
 
 import random
@@ -55,6 +55,14 @@ def _compare_one(history, n_procs):
         # Online, the cycle's reads park forever and fail the run.
         assert not result.ok, f"monitor missed cycle:\n{history.to_text()}"
         assert result.unresolved
+        # With nothing collected, the monitor parks exactly the ops the
+        # checker names, in the same order.
+        gc_off = feed_history(
+            CausalStreamMonitor(n_procs, gc_interval=10**9), history
+        )
+        assert [(op.proc, op.index) for op in gc_off.unresolved] == [
+            op.op_id for op in offline.cycle.cycle_members
+        ], history.to_text()
     else:
         assert result.ok == offline.ok, (
             f"verdict drift:\n{history.to_text()}\n"
@@ -231,6 +239,7 @@ def test_unread_monitor_matches_offline_checker(monkeypatch):
         for gc in gc_intervals:
             monitor = _unread_monitor(len(history.processes), gc)
             _assert_flags_match(feed_history(monitor, history), history)
+        _compare_one(history, len(history.processes))
     assert min(outcomes.values()) >= 20, outcomes
     for history, results in _recorded_owner_runs(monkeypatch, gc_intervals):
         assert len(history) == 400
@@ -267,13 +276,35 @@ def test_unread_monitor_matches_the_literal_definition():
     assert flagged_reads >= 20, flagged_reads
 
 
+def _feed_processes(monitor, history, procs):
+    """Feed every op of each process in ``procs`` before the next's."""
+    for proc in procs:
+        for op in history.processes[proc]:
+            monitor.feed_op(
+                op.proc, op.kind, op.location, op.value,
+                op.write_id if op.is_write else op.read_from,
+            )
+
+
+FEED_ORDERS = {
+    "round-robin": feed_history,
+    "process-ascending": lambda monitor, history: _feed_processes(
+        monitor, history, range(history.n_procs)
+    ),
+    "process-descending": lambda monitor, history: _feed_processes(
+        monitor, history, reversed(range(history.n_procs))
+    ),
+}
+
+
 def test_own_component_test_is_causal_order():
     """The lemma the monitor's integer tests rest on: for its clocks,
     ``a *-> b`` iff ``vt(b)[p(a)] >= vt(a)[p(a)]`` iff ``vt(a) <= vt(b)``
     componentwise — on every pair of processed ops, ``*->`` by graph
-    search."""
+    search, whatever order the processes' streams are interleaved in."""
     histories = 0
     seed = 0
+    wakes = dict.fromkeys(FEED_ORDERS, 0)
     while histories < 200:
         seed += 1
         history = random_history(seed, n_procs=3, n_locations=2, ops_per_proc=6)
@@ -281,22 +312,40 @@ def test_own_component_test_is_causal_order():
         if graph.cycle_members():
             continue
         histories += 1
-        monitor = CausalStreamMonitor(
-            len(history.processes), gc_interval=10**9
-        )
-        feed_history(monitor, history)
-        # Nothing is retired, so every processed op left exactly one
-        # notice, in program order within its (location, process) group.
-        processed = []
-        for proc, ops in enumerate(history.processes):
-            for location in {op.location for op in ops}:
-                mine = [op for op in ops if op.location == location]
-                group_vts = monitor._notices[location][proc].vts
-                assert len(mine) == len(group_vts)
-                processed += zip(mine, group_vts)
-        for a, vt_a in processed:
-            for b, vt_b in processed:
-                causal = a.op_id == b.op_id or graph.precedes(a, b)
-                own = vt_b[a.proc] >= vt_a[a.proc]
-                componentwise = all(x <= y for x, y in zip(vt_a, vt_b))
-                assert causal == own == componentwise, (a, b, history.to_text())
+        for name, feed in FEED_ORDERS.items():
+            wakes[name] += _assert_clocks_are_causal_order(feed, history, graph)
+    # Descending order parks early processes on later ones' writes, so
+    # one write wakes several processes at once.
+    assert wakes["process-descending"] > 0, wakes
+
+
+def _assert_clocks_are_causal_order(feed, history, graph):
+    """Feed ``history`` with ``feed`` and hold every pair of notice
+    clocks against ``graph``; returns how often one filed write woke
+    more than one parked process."""
+    monitor = CausalStreamMonitor(len(history.processes), gc_interval=10**9)
+    drain, multiple = monitor._drain, [0]
+
+    def counted_drain():
+        multiple[0] += len(monitor._woken) > 1
+        drain()
+
+    monitor._drain = counted_drain
+    feed(monitor, history)
+    assert monitor.result().ok == check_causal(history).ok
+    # Nothing is retired, so every processed op left exactly one
+    # notice, in program order within its (location, process) group.
+    processed = []
+    for proc, ops in enumerate(history.processes):
+        for location in {op.location for op in ops}:
+            mine = [op for op in ops if op.location == location]
+            group_vts = monitor._notices[location][proc].vts
+            assert len(mine) == len(group_vts)
+            processed += zip(mine, group_vts)
+    for a, vt_a in processed:
+        for b, vt_b in processed:
+            causal = a.op_id == b.op_id or graph.precedes(a, b)
+            own = vt_b[a.proc] >= vt_a[a.proc]
+            componentwise = all(x <= y for x, y in zip(vt_a, vt_b))
+            assert causal == own == componentwise, (a, b, history.to_text())
+    return multiple[0]
