@@ -1,8 +1,9 @@
 """Streaming online causal-consistency monitoring (DESIGN.md §4.8).
 
 The observability layer records what happened; this package judges it
-*while it happens*: :class:`CausalStreamMonitor` consumes the
-``proto.op.commit`` event stream and maintains a bounded causal window
+*while it happens*: :class:`CausalStreamMonitor` consumes committed
+operations (handed over by the nodes, or as ``proto.op.commit`` events
+when a collector is attached) and maintains a bounded causal window
 — per-process frontiers, candidate writes, exclusion notices — over
 which every read is checked against Definition 2 the moment it commits.
 On the full explorer corpus its verdicts coincide with the offline

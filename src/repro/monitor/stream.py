@@ -2,16 +2,19 @@
 
 Three ingestion paths, one monitor:
 
-* :func:`attach_monitor` — subscribe to a live cluster's collector (the
-  ``repro monitor`` CLI's live-attach mode).  The monitor sees each
-  ``proto.op.commit`` the instant it is emitted — on a metrics-only
-  collector that is the one event kind built at all.
+* :func:`attach_monitor` — judge a live cluster while it runs (the
+  ``repro monitor`` CLI's live-attach mode).  With no collector
+  attached, a :class:`_CommitTee` stands in for each node's history
+  recorder and hands every committed op to the monitor as the node
+  records it: no collector, no event built.  A cluster that already
+  has a collector (or a telemetry plane) is judged on that stream
+  instead: the monitor subscribes to its ``proto.op.commit`` events.
 * :func:`feed_trace` — replay an exported trace file (``repro trace
   --format json``) or an in-memory event list through the monitor.
 * :func:`feed_history` — drive the monitor from an offline
   :class:`~repro.checker.history.History`, round-robin across processes
-  (any per-process-ordered interleaving yields the same verdicts; the
-  differential harness relies on this).
+  (on a complete stream any per-process-ordered interleaving yields the
+  same verdicts; the differential harness relies on this).
 """
 
 from __future__ import annotations
@@ -31,15 +34,53 @@ __all__ = [
 ]
 
 
-class MonitorSubscription:
-    """A monitor attached to one live collector; detachable."""
+class _CommitTee:
+    """Stands in for one node's ``recorder``: records, then feeds.
 
-    def __init__(self, monitor: CausalStreamMonitor, collector, sim=None):
+    ``recorder`` is what it replaced — the history recorder, ``None``
+    under ``record_history=False``, or another monitor's tee.
+    """
+
+    __slots__ = ("node", "recorder", "feed_op")
+
+    def __init__(self, node, feed_op):
+        self.node = node
+        self.recorder = node.recorder
+        self.feed_op = feed_op
+        node.recorder = self
+
+    def record_read(self, proc, location, value, read_from):
+        if self.recorder is not None:
+            self.recorder.record_read(proc, location, value, read_from)
+        self.feed_op(proc, "r", location, value, read_from)
+
+    def record_write(self, proc, location, value, write_id):
+        if self.recorder is not None:
+            self.recorder.record_write(proc, location, value, write_id)
+        self.feed_op(proc, "w", location, value, write_id)
+
+    def unlink(self) -> None:
+        holder = self.node
+        while holder.recorder is not self:
+            holder = holder.recorder
+        holder.recorder = self.recorder
+
+
+class MonitorSubscription:
+    """A monitor attached to a collector or to nodes' commits; detachable."""
+
+    def __init__(
+        self, monitor: CausalStreamMonitor, collector=None, sim=None, nodes=()
+    ):
         self.monitor = monitor
         self.collector = collector
         self._sim = sim
         self._ticks_at_attach = self._ticks()
-        collector.subscribe(monitor.observe, category="proto", name="op.commit")
+        if collector is not None:
+            collector.subscribe(
+                monitor.observe, category="proto", name="op.commit"
+            )
+        self._tees = [_CommitTee(node, monitor.feed_op) for node in nodes]
 
     def _ticks(self) -> int:
         # The counter the substrate keeps anyway: kernel events on the
@@ -54,8 +95,12 @@ class MonitorSubscription:
         return self._ticks() - self._ticks_at_attach
 
     def detach(self) -> None:
-        """Unsubscribe from the collector."""
-        self.collector.unsubscribe(self.monitor.observe)
+        """Unsubscribe from the collector, or unlink exactly our tees."""
+        if self.collector is not None:
+            self.collector.unsubscribe(self.monitor.observe)
+        for tee in self._tees:
+            tee.unlink()
+        self._tees = []
 
     def result(self) -> MonitorResult:
         return self.monitor.result()
@@ -64,32 +109,33 @@ class MonitorSubscription:
 def attach_monitor(
     cluster,
     monitor: Optional[CausalStreamMonitor] = None,
-    collector=None,
     **monitor_kwargs,
 ) -> MonitorSubscription:
     """Attach a streaming monitor to a live cluster.
 
-    Uses the cluster's already-attached collector when it has one;
-    otherwise attaches ``collector`` (or a fresh metrics-only one — the
-    monitor does not need the event list, so ``keep_events=False``
-    keeps long runs bounded).  Extra keyword arguments go to the
-    :class:`CausalStreamMonitor` constructor.
+    A cluster with a collector (or a telemetry plane) is judged on that
+    stream's ``proto.op.commit`` events, and the monitor's metrics go to
+    the collector's registry.  A cluster with none gets none: each
+    node's commits reach the monitor where the node records them, and
+    the metrics go to a registry of the monitor's own
+    (``subscription.monitor.metrics``).  Extra keyword arguments go to
+    the :class:`CausalStreamMonitor` constructor.
     """
-    if cluster.obs is not None:
-        collector = cluster.obs
+    collector = cluster.obs
+    if collector is not None:
+        metrics, nodes = collector.metrics, ()
     else:
-        if collector is None:
-            from repro.obs.collector import TraceCollector
+        # Imported here: ``repro.obs`` is a package of ~25 modules.
+        from repro.obs.metrics import MetricsRegistry
 
-            collector = TraceCollector(keep_events=False)
-        cluster.attach_obs(collector)
+        metrics, nodes = MetricsRegistry(), cluster.nodes
     if monitor is None:
         monitor = CausalStreamMonitor(
             cluster.n_nodes,
-            metrics=monitor_kwargs.pop("metrics", collector.metrics),
+            metrics=monitor_kwargs.pop("metrics", metrics),
             **monitor_kwargs,
         )
-    return MonitorSubscription(monitor, collector, sim=cluster.sim)
+    return MonitorSubscription(monitor, collector, cluster.sim, nodes)
 
 
 def attach_plane_monitor(
@@ -112,14 +158,9 @@ def attach_plane_monitor(
     violation verdict trips the flight recorder at the moment of the
     bad read.
     """
-    if monitor is None:
-        monitor = CausalStreamMonitor(
-            plane.cluster.n_nodes,
-            metrics=monitor_kwargs.pop("metrics", plane.out.metrics),
-            **monitor_kwargs,
-        )
-    subscription = MonitorSubscription(monitor, plane.out, sim=None)
-    plane.watch_monitor(monitor)
+    # The plane's merged collector is its cluster's ``obs``.
+    subscription = attach_monitor(plane.cluster, monitor, **monitor_kwargs)
+    plane.watch_monitor(subscription.monitor)
     return subscription
 
 
@@ -156,7 +197,8 @@ def feed_history(
     Feeds round-robin, one op per process per round, preserving program
     order within each process — the only ordering the live stream
     guarantees.  Parking resolves cross-process reads-from ordering, so
-    any such interleaving produces identical verdicts.
+    on a complete stream any such interleaving produces identical
+    verdicts.
     """
     queues: List[List] = [list(ops) for ops in history.processes]
     cursors = [0] * len(queues)

@@ -63,9 +63,10 @@ def _run_live(
 ) -> LiveOutcome:
     """The one live runner: wire observation, ``start`` the program, run.
 
-    With ``monitor`` a :class:`~repro.monitor.CausalStreamMonitor` rides
-    the run via the live collector, and the outcome carries its result
-    plus the per-read online verdicts keyed ``(proc, index)``.
+    With ``monitor`` a :class:`~repro.monitor.CausalStreamMonitor` judges
+    the run as it commits (:func:`~repro.monitor.attach_monitor`), and
+    the outcome carries its result plus the per-read online verdicts
+    keyed ``(proc, index)``.
 
     ``plane`` attaches a :class:`~repro.obs.plane.TelemetryPlane` (pass
     ``True`` for a default one) — per-node shards over the telemetry
