@@ -90,16 +90,16 @@ class WriteBehindNode(CausalOwnerNode):
         return future
 
     def _complete_write(self, msg: WriteReply) -> None:
-        self._pending_writes.pop(msg.request_id)
+        _, location, _, _ = self._pending_writes.pop(msg.request_id)
         self.vt = self.vt.update(msg.stamp)  # VT_i := update(VT_i, VT')
         self._note_stamp(msg.stamp, own=True)
         if msg.applied and not self.no_cache:
             me = self.node_id
-            cached = self.store.get(msg.location)
+            cached = self.store.get(location)
             # The same write (writer and own component match): restamp it.
             mine = cached is not None and cached.writer == me
             if mine and cached.stamp[me] == msg.stamp[me]:
-                self.store.restamp(msg.location, msg.stamp)
+                self.store.restamp(location, msg.stamp)
 
 
 def write_behind(cluster: DSMCluster) -> DSMCluster:

@@ -134,11 +134,7 @@ class CausalOwnerNode(DSMNode):
         self.runtime.send(
             self.node_id,
             self.namespace.owner(location),
-            ReadRequest(
-                request_id=request_id,
-                location=location,
-                unit=self.namespace.unit(location),
-            ),
+            ReadRequest(request_id=request_id, location=location),
         )
 
     def _note_stamp(
@@ -249,15 +245,16 @@ class CausalOwnerNode(DSMNode):
             )
         requested = self.store.get(msg.location)
         assert requested is not None
+        # The requested entry first: the reply's location is its own.
         entries = [
             EntryPayload(
                 msg.location, requested.value, requested.stamp,
                 requested.writer,
             )
         ]
-        reply_stamp = requested.stamp
         # Page granularity: ship every location of the unit the owner holds.
-        for other in self.store.locations_in_unit(msg.unit):
+        unit = self.namespace.unit(msg.location)
+        for other in self.store.locations_in_unit(unit):
             if other == msg.location:
                 continue
             entry = self.store.get(other)
@@ -265,38 +262,30 @@ class CausalOwnerNode(DSMNode):
             entries.append(
                 EntryPayload(other, entry.value, entry.stamp, entry.writer)
             )
-            reply_stamp = reply_stamp.update(entry.stamp)
         self.runtime.send(
             self.node_id,
             src,
-            ReadReply(
-                request_id=msg.request_id,
-                location=msg.location,
-                entries=tuple(entries),
-                stamp=reply_stamp,
-            ),
+            ReadReply(request_id=msg.request_id, entries=tuple(entries)),
         )
 
     def _complete_read(self, msg: ReadReply) -> None:
         pending = self._pending_reads.pop(msg.request_id, None)
         if pending is None:
             raise ProtocolError(
-                f"node {self.node_id} got stray R_REPLY {msg.request_id} "
-                f"for {msg.location!r}"
+                f"node {self.node_id} got stray R_REPLY {msg.request_id}"
             )
         future, location, started = pending
         served, owned = self._flight.pop(msg.request_id)
-        requested = next(
-            (p for p in msg.entries if p.location == location), None
-        )
-        if requested is None:
+        if not msg.entries or msg.entries[0].location != location:
             raise ProtocolError(
-                f"node {self.node_id}: R_REPLY {msg.request_id} did not "
-                f"contain the requested location {location!r}"
+                f"node {self.node_id}: R_REPLY {msg.request_id} does not "
+                f"begin with the requested location {location!r}"
             )
+        requested = msg.entries[0]
         # VT_i := update(VT_i, VT')
-        self.vt = self.vt.update(msg.stamp)
-        self._note_stamp(msg.stamp, own=True)
+        stamp = msg.stamp
+        self.vt = self.vt.update(stamp)
+        self._note_stamp(stamp, own=True)
         fresh = () if self.no_cache else msg.entries
         if served or owned:
             by = self._overtaken(requested.stamp, owned)
@@ -328,7 +317,7 @@ class CausalOwnerNode(DSMNode):
             ]
         # forall y in C_i : M_i[y].VT < VT'  =>  M_i[y] := bottom
         swept = self.store.invalidate_older_than(
-            msg.stamp, keep=[payload.location for payload in fresh]
+            stamp, keep=[payload.location for payload in fresh]
         )
         if swept:
             self._emit_sweep(swept, "read_reply", requested)
@@ -423,8 +412,6 @@ class CausalOwnerNode(DSMNode):
             src,
             WriteReply(
                 request_id=msg.request_id,
-                location=msg.location,
-                value=msg.value,
                 stamp=self.vt,
                 applied=apply,
                 current=survivor,
@@ -435,9 +422,9 @@ class CausalOwnerNode(DSMNode):
         pending = self._pending_writes.pop(msg.request_id, None)
         if pending is None:
             raise ProtocolError(
-                f"node {self.node_id} got stray W_REPLY {msg.request_id} "
-                f"for {msg.location!r}"
+                f"node {self.node_id} got stray W_REPLY {msg.request_id}"
             )
+        # x and v are the pending request's: the reply does not echo them.
         future, location, value, started = pending
         served, owned = self._flight.pop(msg.request_id)
         # VT_i := update(VT_i, VT')

@@ -53,29 +53,46 @@ class EntryPayload:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True, slots=True)
 class ReadRequest:
-    """``[READ, x]`` — a read miss asking the owner for a current copy."""
+    """``[READ, x]`` — a read miss asking the owner for a current copy.
+
+    The owner derives the unit to ship from ``location`` through its own
+    namespace, so the unit does not travel.
+    """
 
     kind: ClassVar[str] = "READ"
     request_id: int
     location: str
-    unit: str
 
 
 @dataclass(frozen=True, slots=True)
 class ReadReply:
     """``[R_REPLY, x, v', VT']`` — the owner's copy.
 
-    With page granularity the reply carries every location of the unit the
-    owner currently holds; ``stamp`` is the writestamp the reader's
-    invalidation sweep compares against (the requested location's stamp in
-    word mode; the merged unit stamp in page mode).
+    The requested location's entry comes first; with page granularity
+    every other location of the unit the owner currently holds follows
+    it.  ``location`` and ``stamp`` are derived, not carried: ``stamp``
+    is the writestamp the reader's invalidation sweep compares against,
+    the join of the entries' stamps (the one entry's own stamp in word
+    mode; the merged unit stamp in page mode).
     """
 
     kind: ClassVar[str] = "R_REPLY"
     request_id: int
-    location: str
     entries: Tuple[EntryPayload, ...]
-    stamp: VectorClock
+
+    @property
+    def location(self) -> str:
+        """The requested location: the first entry's."""
+        return self.entries[0].location
+
+    @property
+    def stamp(self) -> VectorClock:
+        """``VT'``: the join of every entry's writestamp."""
+        entries = self.entries
+        stamp = entries[0].stamp
+        for entry in entries[1:]:
+            stamp = stamp.update(entry.stamp)
+        return stamp
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,16 +110,15 @@ class WriteRequest:
 class WriteReply:
     """``[W_REPLY, x, v, VT']`` — certification result.
 
-    ``applied`` is False when the owner's conflict-resolution policy
-    rejected the write (the dictionary's owner-favoured policy);
-    ``current`` then carries the surviving entry so the writer can cache
-    it.
+    The ``x`` and ``v`` it echoes are the writer's own pending request,
+    which ``request_id`` names, so they do not travel.  ``applied`` is
+    False when the owner's conflict-resolution policy rejected the write
+    (the dictionary's owner-favoured policy); ``current`` then carries
+    the surviving entry so the writer can cache it.
     """
 
     kind: ClassVar[str] = "W_REPLY"
     request_id: int
-    location: str
-    value: Any
     stamp: VectorClock
     applied: bool = True
     current: Optional[EntryPayload] = None

@@ -43,6 +43,17 @@ Cost model (all sizes in bytes)::
     stamp, full          2 + 4 * n        (prefix + u32 counters)
     stamp, sparse delta  2 + (i + w) * k  (prefix + k (index, step) pairs)
     stamp, dense delta   2 + w * n        (prefix + n steps)
+    entry                location + value + stamp + writer id
+
+    READ     header + id + location
+    R_REPLY  header + id + 2 + entries   (the requested entry first)
+    WRITE    header + id + location + value + stamp
+    W_REPLY  header + id + stamp + flags [+ entry]
+
+A frame carries nothing its receiver can derive: a READ's unit is the
+owner's namespace's, an R_REPLY's location is its first entry's and its
+``VT'`` the join of its entries' stamps, and a W_REPLY's ``x`` and ``v``
+are those of the pending WRITE its request id names.
 
 A delta carries each moved component's signed *step* over its basis,
 ``w`` = 1, 2 or 4 bytes wide, the narrowest that holds every step of
@@ -110,8 +121,9 @@ STAMP_FULL_ENTRY_BYTES = 4
 
 #: Carried in every frame header and in the live hello; a decoder
 #: rejects any other value (1 decoded a W_REPLY over the channel basis,
-#: 2 carried a delta's new counters instead of its steps).
-WIRE_VERSION = 3
+#: 2 carried a delta's new counters instead of its steps, 3 sent a READ's
+#: unit, an R_REPLY's location and join stamp and a W_REPLY's x and v).
+WIRE_VERSION = 4
 #: Largest frame: the header's length field is 16 bits wide.
 MAX_FRAME = 0xFFFF
 
@@ -469,7 +481,7 @@ class _RecvState:
 #: ends a write reply.  A ``Type.field`` key overrides one type's field.
 _FIELD_KINDS = {
     "request_id": "uint", "seq": "uint",
-    "location": "text", "unit": "text",
+    "location": "text",
     "value": "value", "stamp": "stamp",
     "writer": "node", "sender": "node", "requester": "node", "owner": "node",
     "copyset": "nodes", "entries": "entries",
@@ -631,25 +643,22 @@ def _build_layouts() -> None:
 
         return cost
 
-    def read_reply_cost(msg, _f=H + ID + 4, _pe=2 + ID):
-        dim = msg.stamp.dimension
-        stamp = SC + SF * dim
-        n = _f + len(msg.location) + stamp
-        count = 1
+    def read_reply_cost(msg, _f=H + ID + 2, _pe=2 + ID + SC):
+        n, count = _f, 0
         for entry in msg.entries:
-            n += _pe + len(entry.location) + vb(entry.value) + stamp
-            count += 1
-        return n, count * dim
+            dim = entry.stamp.dimension
+            n += _pe + len(entry.location) + vb(entry.value) + SF * dim
+            count += dim
+        return n, count
 
-    def write_reply_cost(msg, _f=H + ID + 3 + SC, _pe=2 + ID):
+    def write_reply_cost(msg, _f=H + ID + SC + 1, _pe=2 + ID + SC):
         dim = msg.stamp.dimension
-        n = _f + len(msg.location) + vb(msg.value) + SF * dim
-        count = 1
         current = msg.current
-        if current is not None:
-            n += _pe + len(current.location) + vb(current.value) + SC + SF * dim
-            count = 2
-        return n, count * dim
+        if current is None:
+            return _f + SF * dim, dim
+        extra = current.stamp.dimension
+        return (_f + SF * (dim + extra) + _pe + len(current.location)
+                + vb(current.value)), dim + extra
 
     def grant_cost(msg, _f=H + ID + 2 + ID + 2 + SC):
         dim = msg.stamp.dimension
@@ -658,8 +667,7 @@ def _build_layouts() -> None:
 
     # -- the table: code, type, cost -------------------------------------
     # causal owner (Figure 4); codes 5 and 6 are retired, never reused
-    register(1, m.ReadRequest, lambda msg, _f=H + ID + 4: (
-        _f + len(msg.location) + len(msg.unit), 0))
+    register(1, m.ReadRequest, plain(ID))
     register(2, m.ReadReply, read_reply_cost)
     register(3, m.WriteRequest, stamped(ID))
     register(4, m.WriteReply, write_reply_cost)

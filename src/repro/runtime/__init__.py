@@ -12,8 +12,8 @@ names that surface (:class:`Runtime`) and provides two drivers:
     the handle is bound-method forwarding, so the hot path is unchanged.
 :class:`AsyncioRuntime`
     Real execution — the same unmodified engine code driven by an
-    asyncio event loop, exchanging length-prefixed frames over Unix
-    domain sockets or TCP, with the wire codec's per-channel delta-stamp
+    asyncio event loop, exchanging self-delimiting wire frames over
+    Unix domain sockets or TCP, with the wire codec's per-channel delta-stamp
     state and full-stamp resync on reconnect.
 
 :class:`LiveCluster` mirrors :class:`~repro.protocols.base.DSMCluster`

@@ -11,34 +11,38 @@ the engines cannot tell which driver they are on.
 Wire format
 -----------
 A connection opens with a fixed 7-byte hello (magic, wire version, the
-dialling node's id); after it, each frame is a 4-byte big-endian length
-followed by exactly the bytes :class:`~repro.protocols.wire.WireCodec`
-produced for the message — the layout of DESIGN.md Section 4.5, the
-same bytes the simulator's network carries, and nothing else.  The
+dialling node's id); after it, the stream is the frames themselves,
+back to back: exactly the bytes :class:`~repro.protocols.wire.WireCodec`
+produced for each message — the layout of DESIGN.md Section 4.5, the
+same bytes the simulator's network carries, and nothing else.  A frame
+delimits itself: its 12-byte header carries its length.  The
 per-channel delta-stamp chain is sound here because a SOCK_STREAM
 connection gives exactly the per-channel FIFO the codec requires; a run
 without ``delta_stamps`` uses the same codec with every stamp full.
 
-Nothing read from a socket is trusted: a bad hello, a length outside
-``[HEADER_BYTES, MAX_FRAME]`` (checked when the prefix arrives, before
-any of that frame is waited for), and any frame the codec refuses are
-counted in ``frames_rejected`` and close that connection, which then
-resyncs from full stamps like any other lost connection.  Only an
-exception raised by an engine's own handler fails the run.
+Nothing read from a socket is trusted: a bad hello, a frame whose first
+byte is not this wire version (refused at that byte), one whose header
+gives a length below ``HEADER_BYTES`` or another channel's endpoints
+(refused once the header is complete, before any of the body is waited
+for), and any frame the codec refuses are counted in
+``frames_rejected`` and close that connection, which then resyncs from
+full stamps like any other lost connection.  Only an exception raised
+by an engine's own handler fails the run.
 
 Transport: callbacks, no tasks
 ------------------------------
-Each connection endpoint is one :class:`asyncio.Protocol` and each
-directed pair one plain channel record that outlives connections, so no
+Each connection endpoint is one :class:`asyncio.BufferedProtocol` and
+each directed pair one plain channel record that outlives connections, so no
 message costs a task switch.  ``send()`` appends to the channel and
 flushes it: on a zero-delay link inline (encode, count,
 ``transport.write`` before ``send()`` returns), on a delayed link from
 one ``loop.call_later`` per channel that writes every message that has
 come due in a single ``transport.write``.  A frame is encoded only in
 that flush, so a message still in the channel has consumed no sequence
-number.  ``data_received`` slices complete ``u32 length | frame``
-records out of what has arrived and calls ``decode`` and the handler
-directly — **the engine's handler runs inside the transport's read
+number.  The transport reads into the endpoint's one buffer with
+``recv_into``; ``buffer_updated`` slices complete frames, each as long
+as its header says, out of what has arrived and calls ``decode`` and
+the handler directly — **the engine's handler runs inside the transport's read
 callback**.  Back-pressure: between asyncio's ``pause_writing`` and
 ``resume_writing`` a channel's messages stay in it, un-encoded.
 
@@ -102,8 +106,8 @@ class LinkStats:
 
     ``model_bytes`` is the wire-model cost (the number the simulator
     would report for the same messages); ``socket_bytes`` is what
-    actually hit the socket (each frame's bytes plus its 4-byte length
-    prefix), in ``socket_writes`` calls to ``transport.write`` — a
+    actually hit the socket (each frame's bytes: the model plus value
+    tags and UTF-8 excess), in ``socket_writes`` calls to ``transport.write`` — a
     delayed channel coalesces, so ``messages / socket_writes`` can exceed
     1.  ``queue_depth`` is the backlog when sampled: sent, not encoded."""
 
@@ -116,9 +120,15 @@ class LinkStats:
     socket_writes: int
 
 
-_LENGTH = struct.Struct(">I")
+#: The frame header's routing fields: version, endpoints and length
+#: (kind and channel sequence skipped; the codec reads the whole header).
+_ROUTE = struct.Struct(">BxHH4xH")
 _HELLO = struct.Struct(">4sBH")  # magic, wire version, dialling node id
 _MAGIC = b"cDSM"
+#: Each endpoint's one receive buffer: a record cut short is less than a
+#: frame, so the next read always has room, and nothing is allocated per
+#: read (a ``Protocol`` transport allocates 256 KiB for each ``recv``).
+_BUFFER_BYTES = MAX_FRAME + 1
 
 #: Default artificial per-link one-way delay (seconds).  Real loopback
 #: latency is microseconds, which collapses every interleaving the
@@ -173,16 +183,19 @@ class _Channel:
         self.socket_writes = 0
 
 
-class _Conn(asyncio.Protocol):
+class _Conn(asyncio.BufferedProtocol):
     """``owner``'s endpoint of one connection: parses what arrives.
 
     Dialled endpoints know their ``peer``; an accepted one learns it
     from the hello (``peer is None`` until then).  ``channel`` is the
     outbound ``(owner, peer)`` channel this endpoint writes for, from
-    :meth:`AsyncioRuntime._attach` until the endpoint closes."""
+    :meth:`AsyncioRuntime._attach` until the endpoint closes.
+
+    The transport reads into ``buffer`` with ``recv_into``; its first
+    ``filled`` bytes are what arrived short of a whole record."""
 
     __slots__ = ("runtime", "owner", "peer", "transport", "channel",
-                 "pending", "paused")
+                 "buffer", "view", "filled", "paused")
 
     def __init__(self, runtime: "AsyncioRuntime", owner: int,
                  peer: Optional[int] = None):
@@ -191,7 +204,9 @@ class _Conn(asyncio.Protocol):
         self.peer = peer
         self.transport: Optional[asyncio.Transport] = None
         self.channel: Optional[_Channel] = None
-        self.pending = b""  # bytes received short of a whole record
+        self.buffer = bytearray(_BUFFER_BYTES)
+        self.view = memoryview(self.buffer)
+        self.filled = 0
         self.paused = False
 
     def connection_made(self, transport) -> None:
@@ -229,14 +244,17 @@ class _Conn(asyncio.Protocol):
         runtime.last_rejection = reason
         self.shut()
 
-    def data_received(self, data: bytes) -> None:
-        if self.pending:
-            data = self.pending + data
-        pos, end = 0, len(data)
+    def get_buffer(self, sizehint: int) -> memoryview:
+        filled = self.filled
+        return self.view[filled:] if filled else self.view
+
+    def buffer_updated(self, nbytes: int) -> None:
+        data, view = self.buffer, self.view
+        pos, end = 0, self.filled + nbytes
         runtime, dst = self.runtime, self.owner
         if self.peer is None:
             if end < _HELLO.size:
-                self.pending = data
+                self.filled = end
                 return
             pos = _HELLO.size
             magic, version, peer = _HELLO.unpack_from(data)
@@ -249,24 +267,36 @@ class _Conn(asyncio.Protocol):
                 or peer >= dst
                 or runtime._channel(dst, peer).conn is not None
             ):
-                self._refuse(f"hello {data[:pos]!r} refused by node {dst}")
+                self._refuse(
+                    f"hello {bytes(data[:pos])!r} refused by node {dst}")
                 return
             self.peer = peer
             runtime._attach(self)
         src = self.peer
         decode = runtime.codec.decode
         handler = runtime._handlers[dst]
-        while self.channel is not None and end - pos >= _LENGTH.size:
-            (length,) = _LENGTH.unpack_from(data, pos)
-            if not HEADER_BYTES <= length <= MAX_FRAME:
+        # A record is one frame; its header says how long it is.  What
+        # the header alone refutes is refused before the body is awaited.
+        while self.channel is not None and pos < end:
+            if data[pos] != WIRE_VERSION:
+                self._refuse(f"{src}->{dst}: wire version {data[pos]}, "
+                             f"want {WIRE_VERSION}")
+                return
+            if end - pos < HEADER_BYTES:
+                break
+            _, from_, to, length = _ROUTE.unpack_from(data, pos)
+            if length < HEADER_BYTES:
                 self._refuse(f"{src}->{dst}: frame length {length}")
                 return
-            start = pos + _LENGTH.size
-            if end - start < length:
+            if from_ != src or to != dst:
+                self._refuse(
+                    f"{src}->{dst}: frame for channel {from_}->{to}")
+                return
+            if end - pos < length:
                 break
-            pos = start + length
+            start, pos = pos, pos + length
             try:
-                message = decode(src, dst, data[start:pos])
+                message = decode(src, dst, bytes(view[start:pos]))
             except WireError as exc:
                 # Closing ends this connection; both directions then
                 # resync from full stamps like any lost link.
@@ -277,7 +307,10 @@ class _Conn(asyncio.Protocol):
                 handler(src, message)
             except Exception as exc:  # noqa: BLE001 - fail the whole run
                 runtime._abort(exc)
-        self.pending = data[pos:]
+        # A record cut short moves to the front.
+        if 0 < pos < end:
+            data[:end - pos] = data[pos:end]
+        self.filled = end - pos
 
 
 class AsyncioRuntime(Runtime):
@@ -485,7 +518,6 @@ class AsyncioRuntime(Runtime):
                     stamp_entries=stamp_entries,
                     stamp_entries_full=stamp_entries_full,
                 )
-                records.append(_LENGTH.pack(len(data)))
                 records.append(data)
         except Exception as exc:  # noqa: BLE001 - fail the whole run
             self._abort(exc)
@@ -507,7 +539,7 @@ class AsyncioRuntime(Runtime):
     # -- Link accounting (the obs-gauge surface of the live transport) -
     @property
     def socket_bytes(self) -> int:
-        """Bytes written to sockets (frames + prefixes); ``stats`` is the model."""
+        """Bytes written to sockets (whole frames); ``stats`` is the model."""
         return sum(c.socket_bytes for c in self._channels.values())
 
     @property

@@ -11,9 +11,11 @@ import pytest
 def test_e18_fast_path_claim_at_n8():
     """E18 (DESIGN.md experiment index): at n = 8 on the mixed workload
     with write bursts, delta stamps cut stamp entries per op by at least
-    30 % (measured 54.3 %) and bytes per op by at least 15 % (measured
-    39.8 % since a delta carries steps) while changing no message: equal
-    counts, equal histories."""
+    30 % (measured 39.7 %) and bytes per op by at least 15 % (measured
+    36.3 %) while changing no message: equal counts, equal histories.
+    The cut was 54.3 % and 39.8 % while an R_REPLY carried ``VT'`` twice:
+    about 14.6 points of the entry cut was that second copy, which a
+    delta sent empty and a full stamp sent whole."""
     from repro.protocols.base import DSMCluster
 
     n_nodes, ops_per_proc = 8, 120

@@ -403,7 +403,7 @@ class TestProtocolErrors:
         node1 = cluster.nodes[1]  # does not own x
         with pytest.raises(ProtocolError):
             node1.handle_message(
-                0, ReadRequest(request_id=1, location="x", unit="x")
+                0, ReadRequest(request_id=1, location="x")
             )
 
     def test_unexpected_message_rejected(self):
@@ -412,14 +412,14 @@ class TestProtocolErrors:
             cluster.nodes[0].handle_message(1, object())
 
     def test_read_reply_nobody_asked_for_rejected(self):
-        from repro.protocols.messages import ReadReply
+        from repro.protocols.messages import EntryPayload, ReadReply
 
         cluster = two_node_cluster()
         stray = ReadReply(
-            request_id=99, location="x", entries=(),
-            stamp=VectorClock.zero(2),
+            request_id=99,
+            entries=(EntryPayload("x", 0, VectorClock.zero(2), writer=-1),),
         )
-        with pytest.raises(ProtocolError, match=r"node 1 .*99.*'x'"):
+        with pytest.raises(ProtocolError, match=r"node 1 .*stray R_REPLY 99"):
             cluster.nodes[1].handle_message(0, stray)
 
     def test_write_reply_nobody_asked_for_rejected(self):
@@ -428,10 +428,9 @@ class TestProtocolErrors:
         cluster = two_node_cluster()
         node1 = cluster.nodes[1]
         before = node1.vt
-        stray = WriteReply(
-            request_id=7, location="x", value=1, stamp=VectorClock((5, 0)),
-        )
-        with pytest.raises(ProtocolError, match=r"node 1 .*7.*'x'"):
+        stray = WriteReply(request_id=7, stamp=VectorClock((5, 0)))
+        # x and v are the pending request's, and there is none to name.
+        with pytest.raises(ProtocolError, match=r"node 1 .*stray W_REPLY 7"):
             node1.handle_message(0, stray)
         assert node1.vt == before  # nothing merged before the check
 
@@ -444,11 +443,9 @@ class TestProtocolErrors:
         (request_id,) = node1._pending_writes
         cluster.run()
         assert done.result().applied and not node1._pending_writes
-        again = WriteReply(
-            request_id=request_id, location="x", value=4, stamp=node1.vt,
-        )
+        again = WriteReply(request_id=request_id, stamp=node1.vt)
         with pytest.raises(
-            ProtocolError, match=rf"node 1 .*{request_id}.*'x'"
+            ProtocolError, match=rf"node 1 .*stray W_REPLY {request_id}"
         ):
             node1.handle_message(0, again)
 
@@ -487,13 +484,34 @@ class TestProtocolErrors:
                 node1._note_stamp(VectorClock((3, 0)), own=own)
             stamp = VectorClock((1, 0))
             reply = ReadReply(
-                request_id=request_id, location="x",
-                entries=(EntryPayload("z", 1, stamp, writer=0),), stamp=stamp,
+                request_id=request_id,
+                entries=(EntryPayload("z", 1, stamp, writer=0),),
             )
             with pytest.raises(
                 ProtocolError, match=rf"node 1.*{request_id}.*'x'"
             ):
                 node1.handle_message(0, reply)
+
+    def test_read_reply_not_led_by_the_location_rejected(self):
+        """The requested entry comes first: a reply that carries it
+        second names its request in the refusal, and merges nothing."""
+        from repro.protocols.messages import EntryPayload, ReadReply
+
+        cluster = two_node_cluster()
+        node1 = cluster.nodes[1]
+        node1.read("x")
+        (request_id,) = node1._pending_reads
+        before = node1.vt
+        stamp = VectorClock((1, 0))
+        reply = ReadReply(request_id=request_id, entries=(
+            EntryPayload("z", 1, stamp, writer=0),
+            EntryPayload("x", 2, stamp, writer=0),
+        ))
+        with pytest.raises(
+            ProtocolError, match=rf"node 1: R_REPLY {request_id} .*'x'"
+        ):
+            node1.handle_message(0, reply)
+        assert node1.vt == before
 
 
 class TestInFlightReplay:
@@ -666,8 +684,8 @@ class TestInFlightReplay:
         dominating, zero = VectorClock((0, 0, 4)), VectorClock.zero(3)
         node1._note_stamp(dominating, own=own)
         node1.handle_message(0, ReadReply(
-            request_id=request_id, location="x",
-            entries=(EntryPayload("x", 0, zero, writer=-1),), stamp=zero,
+            request_id=request_id,
+            entries=(EntryPayload("x", 0, zero, writer=-1),),
         ))
         (event,) = [
             e for e in collector.events if e.name.startswith("read.")

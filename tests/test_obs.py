@@ -35,7 +35,7 @@ from repro.sim.network import Network
 
 
 def read_request(n: int = 1) -> ReadRequest:
-    return ReadRequest(request_id=n, location="x", unit="x")
+    return ReadRequest(request_id=n, location="x")
 
 
 class TestCollector:

@@ -70,13 +70,14 @@ class TestCostModel:
             EntryPayload(location=f"l{i}", value=i, stamp=vc(i, 0), writer=0)
             for i in range(3)
         )
-        msg = ReadReply(request_id=2, location="l0", entries=entries, stamp=vc(3, 0))
+        msg = ReadReply(request_id=2, entries=entries)
         cost = measure_message(msg)
-        assert cost.stamp_count == 4  # 3 entry stamps + the reply stamp
-        assert cost.stamp_entries == 8
+        assert cost.stamp_count == 3  # the entry stamps; VT' is their join
+        assert cost.stamp_entries == 6
+        assert msg.stamp == vc(2, 0) and msg.location == "l0"
 
     def test_stampless_message_has_no_entries(self):
-        cost = measure_message(ReadRequest(request_id=1, location="x", unit="x"))
+        cost = measure_message(ReadRequest(request_id=1, location="x"))
         assert cost.stamp_entries == 0
         assert cost.byte_size > HEADER_BYTES
 
@@ -109,8 +110,7 @@ class TestCostModel:
             with pytest.raises(WireError, match=r"WRITE: field 'value'"):
                 codec.encode(0, 1, msg)
         nested = ReadReply(
-            request_id=1, location="x", stamp=vc(1, 0),
-            entries=(EntryPayload("x", (1, 2), vc(1, 0), 0),),
+            request_id=1, entries=(EntryPayload("x", (1, 2), vc(1, 0), 0),),
         )
         with pytest.raises(WireError, match=r"R_REPLY: field 'value' holds \(1, 2\)"):
             codec.encode(0, 1, nested)
@@ -140,7 +140,8 @@ class TestCostModel:
         assert codec.decode(0, 1, frame.data) == read_reply(*stamp)
         steps = [new - old for old, new in zip(basis, stamp) if new != old]
         k = len(steps)
-        size = frame.byte_size - (HEADER_BYTES + ID_BYTES + location_bytes("y") + 2)
+        size = frame.byte_size - (HEADER_BYTES + ID_BYTES + 2 + location_bytes("y")
+                                  + value_bytes(None) + ID_BYTES)
         assert size <= stamp_full_bytes(n)
         if not k:
             assert (size, frame.stamp_entries) == (2, 0)
@@ -170,21 +171,12 @@ class TestCostModel:
                 self.field = 42
 
         samples = [
-            m.ReadRequest(request_id=1, location="loc", unit="unit0"),
-            m.ReadReply(
-                request_id=2, location="loc",
-                entries=(entry, entry), stamp=vc(2, 2),
-            ),
-            m.ReadReply(request_id=2, location="loc", entries=(), stamp=vc(2, 2)),
+            m.ReadRequest(request_id=1, location="loc"),
+            m.ReadReply(request_id=2, entries=(entry, entry)),
+            m.ReadReply(request_id=2, entries=()),
             m.WriteRequest(request_id=3, location="loc", value=None, stamp=vc(0, 1)),
-            m.WriteReply(
-                request_id=4, location="loc", value=7, stamp=vc(1, 1),
-                applied=True, current=None,
-            ),
-            m.WriteReply(
-                request_id=4, location="loc", value="s", stamp=vc(1, 1),
-                applied=False, current=entry,
-            ),
+            m.WriteReply(request_id=4, stamp=vc(1, 1), applied=True, current=None),
+            m.WriteReply(request_id=4, stamp=vc(1, 1), applied=False, current=entry),
             m.AtomicReadRequest(request_id=7, location="loc"),
             m.AtomicReadReply(
                 request_id=8, location="loc", value=9, stamp=vc(1, 0), writer=0,
@@ -261,12 +253,11 @@ class TestCodecRoundTrip:
             EntryPayload(location="a", value=1, stamp=vc(1, 0, 0, 0), writer=0),
             EntryPayload(location="b", value=2, stamp=vc(1, 2, 0, 0), writer=1),
         )
-        msg = ReadReply(request_id=1, location="a", entries=entries,
-                        stamp=vc(1, 2, 0, 0))
+        msg = ReadReply(request_id=1, entries=entries)
         frame, decoded = self.roundtrip(codec, 2, 3, msg)
-        assert decoded == msg
+        assert decoded == msg and decoded.stamp == vc(1, 2, 0, 0)
         # First stamp full (4 entries); second differs from the first in
-        # one component; third is identical to the second.
+        # one component; VT', their join, does not travel.
         assert frame.stamp_entries == 5
 
     def test_channels_are_independent(self):
@@ -350,7 +341,7 @@ class TestCodecRoundTrip:
         ]
         codec.decode(0, 1, codec.encode(0, 1, stamped[0]).data)
         codec.encode(0, 1, stamped[1])  # lost in flight
-        plain = ReadRequest(request_id=9, location="x", unit="x")
+        plain = ReadRequest(request_id=9, location="x")
         assert codec.decode(0, 1, codec.encode(0, 1, plain).data) == plain
         with pytest.raises(WireDesyncError):
             codec.decode(0, 1, codec.encode(0, 1, stamped[2]).data)
@@ -368,7 +359,7 @@ class TestCodecRoundTrip:
             assert frame.stamp_entries == frame.stamp_entries_full == 4
             assert frame.byte_size == measure_message(msg).byte_size
         assert codec.entries_saved == 0 and codec.stamps_full == 3
-        answer = WriteReply(request_id=2, location="x", value=2, stamp=stamp)
+        answer = WriteReply(request_id=2, stamp=stamp)
         frame, decoded = self.roundtrip(codec, 1, 0, answer)
         assert decoded == answer and frame.stamp_entries == 4
         assert not any(codec._asked.values()) and not any(codec._owed.values())
@@ -376,8 +367,7 @@ class TestCodecRoundTrip:
     def test_write_reply_with_current_round_trips(self):
         codec = WireCodec()
         msg = WriteReply(
-            request_id=1, location="x", value=5, stamp=vc(2, 3),
-            applied=False,
+            request_id=1, stamp=vc(2, 3), applied=False,
             current=EntryPayload(location="x", value=9, stamp=vc(0, 3), writer=1),
         )
         _, decoded = self.roundtrip(codec, 1, 0, msg)
@@ -397,13 +387,12 @@ def write(request_id, *components):
 
 
 def reply(request_id, *components):
-    return WriteReply(request_id=request_id, location="x",
-                      value=request_id, stamp=vc(*components))
+    return WriteReply(request_id=request_id, stamp=vc(*components))
 
 
 def read_reply(*components):
-    return ReadReply(request_id=99, location="y", entries=(),
-                     stamp=vc(*components))
+    return ReadReply(request_id=99, entries=(
+        EntryPayload("y", None, vc(*components), 0),))
 
 
 class TestWriteReplyBasis:

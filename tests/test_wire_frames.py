@@ -83,10 +83,10 @@ def message_strategies(dimension):
     entries = st.lists(entry, max_size=4).map(tuple)
     copysets = st.lists(nodes, max_size=5).map(tuple)
     built = {
-        m.ReadRequest: (ids, names, names),
-        m.ReadReply: (ids, names, entries, stamp),
+        m.ReadRequest: (ids, names),
+        m.ReadReply: (ids, entries),
         m.WriteRequest: (ids, names, values, stamp),
-        m.WriteReply: (ids, names, values, stamp, st.booleans(), current),
+        m.WriteReply: (ids, stamp, st.booleans(), current),
         m.AtomicReadRequest: (ids, names),
         m.AtomicReadReply: (ids, names, values, stamp, nodes),
         m.AtomicWriteRequest: (ids, names, values, ids),
@@ -185,12 +185,12 @@ def test_replies_round_trip_over_their_requests(steps):
             channel, message = (0, 1), m.WriteRequest(step, "x", None, clock)
         elif action == "reply" and outstanding:
             request_id = list(outstanding)[clock.components[0] % len(outstanding)]
-            message = m.WriteReply(request_id, "x", None, VectorClock(
+            message = m.WriteReply(request_id, VectorClock(
                 old if new < 2 else new
                 for old, new in zip(outstanding.pop(request_id), clock.components)
             ))
         else:
-            message = m.ReadReply(0, "x", (), clock)
+            message = m.ReadReply(0, (m.EntryPayload("x", None, clock, 0),))
         assert codec.decode(*channel, codec.encode(*channel, message).data) == message
     assert not any(codec._owed.values()) or outstanding
 
@@ -236,13 +236,13 @@ def test_stamp_forms_on_one_channel():
         bytes.fromhex("5006 0001 0001 0001 012c 0000 0000"), 6)
 
     # A negative step: an R_REPLY carrying an entry older than the
-    # channel's last stamp; its own stamp then moves forward again.
+    # channel's last stamp.  Its VT' is that entry's stamp: not carried.
     entry = m.EntryPayload("y", None, VectorClock((3, 130, 32770, 301, 0, 0)), 0)
-    message = m.ReadReply(2, "x", (entry,), VectorClock((5, 130, 32770, 301, 0, 0)))
-    # header + id + location + count; entry: location + None, stamp, writer
-    data, entries = stamp(codec.encode(0, 1, message), message, HEADER_BYTES + 9)
-    assert data == bytes.fromhex("0001 79 00 0001 00 ff 00000000 0001 00 02")
-    assert entries == 2
+    message = m.ReadReply(2, (entry,))
+    # header + id + count; entry: location + None, stamp, writer
+    data, entries = stamp(codec.encode(0, 1, message), message, HEADER_BYTES + 6)
+    assert data == bytes.fromhex("0001 79 00 0001 00 ff 00000000")
+    assert entries == 1
 
     assert send(5 + 2 ** 31, 130, 32770, 301, 0, 0) == (  # a step >= 2**31
         full.pack(0x8006, 5 + 2 ** 31, 130, 32770, 301, 0, 0), 6)
@@ -282,9 +282,9 @@ def test_fields_outside_their_width_are_refused():
     with pytest.raises(WireError, match="cannot encode WRITE"):
         codec.encode(0, 1, m.WriteRequest(1, "x" * 70_000, 1, clock))
     with pytest.raises(WireError, match="MAX_FRAME"):
-        codec.encode(0, 1, m.ReadReply(1, "x", tuple(
+        codec.encode(0, 1, m.ReadReply(1, tuple(
             m.EntryPayload("x" * 1000, "v" * 1000, clock, 0) for _ in range(40)
-        ), clock))
+        )))
 
 
 # ----------------------------------------------------------------------
@@ -298,10 +298,10 @@ def _corpus():
     clock = VectorClock((3, 0, 2))
     entry = m.EntryPayload("y", "held", VectorClock((1, 0, 2)), 2)
     samples = [
-        m.ReadRequest(1, "x", "x"),
-        m.ReadReply(2, "x", (entry, entry), clock),
+        m.ReadRequest(1, "x"),
+        m.ReadReply(2, (entry, entry)),
         m.WriteRequest(3, "x", 7, clock),
-        m.WriteReply(4, "x", 2.5, clock, False, entry),
+        m.WriteReply(4, clock, False, entry),
         m.AtomicWriteRequest(7, "x", True, 9),
         m.CentralReply(8, "x", "v", clock, -1),
         m.BroadcastWrite(0, 1, "x", 1, clock),
@@ -314,16 +314,15 @@ def _corpus():
         m.WriteRequest(2, "x", 1, VectorClock((6, 0, 7, 1, 0, 3))),  # sparse
         m.WriteRequest(2, "x", 1, VectorClock((6, 1, 8, 2, 0, 3))),  # dense
         m.WriteRequest(2, "x", 1, VectorClock((5, 0, 7, 30_001, 0, 3))),  # i16
-        m.ReadReply(2, "x", (m.EntryPayload(  # an older entry: step -1
-            "x", 0, VectorClock((5, 0, 6, 1, 0, 3)), 0),),
-            VectorClock((9, 0, 7, 1, 0, 3))),
+        m.ReadReply(2, (m.EntryPayload(  # an older entry: step -1
+            "x", 0, VectorClock((5, 0, 6, 1, 0, 3)), 0),)),
     ):
         sender = WireCodec()
         corpus.append(((sender.encode(0, 1, basis).data,),
                        sender.encode(0, 1, after).data))
     owner = WireCodec()
     owner.decode(1, 0, owner.encode(1, 0, _ASKED).data)
-    reply = owner.encode(0, 1, m.WriteReply(5, "x", 1, VectorClock((2, 4, 1))))
+    reply = owner.encode(0, 1, m.WriteReply(5, VectorClock((2, 4, 1))))
     assert reply.stamp_entries == 1
     corpus.append(((), reply.data))
     return corpus
@@ -505,9 +504,20 @@ class _FakeTransport:
 _HELLO = struct.pack(">4sBH", b"cDSM", WIRE_VERSION, 0)
 
 
+def _received(conn, chunk: bytes) -> None:
+    """Hand ``chunk`` to ``conn`` as its transport does: ``recv_into``
+    the buffer ``get_buffer`` lends, then ``buffer_updated``."""
+    while chunk:
+        buffer = conn.get_buffer(-1)
+        size = min(len(buffer), len(chunk))
+        buffer[:size] = chunk[:size]
+        chunk = chunk[size:]
+        conn.buffer_updated(size)
+
+
 def _read(stream: bytes, chunks=None, handler=None):
     """Feed ``stream`` (node 0's bytes after its hello) to node 1's
-    accepted endpoint through ``data_received``, cut at the offsets in
+    accepted endpoint as its transport would, cut at the offsets in
     ``chunks``; returns the runtime, what its handler received, and how
     many bytes had been fed when the endpoint closed (None: still open).
     """
@@ -526,15 +536,11 @@ def _read(stream: bytes, chunks=None, handler=None):
     cuts = sorted({0, len(data), *(chunks or ())})
     closed_at = None
     for lo, hi in zip(cuts, cuts[1:]):
-        conn.data_received(data[lo:hi])
+        _received(conn, data[lo:hi])
         if transport.closed:
             closed_at = hi
             break
     return runtime, received, closed_at
-
-
-def _framed(data: bytes) -> bytes:
-    return struct.pack(">I", len(data)) + data
 
 
 def _good_frames(count=3):
@@ -547,7 +553,7 @@ def _good_frames(count=3):
 
 def test_reader_delivers_good_frames_and_stops_at_the_first_bad_one():
     good = _good_frames()
-    runtime, received, closed_at = _read(b"".join(_framed(f.data) for f in good))
+    runtime, received, closed_at = _read(b"".join(f.data for f in good))
     assert [(src, msg.request_id) for src, msg in received] == [
         (0, 1), (0, 2), (0, 3)
     ]
@@ -557,7 +563,7 @@ def test_reader_delivers_good_frames_and_stops_at_the_first_bad_one():
     corrupt = bytearray(good[1].data)
     corrupt[1] = 0xEE
     runtime, received, closed_at = _read(
-        _framed(good[0].data) + _framed(bytes(corrupt)) + _framed(good[2].data)
+        good[0].data + bytes(corrupt) + good[2].data
     )
     assert [msg.request_id for _, msg in received] == [1]
     assert runtime.frames_rejected == 1
@@ -594,7 +600,7 @@ def test_a_retired_kind_is_an_unknown_kind(code):
 
     after = _good_frames(1)[0].data
     runtime, received, closed_at = _read(
-        _framed(first) + _framed(retired) + _framed(after)
+        first + retired + after
     )
     assert [type(msg) for _, msg in received] == [m.Invalidate]
     assert runtime.frames_rejected == 1 and runtime.frames_delivered == 1
@@ -610,11 +616,11 @@ def test_a_reply_to_no_request_is_refused():
     first = forger.encode(0, 1, m.Invalidate(1, "x")).data
     forger.decode(1, 0, forger.encode(
         1, 0, m.WriteRequest(9, "x", 1, VectorClock((0, 1)))).data)
-    forged = forger.encode(0, 1, m.WriteReply(9, "x", 1, VectorClock((2, 1))))
+    forged = forger.encode(0, 1, m.WriteReply(9, VectorClock((2, 1))))
     assert forged.stamp_entries == 1
     after = _good_frames(1)[0].data
     runtime, received, closed_at = _read(
-        _framed(first) + _framed(forged.data) + _framed(after)
+        first + forged.data + after
     )
     assert [type(msg) for _, msg in received] == [m.Invalidate]
     assert runtime.frames_rejected == 1 and runtime.frames_delivered == 1
@@ -622,18 +628,51 @@ def test_a_reply_to_no_request_is_refused():
     assert closed_at is not None and runtime._error is None
 
 
-@pytest.mark.parametrize("length", [0, HEADER_BYTES - 1, MAX_FRAME + 1, 2 ** 32 - 1])
-def test_reader_checks_the_length_before_reading_that_much(length):
-    """A 4 GiB length header is refused on sight, not waited for."""
-    stream = struct.pack(">I", length) + b"\x00" * 64
-    # Refused the moment the prefix is complete: byte 7 + 4, not later.
-    prefix_end = len(_HELLO) + 4
+def _refuted(frame: bytes):
+    """``frame`` spoilt in each way the reader refutes from the header
+    alone: ``(spoilt frame, the byte that refutes it, the refusal)``."""
+    def length(n):
+        return frame[:10] + struct.pack(">H", n) + frame[12:]
+
+    return {
+        "version": (bytes([WIRE_VERSION + 1]) + frame[1:], 1, "wire version"),
+        0: (length(0), HEADER_BYTES, "frame length 0"),
+        HEADER_BYTES - 1: (length(HEADER_BYTES - 1), HEADER_BYTES,
+                           f"frame length {HEADER_BYTES - 1}"),
+        "channel": (frame[:4] + struct.pack(">H", 2) + frame[6:], HEADER_BYTES,
+                    "frame for channel 0->2"),
+    }
+
+
+def _assert_refused_before_the_body(spoilt):
+    """Fed whole or a byte at a time, ``spoilt`` (and 64 bytes after
+    it) is refused, and with 1-byte chunks at its refuting byte."""
+    frame, at, refusal = _refuted(_good_frames(1)[0].data)[spoilt]
+    stream = frame + b"\x00" * 64
     for chunks in (None, range(len(_HELLO) + len(stream))):
         runtime, received, closed_at = _read(stream, chunks)
         assert received == []
         assert runtime.frames_rejected == 1
-        assert f"frame length {length}" in runtime.last_rejection
-        assert closed_at == (prefix_end if chunks else len(_HELLO) + len(stream))
+        assert refusal in runtime.last_rejection
+        assert closed_at == len(_HELLO) + (at if chunks else len(stream))
+
+
+@pytest.mark.parametrize("length", [0, HEADER_BYTES - 1])
+def test_reader_checks_the_length_before_reading_that_much(length):
+    """A record is one frame, as long as its header says: a length
+    below the header's own is refused once the header is complete, never
+    waited for.  (No length can exceed ``MAX_FRAME``: the field is u16.)"""
+    _assert_refused_before_the_body(length)
+
+
+def test_reader_refuses_a_wrong_version_at_the_first_byte():
+    _assert_refused_before_the_body("version")
+
+
+def test_reader_refuses_another_channels_frame_on_its_header():
+    """Endpoints are checked once the header is complete, before the
+    body is waited for; the codec would refuse the whole frame too."""
+    _assert_refused_before_the_body("channel")
 
 
 def test_reader_survives_random_streams():
@@ -652,7 +691,7 @@ def test_handler_failures_still_fail_the_run():
         raise RuntimeError("engine bug")
 
     frame = WireCodec().encode(0, 1, m.Invalidate(1, "x"))
-    runtime, _, closed_at = _read(_framed(frame.data), handler=broken)
+    runtime, _, closed_at = _read(frame.data, handler=broken)
     assert isinstance(runtime._error, RuntimeError)
     assert runtime.frames_rejected == 0 and closed_at is None
 
@@ -670,13 +709,14 @@ def _outcome(stream, chunks):
 def test_any_chunking_of_a_stream_reads_the_same(data):
     """The bytes decide what is delivered and where the stream is
     refused, never how ``recv`` happened to cut them: 1-byte chunks,
-    cuts inside the hello, the length prefix or a frame, and several
-    frames in one chunk all match the stream fed whole."""
-    good = [_framed(f.data) for f in _good_frames(4)]
+    cuts inside the hello, a header or a body, and several frames in
+    one chunk all match the stream fed whole."""
+    good = [f.data for f in _good_frames(4)]
+    spoilt = [bad for bad, _, _ in _refuted(good[0]).values()]
     bad = data.draw(st.sampled_from([
         b"",                                      # a clean stream
-        struct.pack(">I", MAX_FRAME + 1),         # refused at its prefix
-        _framed(b"\xee" * HEADER_BYTES),          # refused by decode
+        *spoilt,                                  # refused on the header
+        good[0][:1] + b"\xee" + good[0][2:],      # refused by decode
     ]))
     at = data.draw(st.integers(0, len(good)))
     stream = b"".join(good[:at]) + bad + b"".join(good[at:])
@@ -688,17 +728,20 @@ def test_any_chunking_of_a_stream_reads_the_same(data):
     cuts = data.draw(st.lists(st.integers(0, size), max_size=8))
     assert _outcome(stream, cuts) == whole
     # Rejection happens at the same byte: with 1-byte chunks the
-    # endpoint closes exactly where the refused record became readable
-    # (the end of a bad prefix, the end of a frame decode refuses).
+    # endpoint closes exactly where the refusal became decidable (a bad
+    # version byte, the end of a bad header, the end of a frame decode
+    # refuses).
     if bad:
-        refused_at = len(_HELLO) + len(b"".join(good[:at])) + len(bad)
+        at_byte = {frame: byte for frame, byte, _ in _refuted(good[0]).values()}
+        refused_at = (len(_HELLO) + len(b"".join(good[:at]))
+                      + at_byte.get(bad, len(bad)))
         assert _read(stream, range(size))[2] == refused_at
 
 
 def test_a_hello_cut_anywhere_is_still_one_hello():
     """Splits inside the 7-byte hello neither reject nor lose a frame;
     a wrong hello is refused once all 7 bytes are there, however cut."""
-    frame = _framed(_good_frames(1)[0].data)
+    frame = _good_frames(1)[0].data
     for cut in range(1, len(_HELLO)):
         runtime, received, closed_at = _read(frame, [cut])
         assert len(received) == 1 and runtime.frames_rejected == 0
@@ -716,8 +759,8 @@ def test_a_hello_cut_anywhere_is_still_one_hello():
         conn, transport = _Conn(runtime, 1), _FakeTransport()
         conn.connection_made(transport)
         for byte in hello[:-1]:
-            conn.data_received(bytes([byte]))
+            _received(conn, bytes([byte]))
             assert not transport.closed and runtime.frames_rejected == 0
-        conn.data_received(hello[-1:] + frame)
+        _received(conn, hello[-1:] + frame)
         assert transport.closed and runtime.frames_rejected == 1
         assert "hello" in runtime.last_rejection and runtime.resyncs == 0
