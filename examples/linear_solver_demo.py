@@ -2,7 +2,7 @@
 
 Runs the *same* Figure 6 program on causal DSM, the atomic (coherent)
 DSM baseline and a central server, verifying the solution against
-``numpy.linalg.solve`` and printing the measured messages per processor
+the correctly rounded exact solution and printing the measured messages per processor
 per iteration next to the paper's analytic formulas (2n+6 vs >= 3n+5).
 Then runs the asynchronous (chaotic relaxation) variant that drops the
 handshakes entirely.

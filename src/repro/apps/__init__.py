@@ -21,38 +21,20 @@
     Random read/write workload generation for property-based protocol
     safety tests.
 
-The two solver modules compute with numpy; their names below resolve on
-first use (PEP 562), so importing this package, a workload or the
-protocol stack leaves numpy unloaded.
+Every module here is plain Python: the solvers' systems, reference
+solutions and norms included (DESIGN.md §4.9).
 """
 
-from importlib import import_module
-
+from repro.apps.async_solver import AsynchronousSolver
 from repro.apps.bulletin import BoardView, BulletinBoard, Post
 from repro.apps.dictionary import (
     FREE,
     DictionaryCluster,
     DictionaryView,
 )
+from repro.apps.linear_solver import LinearSystem, SolverResult, SynchronousSolver
 from repro.apps.waiting import oracle_wait, polling_wait
 from repro.apps.workload import WorkloadConfig, run_random_execution
-
-_SOLVER_EXPORTS = {
-    "LinearSystem": "repro.apps.linear_solver",
-    "SolverResult": "repro.apps.linear_solver",
-    "SynchronousSolver": "repro.apps.linear_solver",
-    "AsynchronousSolver": "repro.apps.async_solver",
-}
-
-
-def __getattr__(name: str):
-    module = _SOLVER_EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(module), name)
-    globals()[name] = value
-    return value
-
 
 __all__ = [
     "LinearSystem",

@@ -24,16 +24,19 @@ Message cost: ``2 (n - 1) / refresh`` messages per worker per iteration
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
-
-import numpy as np
+from array import array
+from typing import Optional
 
 from repro.errors import ReproError
 from repro.memory import Namespace, location_array
 from repro.protocols.base import DSMCluster
 from repro.sim.latency import LatencyModel
 
-from repro.apps.linear_solver import LinearSystem, SolverResult
+from repro.apps.linear_solver import (
+    LinearSystem,
+    SolverResult,
+    max_abs_difference,
+)
 
 __all__ = ["AsynchronousSolver", "async_namespace"]
 
@@ -86,13 +89,11 @@ class AsynchronousSolver:
     def _worker(self, api, i: int):
         n = self.n
         # Publish my rows of the inputs (all local writes).
-        for j in range(n):
-            yield api.write(
-                location_array("A", i, j), float(self.system.a[i, j])
-            )
-        yield api.write(location_array("b", i), float(self.system.b[i]))
-        row = [float(self.system.a[i, j]) for j in range(n)]
-        b_i = float(self.system.b[i])
+        row = self.system.a[i]
+        b_i = self.system.b[i]
+        for j, a_ij in enumerate(row):
+            yield api.write(location_array("A", i, j), a_ij)
+        yield api.write(location_array("b", i), b_i)
         for iteration in range(self.iterations):
             if iteration % self.refresh == 0:
                 for j in range(n):
@@ -111,7 +112,7 @@ class AsynchronousSolver:
         for i in range(self.n):
             self.cluster.spawn(i, self._worker, i, name=f"async-worker-{i}")
         self.cluster.run()
-        solution = np.zeros(self.n)
+        solution = array("d")
         for j in range(self.n):
             node = (
                 self.cluster.server
@@ -121,7 +122,7 @@ class AsynchronousSolver:
             assert node is not None
             entry = node.store.get(location_array("x", j))
             assert entry is not None
-            solution[j] = entry.value
+            solution.append(entry.value)
         exact = self.system.exact_solution()
         per_processor = (
             self.cluster.stats.total / (self.n * self.iterations)
@@ -134,7 +135,7 @@ class AsynchronousSolver:
             iterations=self.iterations,
             solution=solution,
             exact=exact,
-            max_error=float(np.max(np.abs(solution - exact))),
+            max_error=max_abs_difference(solution, exact),
             residual=self.system.residual(solution),
             total_messages=self.cluster.stats.total,
             per_phase_messages=[],

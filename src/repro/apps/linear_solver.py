@@ -25,10 +25,10 @@ harness records messages per phase so the ``2n + 6`` versus
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
-
-import numpy as np
+from functools import cached_property
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.apps.waiting import oracle_wait, polling_wait
 from repro.errors import ReproError
@@ -39,25 +39,159 @@ from repro.sim.trace import CounterSnapshot
 
 __all__ = ["LinearSystem", "SolverResult", "SynchronousSolver", "solver_namespace"]
 
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_words(seed: int) -> List[int]:
+    """``numpy.random.SeedSequence(seed).generate_state(4, uint64)``."""
+    if seed < 0:
+        raise ReproError(f"seed must be >= 0, got {seed}")
+    entropy = [
+        (seed >> shift) & _MASK32
+        for shift in range(0, max(seed.bit_length(), 1), 32)
+    ]
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = (hash_const * 0x931E8875) & _MASK32
+        value = (value * hash_const) & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x: int, y: int) -> int:
+        result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return result ^ (result >> 16)
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_const = 0x8B51F9DD
+    words: List[int] = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = (hash_const * 0x58F38DED) & _MASK32
+        value = (value * hash_const) & _MASK32
+        words.append(value ^ (value >> 16))
+    return [words[k] | words[k + 1] << 32 for k in range(0, 8, 2)]
+
+
+def _uniform(seed: int, count: int, low: float, high: float) -> List[float]:
+    """The first ``count`` draws of ``numpy.random.default_rng(seed)
+    .uniform(low, high)``: PCG64 (XSL-RR output) seeded by SeedSequence."""
+    s0, s1, s2, s3 = _seed_words(seed)
+    increment = (((s2 << 64 | s3) << 1) | 1) & _MASK128
+    state = (increment + (s0 << 64 | s1)) & _MASK128
+    state = (state * _PCG64_MULTIPLIER + increment) & _MASK128
+    width = high - low
+    values: List[float] = []
+    for _ in range(count):
+        state = (state * _PCG64_MULTIPLIER + increment) & _MASK128
+        folded = ((state >> 64) ^ state) & _MASK64
+        rotation = state >> 122
+        word = ((folded >> rotation) | (folded << (-rotation & 63))) & _MASK64
+        values.append(low + width * ((word >> 11) * 2.0**-53))
+    return values
+
+
+def _pairwise_sum(values: List[float]) -> float:
+    """numpy's float64 ``sum``, term for term: a plain loop below 8
+    terms, eight accumulators up to 128, halves (cut at a multiple of 8)
+    above.  Loops, not ``sum()``, which compensates on Python >= 3.12."""
+    count = len(values)
+    if count > 128:
+        half = count // 2 - count // 2 % 8
+        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+    total = 0.0
+    whole = 0
+    if count >= 8:
+        acc = values[:8]
+        whole = count - count % 8
+        for base in range(8, whole, 8):
+            acc = [x + y for x, y in zip(acc, values[base:base + 8])]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + (
+            (acc[4] + acc[5]) + (acc[6] + acc[7])
+        )
+    for value in values[whole:]:
+        total += value
+    return total
+
+
+def _correctly_rounded_solve(
+    a: Tuple[Tuple[float, ...], ...], b: Tuple[float, ...]
+) -> Tuple[float, ...]:
+    """The exact solution of the float system, each component rounded once.
+
+    Every float is a dyadic rational, so scaling a row of ``[A | b]`` by
+    its largest denominator makes it integral without moving ``x``.
+    Fraction-free (Bareiss) elimination keeps every entry an integer
+    minor; back-substitution solves for ``det * x``, an integer by
+    Cramer's rule, and ``int / int`` rounds correctly.
+    """
+    n = len(b)
+    rows: List[List[int]] = []
+    for a_row, b_i in zip(a, b):
+        ratios = [value.as_integer_ratio() for value in (*a_row, b_i)]
+        scale = max(den for _, den in ratios)
+        rows.append([num * (scale // den) for num, den in ratios])
+    previous = 1
+    for k in range(n):
+        pivot_at = next((r for r in range(k, n) if rows[r][k]), None)
+        if pivot_at is None:
+            raise ReproError(f"singular {n}x{n} system: no unique solution")
+        rows[k], rows[pivot_at] = rows[pivot_at], rows[k]
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        for row in rows[k + 1:]:
+            factor = row[k]
+            row[k] = 0
+            for j in range(k + 1, n + 1):
+                row[j] = (row[j] * pivot - factor * pivot_row[j]) // previous
+        previous = pivot
+    det = previous
+    scaled = [0] * n
+    for i in reversed(range(n)):
+        row = rows[i]
+        numerator = row[n] * det
+        for j in range(i + 1, n):
+            numerator -= row[j] * scaled[j]
+        scaled[i] = numerator // row[i]
+    return tuple(value / det for value in scaled)
+
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """A dense linear system ``Ax = b`` with a known exact solution."""
+    """A dense linear system ``Ax = b`` of Python floats: ``a`` is a
+    tuple of row tuples, ``b`` a tuple.  Any sequences of reals are
+    accepted and normalised."""
 
-    a: np.ndarray
-    b: np.ndarray
+    a: Tuple[Tuple[float, ...], ...]
+    b: Tuple[float, ...]
 
     def __post_init__(self) -> None:
-        n = self.a.shape[0]
-        if self.a.shape != (n, n) or self.b.shape != (n,):
+        a = tuple(tuple(float(value) for value in row) for row in self.a)
+        b = tuple(float(value) for value in self.b)
+        n = len(a)
+        if len(b) != n or any(len(row) != n for row in a):
             raise ReproError(
-                f"shape mismatch: A{self.a.shape} b{self.b.shape}"
+                f"shape mismatch: A has rows of lengths "
+                f"{[len(row) for row in a]}, b has {len(b)} entries"
             )
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @property
     def n(self) -> int:
         """Dimension of the system."""
-        return self.a.shape[0]
+        return len(self.b)
 
     @classmethod
     def random(cls, n: int, seed: int = 0, dominance: float = 1.5) -> "LinearSystem":
@@ -65,22 +199,41 @@ class LinearSystem:
 
         Diagonal dominance guarantees Jacobi convergence — and, for the
         asynchronous solver, Chazan–Miranker chaotic-relaxation
-        convergence.
+        convergence.  The draws and the row sums are
+        ``numpy.random.default_rng(seed).uniform(-1, 1)``'s and
+        ``numpy.sum``'s bit for bit, without numpy (DESIGN.md §4.9).
         """
-        rng = np.random.default_rng(seed)
-        a = rng.uniform(-1.0, 1.0, size=(n, n))
-        row_sums = np.abs(a).sum(axis=1) - np.abs(np.diag(a))
-        np.fill_diagonal(a, dominance * row_sums + 1.0)
-        b = rng.uniform(-1.0, 1.0, size=n)
-        return cls(a=a, b=b)
+        draws = _uniform(seed, n * n + n, -1.0, 1.0)
+        rows = [draws[i * n:(i + 1) * n] for i in range(n)]
+        for i, row in enumerate(rows):
+            off_diagonal = _pairwise_sum([abs(v) for v in row]) - abs(row[i])
+            row[i] = dominance * off_diagonal + 1.0
+        return cls(a=rows, b=draws[n * n:])
 
-    def exact_solution(self) -> np.ndarray:
-        """The reference solution via ``numpy.linalg.solve``."""
-        return np.linalg.solve(self.a, self.b)
+    @cached_property
+    def _exact(self) -> Tuple[float, ...]:
+        return _correctly_rounded_solve(self.a, self.b)
 
-    def residual(self, x: np.ndarray) -> float:
-        """Infinity-norm residual ``||Ax - b||``."""
-        return float(np.max(np.abs(self.a @ x - self.b)))
+    def exact_solution(self) -> array:
+        """The correctly rounded solution of the float system, solved once
+        per system (:func:`_correctly_rounded_solve`)."""
+        return array("d", self._exact)
+
+    def residual(self, x: Sequence[float]) -> float:
+        """Infinity-norm residual ``||Ax - b||``, each row's products
+        summed left to right."""
+        worst = 0.0
+        for row, b_i in zip(self.a, self.b):
+            acc = 0.0
+            for a_ij, x_j in zip(row, x):
+                acc += a_ij * x_j
+            worst = max(worst, abs(acc - b_i))
+        return worst
+
+
+def max_abs_difference(x: Sequence[float], y: Sequence[float]) -> float:
+    """``max_i |x_i - y_i|``, the solvers' ``max_error``."""
+    return max(abs(u - v) for u, v in zip(x, y))
 
 
 @dataclass
@@ -90,8 +243,8 @@ class SolverResult:
     protocol: str
     n: int
     iterations: int
-    solution: np.ndarray
-    exact: np.ndarray
+    solution: array
+    exact: array
     max_error: float
     residual: float
     total_messages: int
@@ -230,10 +383,10 @@ class SynchronousSolver:
 
     def _coordinator(self, api):
         n = self.n
-        for i in range(n):
-            for j in range(n):
-                yield api.write(location_array("A", i, j), float(self.system.a[i, j]))
-            yield api.write(location_array("b", i), float(self.system.b[i]))
+        for i, row in enumerate(self.system.a):
+            for j, a_ij in enumerate(row):
+                yield api.write(location_array("A", i, j), a_ij)
+            yield api.write(location_array("b", i), self.system.b[i])
         yield api.write("ready", True)
         for k in range(self.iterations):
             for i in range(n):
@@ -273,7 +426,7 @@ class SynchronousSolver:
             iterations=self.iterations,
             solution=solution,
             exact=exact,
-            max_error=float(np.max(np.abs(solution - exact))),
+            max_error=max_abs_difference(solution, exact),
             residual=self.system.residual(solution),
             total_messages=self.cluster.stats.total,
             per_phase_messages=per_phase,
@@ -284,8 +437,8 @@ class SynchronousSolver:
             phase_snapshots=list(self._phase_snapshots),
         )
 
-    def _read_back_solution(self) -> np.ndarray:
-        values = np.zeros(self.n)
+    def _read_back_solution(self) -> array:
+        values = array("d")
         for j in range(self.n):
             location = location_array("x", j)
             if self.protocol == "central":
@@ -295,7 +448,7 @@ class SynchronousSolver:
             assert node is not None
             entry = node.store.get(location)
             assert entry is not None
-            values[j] = entry.value
+            values.append(entry.value)
         return values
 
     def _per_phase_totals(self) -> List[int]:

@@ -244,7 +244,9 @@ def _run_one(name: str, store=None) -> bool:
     elapsed = time.perf_counter() - started
     status = "PASS" if report.passed else "FAIL"
     print(f"[{report.exp_id}] {report.title}")
-    print(f"status: {status}  ({elapsed:.2f}s)")
+    print(f"status: {status}")
+    # Wall time goes to stderr, so stdout compares byte for byte.
+    print(f"[{report.exp_id}] {elapsed:.2f}s", file=sys.stderr)
     print()
     print(report.text)
     print()

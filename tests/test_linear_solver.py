@@ -4,8 +4,8 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
-import numpy as np
 import pytest
 
 import repro
@@ -13,6 +13,7 @@ from repro.analysis.message_model import (
     atomic_messages_lower_bound,
     causal_messages_per_processor,
 )
+from repro.apps import linear_solver
 from repro.apps.linear_solver import (
     LinearSystem,
     SynchronousSolver,
@@ -20,18 +21,64 @@ from repro.apps.linear_solver import (
 )
 from repro.errors import ReproError
 
+#: The seeds the differential test draws with: small ones, the
+#: benchmark's ``sim-solver`` instance seeds for 1991 and 2024, and two
+#: seeds of more than one and more than two 32-bit words.
+NUMPY_SEEDS = (
+    list(range(40))
+    + list(range(1991000, 1991016))
+    + list(range(2024000, 2024016))
+    + [2**40 + 3, 2**70 + 11]
+)
+
+
+def _allclose(xs, ys):
+    """``numpy.allclose``'s default test, element by element."""
+    return all(abs(x - y) <= 1e-8 + 1e-5 * abs(y) for x, y in zip(xs, ys))
+
+
+def _fraction_solution(system):
+    """Gauss–Jordan over ``Fraction``, each component rounded once."""
+    n = system.n
+    rows = [
+        [Fraction(v) for v in row] + [Fraction(b_i)]
+        for row, b_i in zip(system.a, system.b)
+    ]
+    for k in range(n):
+        pivot_at = next(r for r in range(k, n) if rows[r][k])
+        rows[k], rows[pivot_at] = rows[pivot_at], rows[k]
+        rows[k] = [v / rows[k][k] for v in rows[k]]
+        for r in range(n):
+            if r != k and rows[r][k]:
+                factor = rows[r][k]
+                rows[r] = [u - factor * v for u, v in zip(rows[r], rows[k])]
+    return [float(row[n]) for row in rows]
+
 
 class TestLinearSystem:
     def test_random_is_diagonally_dominant(self):
         system = LinearSystem.random(6, seed=1)
         a = system.a
         for i in range(6):
-            off_diag = np.abs(a[i]).sum() - abs(a[i, i])
-            assert abs(a[i, i]) > off_diag
+            off_diag = sum(abs(v) for v in a[i]) - abs(a[i][i])
+            assert abs(a[i][i]) > off_diag
 
     def test_shape_mismatch_rejected(self):
+        identity = [[float(i == j) for j in range(3)] for i in range(3)]
         with pytest.raises(ReproError):
-            LinearSystem(a=np.eye(3), b=np.zeros(2))
+            LinearSystem(a=identity, b=[0.0, 0.0])
+        with pytest.raises(ReproError):
+            LinearSystem(a=[[1.0, 0.0], [0.0]], b=[0.0, 0.0])
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ReproError):
+            LinearSystem.random(3, seed=-1)
+
+    def test_sequences_are_normalised_to_float_tuples(self):
+        system = LinearSystem(a=[[2, 1], [1, 3]], b=(1, 2))
+        assert system.a == ((2.0, 1.0), (1.0, 3.0))
+        assert system.b == (1.0, 2.0)
+        assert all(type(v) is float for row in system.a for v in row)
 
     def test_exact_solution_solves_system(self):
         system = LinearSystem.random(5, seed=2)
@@ -41,8 +88,62 @@ class TestLinearSystem:
     def test_seeded_reproducibility(self):
         a = LinearSystem.random(4, seed=3)
         b = LinearSystem.random(4, seed=3)
-        assert np.array_equal(a.a, b.a)
-        assert np.array_equal(a.b, b.b)
+        assert a.a == b.a
+        assert a.b == b.b
+        assert a.a != LinearSystem.random(4, seed=4).a
+
+    @pytest.mark.parametrize("n", list(range(1, 21)) + [32, 129, 200])
+    def test_random_is_numpys_construction_bit_for_bit(self, n):
+        """Every summation branch of ``numpy.sum`` (below 8 terms, eight
+        accumulators up to 128, halves above) and every seed width."""
+        np = pytest.importorskip("numpy")
+        for seed in NUMPY_SEEDS:
+            rng = np.random.default_rng(seed)
+            a = rng.uniform(-1.0, 1.0, size=(n, n))
+            row_sums = np.abs(a).sum(axis=1) - np.abs(np.diag(a))
+            np.fill_diagonal(a, 1.5 * row_sums + 1.0)
+            b = rng.uniform(-1.0, 1.0, size=n)
+            system = LinearSystem.random(n, seed=seed)
+            assert np.array(system.a).tobytes() == a.tobytes(), (n, seed)
+            assert np.array(system.b).tobytes() == b.tobytes(), (n, seed)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_exact_solution_is_the_rounded_exact_solution(self, n):
+        for seed in range(20):
+            system = LinearSystem.random(n, seed=seed)
+            assert list(system.exact_solution()) == _fraction_solution(system)
+
+    def test_exact_solution_pivots_past_a_zero(self):
+        system = LinearSystem(a=[[0.0, 2.0], [3.0, 1.0]], b=[1.0, 0.1])
+        assert list(system.exact_solution()) == _fraction_solution(system)
+
+    def test_singular_system_rejected(self):
+        system = LinearSystem(a=[[1.0, 2.0], [0.5, 1.0]], b=[1.0, 0.0])
+        with pytest.raises(ReproError, match="singular"):
+            system.exact_solution()
+
+    def test_exact_solution_is_solved_once(self, monkeypatch):
+        calls = []
+        solve = linear_solver._correctly_rounded_solve
+
+        def counting(a, b):
+            calls.append(1)
+            return solve(a, b)
+
+        monkeypatch.setattr(linear_solver, "_correctly_rounded_solve", counting)
+        system = LinearSystem.random(5, seed=2)
+        first = system.exact_solution()
+        first[0] = 0.0  # a caller's copy: the memo stays intact
+        assert system.exact_solution() == LinearSystem.random(5, seed=2).exact_solution()
+        assert len(calls) == 2  # one per system, not one per call
+
+    def test_residual_sums_each_row_left_to_right(self):
+        system = LinearSystem(
+            a=[[1.0, 1e16, -1e16], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+            b=[0.0, 1.0, 1.0],
+        )
+        # 1 + 1e16 rounds the 1 away; an exact sum would leave 1.0.
+        assert system.residual([1.0, 1.0, 1.0]) == 0.0
 
 
 class TestNamespace:
@@ -87,8 +188,8 @@ class TestConvergence:
             ).run().solution
             for protocol in ("causal", "atomic", "central")
         ]
-        assert np.allclose(solutions[0], solutions[1])
-        assert np.allclose(solutions[0], solutions[2])
+        assert _allclose(solutions[0], solutions[1])
+        assert _allclose(solutions[0], solutions[2])
 
     def test_more_iterations_reduce_error(self):
         system = LinearSystem.random(4, seed=5)
@@ -221,18 +322,17 @@ class TestValidation:
         assert "causal" in result.summary()
 
 
-def test_numpy_is_imported_by_the_solvers_only():
-    """The protocol stack, monitor, runtimes and checkers import without
-    numpy; the solver names re-exported by ``repro.apps`` resolve on
-    first use (and bring numpy with them)."""
+def test_nothing_imports_numpy():
+    """The package, the solvers included, runs with numpy unloaded."""
     code = (
         "import sys\n"
-        "import repro, repro.apps.workload, repro.monitor, repro.runtime, "
-        "repro.checker\n"
-        "assert 'numpy' not in sys.modules, 'the core imported numpy'\n"
-        "from repro.apps import SynchronousSolver, LinearSystem\n"
-        "assert SynchronousSolver.__module__ == 'repro.apps.linear_solver'\n"
-        "assert 'numpy' in sys.modules\n"
+        "import repro\n"
+        "from repro.apps import AsynchronousSolver, LinearSystem, "
+        "SynchronousSolver\n"
+        "system = LinearSystem.random(3, seed=1)\n"
+        "assert SynchronousSolver(system, iterations=4).run().max_error < 1\n"
+        "assert AsynchronousSolver(system, iterations=4).run().max_error < 1\n"
+        "assert 'numpy' not in sys.modules, 'something imported numpy'\n"
     )
     src = str(pathlib.Path(repro.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
