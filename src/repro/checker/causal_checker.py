@@ -39,9 +39,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReadVerdict:
-    """One read's verdict; its live set is built from ``order`` when asked."""
+    """One read's verdict; its live set is built from ``order`` when asked.
+
+    :func:`check_causal` builds its verdicts by ``object.__new__`` and
+    the slot descriptors' ``__set__``, as ``wire._compile`` builds
+    decoded messages: frozen against assignment, not against that.
+    """
 
     read: Operation
     ok: bool
@@ -65,6 +70,12 @@ class ReadVerdict:
             f"{self.read}: alpha = {{{', '.join(values)}}} "
             f"returned {self.read.value!r} -> {status}"
         )
+
+
+_new_verdict = object.__new__
+_set_read, _set_ok, _set_order = (
+    ReadVerdict.__dict__[name].__set__ for name in ("read", "ok", "order")
+)
 
 
 @dataclass
@@ -134,13 +145,15 @@ def check_causal(history: History, obs=None) -> CausalCheckResult:
         return CausalCheckResult(ok=False, cycle=cycle)
 
     rejected = order.rejected
-    verdicts = [
-        ReadVerdict(read, read.op_id not in rejected, order)
-        for read in history.reads()
-    ]
-    result = CausalCheckResult(
-        ok=all(v.ok for v in verdicts), verdicts=verdicts
-    )
+    verdicts = []
+    append = verdicts.append
+    for read in history.reads():
+        verdict = _new_verdict(ReadVerdict)
+        _set_read(verdict, read)
+        _set_ok(verdict, read.op_id not in rejected)
+        _set_order(verdict, order)
+        append(verdict)
+    result = CausalCheckResult(ok=not rejected, verdicts=verdicts)
     if obs is not None and obs.wants("check", "verdict"):
         obs.emit(
             "check", "verdict", ok=result.ok,

@@ -41,7 +41,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from itertools import zip_longest
-from typing import Any, Deque, Dict, List, Set, Tuple
+from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.checker.history import History, INIT_PROC, Operation
 from repro.errors import CheckError
@@ -121,7 +121,8 @@ def _excluded(
 ) -> bool:
     """Does a notice of another write sit between ``source`` and ``cut``?
 
-    The between-ness test of reads, live sets and GC alike.  ``source``
+    The between-ness test of reads and GC (:meth:`CausalFeed.live_ids`
+    runs it on witnesses found once per read).  ``source``
     was written by ``writer`` with own component ``own``; ``cut`` is a
     downward-closed timestamp (a read's past or the min-frontier).
     A notice of process ``q`` lies in the cut iff its own component is
@@ -221,27 +222,33 @@ class CausalFeed:
             }
             self._notices[location] = {}
         past = self.frontier[proc]
-        vt = past[:proc] + (past[proc] + 1,) + past[proc + 1:]
         groups = self._notices[location]
         ok = True
+        vt = None
+        if kind == "r":  # decided before clocked: a parked read builds none
+            entry = candidates.get(source)
+            if entry is None:
+                if not self._dead(location, source):
+                    return False
+                ok = False  # its clock is gone: the read keeps its bump
+            else:
+                source_vt, writer = entry
+                own = source_vt[writer]
+                if past[writer] < own:  # concurrent: live (condition 1)
+                    vt = [x if x >= y else y for x, y in zip(past, source_vt)]
+                else:
+                    ok = not _excluded(groups, source, writer, own, past)
+        if vt is None:
+            vt = list(past)
+        # The bump; a joined source's ``proc`` component is at most
+        # ``past[proc]``, since ``proc``'s ops are filed in order.
+        vt[proc] = past[proc] + 1
+        vt = tuple(vt)
         if kind == "w":
             candidates[source] = (vt, proc)
             parked = self._waiting.pop(source, None)
             if parked is not None:
                 self._woken += parked
-        else:
-            entry = candidates.get(source)
-            if entry is None:
-                if not self._dead(location, source):
-                    return False
-                ok = False  # its clock is gone: the read keeps vt
-            else:
-                source_vt, writer = entry
-                own = source_vt[writer]
-                if past[writer] < own:  # concurrent: live (condition 1)
-                    vt = tuple(map(max, vt, source_vt))
-                else:
-                    ok = not _excluded(groups, source, writer, own, past)
         self.frontier[proc] = vt
         group = groups.get(proc)
         if group is None:
@@ -270,16 +277,37 @@ class CausalFeed:
         unless a notice of another value sits in between.  Asked after
         the read is filed, the read's own notice lies outside ``past``,
         so the answer is the one the read was decided on.
+
+        The between-ness test is :func:`_excluded`'s, with each group's
+        witnesses found once per call rather than once per write: the
+        in-cut tip's source and clock, and ``last_other[tip]``'s clock.
         """
-        groups = self._notices[location]
-        return tuple(
-            write_id
-            for write_id, (vt, writer) in self._candidates[location].items()
-            if (
-                vt[proc] <= past[proc] if past[writer] < vt[writer]
-                else not _excluded(groups, write_id, writer, vt[writer], past)
-            )
-        )
+        tips = []
+        for q, group in self._notices[location].items():
+            k = bisect_right(group.seqs, past[q]) - 1
+            if k >= 0:
+                other = group.last_other[k]
+                tips.append((
+                    group.srcs[k], group.vts[k],
+                    group.vts[other] if other >= 0 else None,
+                ))
+        live = []
+        for write_id, (vt, writer) in self._candidates[location].items():
+            own = vt[writer]
+            if past[writer] < own:  # concurrent: live unless the read is first
+                if vt[proc] <= past[proc]:
+                    live.append(write_id)
+                continue
+            for carried, witness, other in tips:
+                if carried == write_id:
+                    witness = other
+                    if witness is None:
+                        continue
+                if witness[writer] >= own:
+                    break
+            else:
+                live.append(write_id)
+        return tuple(live)
 
 
 class CausalOrder(CausalFeed):
@@ -297,9 +325,8 @@ class CausalOrder(CausalFeed):
         super().__init__(history.n_procs)
         self.history = history
         self.ops: List[Operation] = history.operations(include_init=True)
-        self._pos: Dict[Tuple[int, int], int] = {
-            op.op_id: i for i, op in enumerate(self.ops)
-        }
+        #: ``op_id -> position in ops``, built by the first query.
+        self._pos: Optional[Dict[Tuple[int, int], int]] = None
         #: Per process, its operations' clocks in program order.
         self._clocks: List[List[Clock]] = [[] for _ in history.processes]
         #: The op ids of the reads whose source is not live for them.
@@ -326,8 +353,11 @@ class CausalOrder(CausalFeed):
 
     def index_of(self, op: Operation) -> int:
         """Internal index of an operation (stable across queries)."""
+        pos = self._pos
+        if pos is None:
+            pos = self._pos = {o.op_id: i for i, o in enumerate(self.ops)}
         try:
-            return self._pos[op.op_id]
+            return pos[op.op_id]
         except KeyError:
             raise CheckError(f"{op} is not part of this history") from None
 

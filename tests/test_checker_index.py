@@ -28,7 +28,8 @@ from repro.checker import (
     random_history,
 )
 from repro.checker import causality
-from repro.checker.history import Operation, initial_write_id
+from repro.checker.history import INIT_PROC, Operation, initial_write_id
+from repro.errors import CheckError
 from repro.harness.scenarios import run_figure3_on_broadcast
 
 SHAPES = [
@@ -196,6 +197,42 @@ def test_live_sets_equal_definition_on_contended_histories(monkeypatch):
     assert min(causal, violating) >= 10, (causal, violating)
     # The regime SHAPES never reach: far more past writes than processes.
     assert deepest > 40, deepest
+
+
+# Many processes, a few operations each: fed round-robin, a read whose
+# source sits further along its writer's program parks until it is filed.
+WIDE = [
+    dict(n_procs=16, n_locations=3, ops_per_proc=5, read_fraction=0.5),
+    dict(n_procs=32, n_locations=4, ops_per_proc=4, read_fraction=0.6),
+    dict(n_procs=64, n_locations=6, ops_per_proc=3, read_fraction=0.6),
+]
+
+
+def test_live_sets_equal_definition_at_many_processes(monkeypatch):
+    """Clocks as wide as 64 components, bumped, joined and parked: every
+    verdict, ``precedes`` answer and live set is the graph search's."""
+    parks = []
+    original = causality.CausalFeed._file
+
+    def counted(self, *op):
+        filed = original(self, *op)
+        parks[-1] += not filed
+        return filed
+
+    monkeypatch.setattr(causality.CausalFeed, "_file", counted)
+    rng = random.Random(42)
+    causal = violating = 0
+    for seed in range(6):
+        shape = WIDE[seed % len(WIDE)]
+        generated = interleaved_history(seed, stale=0.3, **shape)
+        for history in (generated, rewire_one_read(generated, rng)):
+            parks.append(0)
+            result = assert_matches_definition(history)
+            if result.cycle is None:
+                causal += result.ok
+                violating += not result.ok
+    assert causal and violating, (causal, violating)
+    assert min(parks[::2]) > 0, parks  # every generated history parks
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -374,3 +411,44 @@ def test_cycle_and_normal_verdict_events_carry_the_same_keys(figure1):
     assert (miss["cached"], hit["cached"]) == (False, True)
     assert {**hit, "cached": False} == miss
     assert {**cyclic_hit, "cached": False} == cyclic_miss
+
+
+# ----------------------------------------------------------------------
+# What check_causal builds lazily or by hand stays what it was
+# ----------------------------------------------------------------------
+def test_a_checked_verdict_is_a_constructed_one(figure3):
+    from dataclasses import FrozenInstanceError
+    from repro.checker.causal_checker import ReadVerdict
+
+    result = check_causal(figure3)
+    assert not result.ok and result.violations
+    order = CausalOrder(figure3)
+    for verdict in result.verdicts:
+        built = ReadVerdict(verdict.read, verdict.ok, order)
+        assert verdict == built and hash(verdict) == hash(built)
+        assert repr(verdict) == repr(built)
+        assert verdict.live_writes == built.live_writes
+        with pytest.raises(FrozenInstanceError):
+            verdict.ok = not verdict.ok
+        assert not hasattr(verdict, "__dict__")
+
+
+@pytest.mark.parametrize("query", ["index_of", "precedes"])
+def test_the_first_query_still_refuses_a_foreign_operation(figure2, query):
+    order = CausalOrder(figure2)
+    stranger = Operation(0, 99, "w", "x", 7, write_id=(0, 99))
+    with pytest.raises(CheckError):  # the order's first query
+        if query == "index_of":
+            order.index_of(stranger)
+        else:
+            order.precedes(order.ops[0], stranger)
+    assert order.index_of(order.ops[-1]) == len(order.ops) - 1
+
+
+def test_order_ops_list_the_initial_writes_first(figure2):
+    ops = CausalOrder(figure2).ops
+    n_init = len(figure2.init_writes)
+    assert ops[:n_init] == figure2.init_writes
+    assert ops == figure2.operations(include_init=True)
+    assert {op.proc for op in ops[:n_init]} == {INIT_PROC}
+    assert all(op.proc != INIT_PROC for op in ops[n_init:])
